@@ -34,6 +34,7 @@ from .graphs import (
     rose_of,
 )
 from .strata import (
+    CheckReport,
     Filtration,
     Metric,
     Stratum,
@@ -53,6 +54,7 @@ from .nielsen import (
     verify_splitting,
 )
 from .growth import (
+    BoundViolation,
     CancellationData,
     DecompositionReport,
     PathStats,
@@ -63,11 +65,8 @@ from .growth import (
     path_stats,
     trichotomy_classify,
     validate_backgrowth,
-    validate_bgrowth2,
     validate_bw1,
-    validate_bw2,
     validate_illen,
-    validate_illen2,
 )
 from .hyperbolicity import (
     AtoroidalityReport,

@@ -62,15 +62,12 @@ class RunConfig:
     fmt: str
     seed: int
     jobs: int
-    tol: float
 
     def __post_init__(self):
         if self.fmt not in ("json", "csv", "text"):
             raise CliError(f"unknown format {self.fmt!r}")
         if self.jobs < 1:
             raise CliError("--jobs must be positive")
-        if not 0.0 < self.tol <= 1e-3:
-            raise CliError("--tol must lie in (0, 1e-3]")
 
 
 def _positive(args, names):
@@ -432,51 +429,34 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
         filt = compute_filtration(fwd)
         metric = assign_metric(filt)
         circuits = _sample_circuits(fwd, args.samples, args.len_bound, cfg.seed)
-        if lemma == "bw1":
-            rep = growth_mod.validate_bw1(
-                fwd, bwd, circuits, k_max=args.k_max,
-                filtration=filt, metric=metric,
-            )
-        else:
-            r = _top_exponential(filt)
-            rep = growth_mod.validate_bw2(
-                fwd, bwd, circuits, r=r, k_max=args.k_max,
-                filtration=filt, metric=metric,
-            )
+        rep = growth_mod.validate_bw1(
+            fwd, bwd, circuits, k_max=args.k_max,
+            r=_top_exponential(filt) if lemma == "bw2" else None,
+            filtration=filt, metric=metric,
+        )
         constants, rows = rep.constants, rep.rows
         if not rep.all_pass:
             code = EXIT_VIOLATION
     elif lemma == "illen":
         circuits = _sample_circuits(f, args.samples, args.len_bound, cfg.seed)
-        relative = len(filt.strata) > 1
-        if relative:
-            r = _top_exponential(filt)
-            c = growth_mod.validate_illen2(
-                circuits, float(args.l0), r, filt, metric, circuit=True
-            )
-            constants = {"C": c, "L": float(args.l0), "stratum": r}
-        else:
-            c = growth_mod.validate_illen(
-                circuits, float(args.l0), filt, metric, circuit=True
-            )
-            constants = {"C": c, "L": float(args.l0)}
+        r = _top_exponential(filt) if len(filt.strata) > 1 else None
+        c = growth_mod.validate_illen(
+            circuits, float(args.l0), filt, metric, circuit=True, r=r
+        )
+        constants = {"C": c, "L": float(args.l0)}
+        if r is not None:
+            constants["stratum"] = r
     elif lemma == "backgrowth":
         fwd, bwd = _inverse_pair(kind, obj)
         filt = compute_filtration(fwd)
         metric = assign_metric(filt)
         circuits = _sample_circuits(fwd, args.samples, args.len_bound, cfg.seed)
-        if len(filt.strata) > 1:
-            rep = growth_mod.validate_bgrowth2(
-                fwd, bwd, circuits, float(args.l0), r=_top_exponential(filt),
-                n_max=args.k_max, m_search_max=args.m_max,
-                filtration=filt, metric=metric,
-            )
-        else:
-            rep = growth_mod.validate_backgrowth(
-                fwd, bwd, circuits, float(args.l0),
-                n_max=args.k_max, m_search_max=args.m_max,
-                filtration=filt, metric=metric,
-            )
+        rep = growth_mod.validate_backgrowth(
+            fwd, bwd, circuits, float(args.l0),
+            n_max=args.k_max, m_search_max=args.m_max,
+            r=_top_exponential(filt) if len(filt.strata) > 1 else None,
+            filtration=filt, metric=metric,
+        )
         constants, rows = rep.constants, rep.rows
         vacuous = constants.get("qualifying", 0) == 0
         if not vacuous and (not rep.all_pass or not constants.get("found", True)):
@@ -508,7 +488,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
                 rep = growth_mod.growth_decomposition(
                     c, float(args.l0), filt, metric
                 )
-            except AssertionError as exc:
+            except growth_mod.BoundViolation as exc:
                 rows.append({
                     "circuit": f.graph.spell_path(c),
                     "case": "bound-violated",
@@ -590,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="partition count for class enumeration")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("analyze", help="strata, growth rates, metric, map checks")
     common(p, "json")
@@ -645,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(fmt=args.format, seed=args.seed, jobs=args.jobs, tol=args.tol)
+        cfg = RunConfig(fmt=args.format, seed=args.seed, jobs=args.jobs)
         code, out = args.handler(cfg, args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

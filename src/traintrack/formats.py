@@ -28,11 +28,12 @@ else raises :class:`ParseError` with a line number.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from typing import Any, Iterable, Mapping, Sequence
 
 from .graphs import Graph, GraphMap, tighten
-from .words import Automorphism, Word, generator_name, invert_verify
+from .words import _ABC, Automorphism, Word, generator_name, invert_verify
 
 __all__ = [
     "FormatWarning",
@@ -46,9 +47,6 @@ __all__ = [
     "canonical_json",
     "render_csv",
 ]
-
-_ABC = "abcdefghijklmnopqrstuvwxyz"
-
 
 class FormatWarning(UserWarning):
     """A recoverable defect in an input file (the parser repaired it)."""
@@ -347,24 +345,20 @@ def parse_graph_map(text: str, source: str = "<gm>", label: str = "") -> GraphMa
         raise ParseError(source, 0, str(exc)) from None
 
 
-def load_automorphism(path: Any) -> Automorphism:
-    import os
-
+def _load(parse, path: Any):
+    """Parse a file, labelled by its name without the extension."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     name = os.path.basename(str(path))
-    stem = name.rsplit(".", 1)[0]
-    return parse_automorphism(text, source=name, label=stem)
+    return parse(text, source=name, label=name.rsplit(".", 1)[0])
+
+
+def load_automorphism(path: Any) -> Automorphism:
+    return _load(parse_automorphism, path)
 
 
 def load_graph_map(path: Any) -> GraphMap:
-    import os
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    name = os.path.basename(str(path))
-    stem = name.rsplit(".", 1)[0]
-    return parse_graph_map(text, source=name, label=stem)
+    return _load(parse_graph_map, path)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ from .words import (
     Automorphism,
     Word,
     _reduce,
+    cyclic_trim,
     least_rotation,
     letter_key,
+    letter_table,
     nielsen_inverse_search,
     invert_verify,
     compose,
-    identity_automorphism,
     generator_name,
+    substitute,
 )
 
 
@@ -54,6 +56,7 @@ class Graph:
         if len(set(names)) != len(names):
             raise ValueError("duplicate edge names")
         self.edge_names = tuple(names)
+        self._edge_id = {name: i for i, name in enumerate(names, start=1)}
         vset = set(vertices)
         self._origin: dict[int, str] = {}
         for idx, (name, o, t) in enumerate(edges, start=1):
@@ -61,21 +64,26 @@ class Graph:
                 raise ValueError(f"edge {name} references unknown vertex")
             self._origin[idx] = o
             self._origin[-idx] = t
+        at: dict[str, list[int]] = {v: [] for v in self.vertices}
+        for d in self.directions():
+            at[self._origin[d]].append(d)
+        self._directions_at = {v: tuple(ds) for v, ds in at.items()}
         self._check_connected()
         self._check_valence()
         self.marking: dict[int, tuple[int, ...]] | None = None
         self.marking_rank: int | None = None
         if marking is not None:
-            table: dict[int, tuple[int, ...]] = {}
-            for name, letters in marking.items():
-                table[self.edge_id(name)] = _reduce(tuple(letters))
-            missing = [n for n in self.edge_names if self.edge_id(n) not in table]
+            for name in marking:
+                self.edge_id(name)  # raises on an unknown edge name
+            missing = [n for n in self.edge_names if n not in marking]
             if missing:
                 raise ValueError(f"marking missing edges: {missing}")
-            self.marking = table
+            self.marking = letter_table(
+                _reduce(marking[n]) for n in self.edge_names
+            )
             if marking_rank is None:
                 marking_rank = max(
-                    (abs(x) for w in table.values() for x in w), default=0
+                    (abs(x) for w in self.marking.values() for x in w), default=0
                 )
             self.marking_rank = marking_rank
 
@@ -85,8 +93,8 @@ class Graph:
 
     def edge_id(self, name: str) -> int:
         try:
-            return self.edge_names.index(name) + 1
-        except ValueError:
+            return self._edge_id[name]
+        except KeyError:
             raise ValueError(f"unknown edge {name!r}") from None
 
     def edge_name(self, d: int) -> str:
@@ -103,8 +111,9 @@ class Graph:
         m = self.edge_count
         return [d for e in range(1, m + 1) for d in (e, -e)]
 
-    def directions_at(self, v: str) -> list[int]:
-        return [d for d in self.directions() if self.origin(d) == v]
+    def directions_at(self, v: str) -> tuple[int, ...]:
+        """Directions with origin v, in letter order."""
+        return self._directions_at[v]
 
     @property
     def rank(self) -> int:
@@ -115,12 +124,11 @@ class Graph:
         frontier = [self.vertices[0]]
         while frontier:
             v = frontier.pop()
-            for d in self._origin:
-                if self._origin[d] == v:
-                    w = self._origin[-d]
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
+            for d in self._directions_at[v]:
+                w = self._origin[-d]
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         if len(seen) != len(self.vertices):
             raise ValueError("graph is not connected")
 
@@ -132,18 +140,12 @@ class Graph:
     def marking_word(self, d: int) -> tuple[int, ...]:
         if self.marking is None:
             raise ValueError("graph has no marking")
-        w = self.marking[abs(d)]
-        return w if d > 0 else tuple(-x for x in reversed(w))
+        return self.marking[d]
 
     def path_marking(self, edges: Iterable[int]) -> Word:
-        out: list[int] = []
-        for d in edges:
-            for x in self.marking_word(d):
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        return Word(out)
+        if self.marking is None:
+            raise ValueError("graph has no marking")
+        return Word._raw(substitute(self.marking, edges))
 
     def spell_path(self, edges: Sequence[int]) -> str:
         if not edges:
@@ -167,18 +169,14 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {self.edge_count} edges)"
 
 
-def tighten(edges: Iterable[int]) -> tuple[int, ...]:
-    """Remove adjacent cancelling pairs e, -e until none remain."""
-    return _reduce(edges)
+# removes adjacent cancelling pairs e, -e until none remain
+tighten = _reduce
 
 
 def cyclic_tighten(edges: Iterable[int]) -> tuple[int, ...]:
-    w = _reduce(tuple(edges))
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return w[i:j]
+    w = _reduce(edges)
+    k = cyclic_trim(w)
+    return w[k : len(w) - k]
 
 
 class EdgePath:
@@ -314,7 +312,6 @@ class GraphMap:
         if set(vertex_image) != vset or not set(vertex_image.values()) <= vset:
             raise ValueError("vertex image must map every vertex to a vertex")
         self.vertex_image = dict(vertex_image)
-        self._images: dict[int, tuple[int, ...]] = {}
         for name in graph.edge_names:
             e = graph.edge_id(name)
             if name not in edge_images:
@@ -329,37 +326,20 @@ class GraphMap:
                 raise ValueError(f"image of edge {name} starts at the wrong vertex")
             if graph.terminus(img[-1]) != vertex_image[graph.terminus(e)]:
                 raise ValueError(f"image of edge {name} ends at the wrong vertex")
-            self._images[e] = img
-            self._images[-e] = tuple(-d for d in reversed(img))
+        self._images = letter_table(edge_images[n] for n in graph.edge_names)
 
     def edge_image(self, d: int) -> tuple[int, ...]:
         return self._images[d]
 
     def map_letters(self, edges: Sequence[int]) -> tuple[int, ...]:
         """Tightened image of an edge sequence."""
-        out: list[int] = []
-        images = self._images
-        for d in edges:
-            for y in images[d]:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return tuple(out)
+        return substitute(self._images, edges)
 
     def map_path(self, p: EdgePath) -> EdgePath:
         return EdgePath._raw(self.graph, self.map_letters(p.edges))
 
     def map_circuit(self, c: Circuit) -> Circuit:
         return Circuit(self.graph, self.map_letters(c.edges))
-
-    def iterate_path(self, p: EdgePath, k: int) -> EdgePath:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        out = p
-        for _ in range(k):
-            out = self.map_path(out)
-        return out
 
     def iterate_circuit(self, c: Circuit, k: int) -> Circuit:
         if k < 0:
@@ -386,7 +366,7 @@ class GraphMap:
         """All nondegenerate turns of the graph, grouped by vertex."""
         turns = []
         for v in self.graph.vertices:
-            dirs = sorted(self.graph.directions_at(v), key=letter_key)
+            dirs = self.graph.directions_at(v)
             for i in range(len(dirs)):
                 for j in range(i + 1, len(dirs)):
                     turns.append((dirs[i], dirs[j]))
@@ -444,19 +424,6 @@ class GraphMap:
         return f"GraphMap({ims})"
 
 
-def path_is_r_legal(
-    f: GraphMap, edges: Sequence[int], hr_edges: frozenset[int] | set[int],
-    circuit: bool = False,
-) -> bool:
-    """True iff no illegal turn of the path involves an edge of the given stratum."""
-    illegal = f.illegal_turns
-    turns = turns_of_circuit(edges) if circuit else turns_of_path(edges)
-    for t in turns:
-        if t in illegal and (abs(t[0]) in hr_edges or abs(t[1]) in hr_edges):
-            return False
-    return True
-
-
 def iter_tight_paths(
     graph: Graph,
     max_len: int,
@@ -476,11 +443,10 @@ def iter_tight_paths(
     by_vertex: dict[str, list[int]] = {}
     for d in dirs:
         by_vertex.setdefault(graph.origin(d), []).append(d)
-    stack: list[tuple[int, ...]] = []
-    for d in sorted(dirs, key=letter_key):
-        if start_vertices is None or graph.origin(d) in start_vertices:
-            stack.append((d,))
-    stack.reverse()
+    stack = [
+        (d,) for d in reversed(dirs)
+        if start_vertices is None or graph.origin(d) in start_vertices
+    ]
     while stack:
         path = stack.pop()
         if prune is not None and prune(path):
@@ -488,7 +454,7 @@ def iter_tight_paths(
         yield path
         if len(path) < max_len:
             v = graph.terminus(path[-1])
-            for d in sorted(by_vertex.get(v, ()), key=letter_key, reverse=True):
+            for d in reversed(by_vertex.get(v, ())):
                 if d != -path[-1]:
                     stack.append(path + (d,))
 
@@ -520,7 +486,7 @@ def _spanning_tree(graph: Graph) -> tuple[dict[str, tuple[int, ...]], list[int]]
     while frontier:
         nxt = []
         for v in frontier:
-            for d in sorted(graph.directions_at(v), key=letter_key):
+            for d in graph.directions_at(v):
                 w = graph.terminus(d)
                 if w not in from_base:
                     from_base[w] = from_base[v] + (d,)

@@ -26,12 +26,10 @@ __all__ = [
     "path_stats",
     "bcc_estimate",
     "validate_bw1",
-    "validate_bw2",
     "validate_illen",
-    "validate_illen2",
     "trichotomy_classify",
     "validate_backgrowth",
-    "validate_bgrowth2",
+    "BoundViolation",
     "growth_decomposition",
 ]
 
@@ -295,6 +293,7 @@ def validate_bw1(
     f_inv: GraphMap,
     circuits,
     k_max: int = 5,
+    r: int | None = None,
     filtration: Filtration | None = None,
     metric: Metric | None = None,
     cancellation: CancellationData | None = None,
@@ -302,75 +301,41 @@ def validate_bw1(
     """Backward control of the longest legal segment: for every circuit
     and k <= k_max, script_L of the k-fold preimage stays below
     script_L / lambda^k + L_c, and below script_L + L_c (weaker form).
+
+    With r (relative form, BW2, for circuits in G_r): script_L_r of the
+    preimage stays below script_L_r + L_c_r.
     """
     if filtration is None:
         filtration = compute_filtration(f)
-    lam = _require_absolute(filtration)
-    if metric is None:
-        metric = assign_metric(filtration)
-    if cancellation is None:
-        cancellation = bcc_estimate(f, filtration=filtration, metric=metric)
-    lc = cancellation.critical_length()
-    r = filtration.strata[0].index
-    report = ValidatorReport(
-        constants={"lambda": lam, "C_f": cancellation.C_f, "L_c": lc}
-    )
-    g = f.graph
-    for c in circuits:
-        c = c if isinstance(c, Circuit) else Circuit(g, c)
-        base = path_stats(c, filtration, metric, r=r, circuit=True)
-        for k in range(1, k_max + 1):
-            pre = preimage_circuit(f, f_inv, c, k)
-            st = path_stats(pre, filtration, metric, r=r, circuit=True)
-            bound = base.script_L / lam ** k + lc
-            margin = bound - st.script_L
-            weak_ok = st.script_L < base.script_L + lc + _SLACK * max(1.0, lc)
-            report.rows.append({
-                "circuit": g.spell_path(c.edges),
-                "k": k,
-                "L": st.L,
-                "Lr": st.L_r,
-                "i": st.i,
-                "ir": st.i_r,
-                "scriptL": st.script_L,
-                "bound": bound,
-                "margin": margin,
-                "pass": bool(
-                    margin > -_SLACK * max(1.0, abs(bound)) and weak_ok
-                ),
-            })
-    return report
-
-
-def validate_bw2(
-    f: GraphMap,
-    f_inv: GraphMap,
-    circuits,
-    k_max: int,
-    r: int,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
-    cancellation: CancellationData | None = None,
-) -> ValidatorReport:
-    """Relative form of the backward segment bound, for circuits in G_r:
-    script_L_r of the preimage stays below script_L_r + L_c_r."""
-    if filtration is None:
-        filtration = compute_filtration(f)
+    if r is None:
+        lam = _require_absolute(filtration)
     if metric is None:
         metric = assign_metric(filtration)
     if cancellation is None:
         cancellation = bcc_estimate(f, filtration=filtration, metric=metric)
     lc = cancellation.critical_length(r)
-    report = ValidatorReport(constants={"L_c_r": lc, "r": r})
+    if r is None:
+        constants = {"lambda": lam, "C_f": cancellation.C_f, "L_c": lc}
+    else:
+        constants = {"L_c_r": lc, "r": r}
+    report = ValidatorReport(constants=constants)
+    stratum = filtration.strata[0].index if r is None else r
     g = f.graph
     for c in circuits:
         c = c if isinstance(c, Circuit) else Circuit(g, c)
-        base = path_stats(c, filtration, metric, r=r, circuit=True)
+        base = path_stats(c, filtration, metric, r=stratum, circuit=True)
         for k in range(1, k_max + 1):
             pre = preimage_circuit(f, f_inv, c, k)
-            st = path_stats(pre, filtration, metric, r=r, circuit=True)
-            bound = base.script_L_r + lc
-            margin = bound - st.script_L_r
+            st = path_stats(pre, filtration, metric, r=stratum, circuit=True)
+            if r is None:
+                seg = st.script_L
+                bound = base.script_L / lam ** k + lc
+                weak_ok = seg < base.script_L + lc + _SLACK * max(1.0, lc)
+            else:
+                seg = st.script_L_r
+                bound = base.script_L_r + lc
+                weak_ok = True
+            margin = bound - seg
             report.rows.append({
                 "circuit": g.spell_path(c.edges),
                 "k": k,
@@ -378,10 +343,12 @@ def validate_bw2(
                 "Lr": st.L_r,
                 "i": st.i,
                 "ir": st.i_r,
-                "scriptL": st.script_L_r,
+                "scriptL": seg,
                 "bound": bound,
                 "margin": margin,
-                "pass": bool(margin > -_SLACK * max(1.0, abs(bound))),
+                "pass": bool(
+                    margin > -_SLACK * max(1.0, abs(bound)) and weak_ok
+                ),
             })
     return report
 
@@ -392,40 +359,23 @@ def validate_illen(
     filtration: Filtration,
     metric: Metric | None = None,
     circuit: bool = False,
+    r: int | None = None,
 ) -> float:
     """Least constant C with i/C <= metric length <= C i over the sample
-    paths (filtered to 1 <= script_L <= L and i > 0)."""
-    if metric is None:
-        metric = assign_metric(filtration)
-    best = None
-    for p in sample:
-        st = path_stats(p, filtration, metric, circuit=circuit)
-        if st.i == 0 or not (1.0 - _SLACK <= st.script_L <= L + _SLACK):
-            continue
-        c = max(st.L / st.i, st.i / st.L)
-        best = c if best is None else max(best, c)
-    if best is None:
-        raise ValueError("no sample path meets the preconditions")
-    return best
-
-
-def validate_illen2(
-    sample,
-    L: float,
-    r: int,
-    filtration: Filtration,
-    metric: Metric | None = None,
-    circuit: bool = False,
-) -> float:
-    """Relative variant of validate_illen, using r-quantities."""
+    paths (filtered to 1 <= script_L <= L and i > 0).  With r, the same
+    over the r-quantities i_r, L_r and script_L_r."""
     if metric is None:
         metric = assign_metric(filtration)
     best = None
     for p in sample:
         st = path_stats(p, filtration, metric, r=r, circuit=circuit)
-        if st.i_r == 0 or not (1.0 - _SLACK <= st.script_L_r <= L + _SLACK):
+        if r is None:
+            length, turns, seg = st.L, st.i, st.script_L
+        else:
+            length, turns, seg = st.L_r, st.i_r, st.script_L_r
+        if turns == 0 or not (1.0 - _SLACK <= seg <= L + _SLACK):
             continue
-        c = max(st.L_r / st.i_r, st.i_r / st.L_r)
+        c = max(length / turns, turns / length)
         best = c if best is None else max(best, c)
     if best is None:
         raise ValueError("no sample path meets the preconditions")
@@ -601,10 +551,25 @@ def _backgrowth_rows(
     return rows
 
 
-def _validate_backgrowth_common(
-    f, f_inv, sample, L0, M, n_max, m_search_max, ratio, i_min, r,
-    filtration, metric,
-):
+def validate_backgrowth(
+    f: GraphMap,
+    f_inv: GraphMap,
+    sample,
+    L0: float,
+    M: int | None = None,
+    n_max: int = 3,
+    m_search_max: int = 12,
+    r: int | None = None,
+    filtration: Filtration | None = None,
+    metric: Metric | None = None,
+) -> ValidatorReport:
+    """Backward growth of illegal turns: (8/7)^n i <= i of the nM-fold
+    preimage, over sample circuits with script_L <= L0 and i >= 4.  With
+    r, the relative form: (10/9)^n i_r, over circuits in G_r with
+    script_L_r <= L0 and i_r >= 5.  When M is not supplied the least
+    workable exponent <= m_search_max is searched for; absence is
+    reported, not fatal."""
+    ratio, i_min = (8.0 / 7.0, 4) if r is None else (10.0 / 9.0, 5)
     if filtration is None:
         filtration = compute_filtration(f)
     if metric is None:
@@ -637,47 +602,8 @@ def _validate_backgrowth_common(
     )
 
 
-def validate_backgrowth(
-    f: GraphMap,
-    f_inv: GraphMap,
-    sample,
-    L0: float,
-    M: int | None = None,
-    n_max: int = 3,
-    m_search_max: int = 12,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
-) -> ValidatorReport:
-    """Backward growth of illegal turns: (8/7)^n i <= i of the nM-fold
-    preimage, over sample circuits with script_L <= L0 and i >= 4.  When
-    M is not supplied the least workable exponent <= m_search_max is
-    searched for; absence is reported, not fatal."""
-    return _validate_backgrowth_common(
-        f, f_inv, sample, L0, M, n_max, m_search_max,
-        ratio=8.0 / 7.0, i_min=4, r=None,
-        filtration=filtration, metric=metric,
-    )
-
-
-def validate_bgrowth2(
-    f: GraphMap,
-    f_inv: GraphMap,
-    sample,
-    L0: float,
-    r: int,
-    M: int | None = None,
-    n_max: int = 3,
-    m_search_max: int = 12,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
-) -> ValidatorReport:
-    """Relative backward growth: (10/9)^n i_r, over circuits in G_r with
-    script_L_r <= L0 and i_r >= 5."""
-    return _validate_backgrowth_common(
-        f, f_inv, sample, L0, M, n_max, m_search_max,
-        ratio=10.0 / 9.0, i_min=5, r=r,
-        filtration=filtration, metric=metric,
-    )
+class BoundViolation(Exception):
+    """A bound that growth_decomposition guarantees failed on a circuit."""
 
 
 @dataclass(frozen=True)
@@ -722,6 +648,7 @@ def growth_decomposition(
     6 L0, keep leftover blocks with >= 4 illegal turns; share at least
     1/(6 L0)), or it is short (case short-circuit, length < 3 L0).  A
     polynomially growing top stratum is handled by basic-path splitting.
+    A bound that fails on the circuit raises BoundViolation.
     """
     if metric is None:
         metric = assign_metric(filtration)
@@ -758,7 +685,10 @@ def growth_decomposition(
         frac = sum(metric.length(s) for s in keep) / total
         short = _longest_short_path(g, metric, L0)
         lower = 1.0 - short / L0
-        assert frac >= lower - _SLACK, (frac, lower)
+        if frac < lower - _SLACK:
+            raise BoundViolation(
+                f"legal-or-sparse share {frac!r} below {lower!r}"
+            )
         return DecompositionReport(
             case="legal-or-sparse",
             pieces=keep,
@@ -795,9 +725,13 @@ def growth_decomposition(
         for blk in blocks:
             if len(blk) - 1 >= 4:
                 pieces.append(tuple(d for j in blk for d in segs[j]))
+        if not pieces:
+            raise BoundViolation("no block with enough illegal turns survived")
         frac = sum(metric.length(p) for p in pieces) / total
-        assert pieces, "no block with enough illegal turns survived"
-        assert frac >= 1.0 / (6.0 * L0) - _SLACK, frac
+        if frac < 1.0 / (6.0 * L0) - _SLACK:
+            raise BoundViolation(
+                f"many-illegal-turns share {frac!r} below 1/(6 L0)"
+            )
         return DecompositionReport(
             case="many-illegal-turns",
             pieces=pieces,
@@ -808,7 +742,8 @@ def growth_decomposition(
                 "removed": sum(long_flags),
             },
         )
-    assert st.L <= 3.0 * L0 + _SLACK
+    if st.L > 3.0 * L0 + _SLACK:
+        raise BoundViolation(f"short circuit has length {st.L!r} > 3 L0")
     return DecompositionReport(
         case="short-circuit",
         pieces=[edges],

@@ -76,16 +76,9 @@ def _require_inverse(phi: Automorphism):
         )
 
 
-def _fwd_table(phi: Automorphism) -> engine.ImageTable:
+def _table(images, rank: int) -> engine.ImageTable:
     return engine.image_table(
-        {i + 1: phi.images[i].letters for i in range(phi.rank)}, phi.rank
-    )
-
-
-def _bwd_table(phi: Automorphism) -> engine.ImageTable:
-    return engine.image_table(
-        {i + 1: phi.inverse_images[i].letters for i in range(phi.rank)},
-        phi.rank,
+        {i: w.letters for i, w in enumerate(images, start=1)}, rank
     )
 
 
@@ -112,7 +105,7 @@ def atoroidality_probe(
     if L < 1 or P < 1:
         raise ValueError("L and P must be positive")
     _require_inverse(phi)
-    table = _fwd_table(phi)
+    table = _table(phi.images, phi.rank)
     witnesses: list[Witness] = []
     total = 0
     for chunk in engine.enumerate_classes(phi.rank, L, partitions):
@@ -178,8 +171,8 @@ def certificate_search(
     if M_max < 1 or L < 1:
         raise ValueError("M_max and L must be positive")
     _require_inverse(phi)
-    tf = _fwd_table(phi)
-    tb = _bwd_table(phi)
+    tf = _table(phi.images, phi.rank)
+    tb = _table(phi.inverse_images, phi.rank)
     chunks = list(engine.enumerate_classes(phi.rank, L, partitions))
     norms = [engine.batch_lengths(c) for c in chunks]
     fwd = list(chunks)

@@ -94,7 +94,7 @@ def _path_universe_size(graph, max_len: int) -> int:
     dirs = graph.directions()
     idx = {d: i for i, d in enumerate(dirs)}
     succ = [
-        [idx[e] for e in dirs if graph.origin(e) == graph.terminus(d) and e != -d]
+        [idx[e] for e in graph.directions_at(graph.terminus(d)) if e != -d]
         for d in dirs
     ]
     counts = [1] * len(dirs)
@@ -179,7 +179,7 @@ def _legal_extensions(f: GraphMap, path):
     g = f.graph
     v = g.terminus(path[-1])
     illegal = f.illegal_turns
-    for x in sorted(g.directions_at(v), key=letter_key):
+    for x in g.directions_at(v):
         if x == -path[-1]:
             continue
         if make_turn(-path[-1], x) in illegal:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphMap, iter_tight_paths, make_turn, tighten
+from .graphs import Graph, GraphMap, iter_tight_paths, make_turn
 
 __all__ = [
     "Stratum",
@@ -25,8 +25,7 @@ __all__ = [
     "assign_metric",
     "verify_rtt",
     "verify_improved",
-    "RttReport",
-    "ImprovedReport",
+    "CheckReport",
 ]
 
 
@@ -276,7 +275,8 @@ def compute_filtration(f: GraphMap) -> Filtration:
     for s in strata:
         below = filtration.edges_through(s.index)
         for e in s.edges:
-            assert all(abs(d) in below for d in f.edge_image(e))
+            if not all(abs(d) in below for d in f.edge_image(e)):
+                raise AssertionError(f"filtration is not invariant at edge {e}")
     return filtration
 
 
@@ -312,7 +312,9 @@ def assign_metric(filtration: Filtration) -> Metric:
 
 
 @dataclass
-class RttReport:
+class CheckReport:
+    """Violations found by verify_rtt or verify_improved, and what was checked."""
+
     violations: list[dict] = field(default_factory=list)
     checked: dict = field(default_factory=dict)
 
@@ -334,7 +336,7 @@ def verify_rtt(
     filtration: Filtration | None = None,
     beta_len_bound: int = 12,
     legal_len_bound: int = 6,
-) -> RttReport:
+) -> CheckReport:
     """Check the three defining conditions of a relative train track map,
     for every exponential stratum.
 
@@ -348,7 +350,7 @@ def verify_rtt(
     if filtration is None:
         filtration = compute_filtration(f)
     g = f.graph
-    report = RttReport()
+    report = CheckReport()
     counts = {"strata": 0, "beta_paths": 0, "legal_paths": 0}
     illegal = f.illegal_turns
     for s in filtration.exponential_strata():
@@ -377,7 +379,7 @@ def verify_rtt(
                 if g.terminus(beta[-1]) not in anchors:
                     continue
                 counts["beta_paths"] += 1
-                if not tighten(f.map_letters(beta)):
+                if not f.map_letters(beta):
                     report.violations.append({
                         "condition": 2,
                         "stratum": r,
@@ -386,13 +388,13 @@ def verify_rtt(
                     })
         gr = filtration.edges_through(r)
 
-        def r_illegal_prefix(path, hr=hr):
-            if len(path) < 2:
-                return False
-            t = make_turn(-path[-2], path[-1])
-            return (
-                (abs(t[0]) in hr or abs(t[1]) in hr) and t in illegal
-            )
+        def r_illegal(a, b, hr=hr):
+            """Whether the turn between edges a and b is illegal and meets H_r."""
+            t = make_turn(-a, b)
+            return (abs(t[0]) in hr or abs(t[1]) in hr) and t in illegal
+
+        def r_illegal_prefix(path):
+            return len(path) >= 2 and r_illegal(path[-2], path[-1])
 
         for p in iter_tight_paths(
             g, legal_len_bound, allowed_edges=gr, prune=r_illegal_prefix
@@ -400,14 +402,8 @@ def verify_rtt(
             if not any(abs(d) in hr for d in p):
                 continue
             counts["legal_paths"] += 1
-            image = tighten(f.map_letters(p))
-            ok = True
-            for a, b in zip(image, image[1:]):
-                t = make_turn(-a, b)
-                if (abs(t[0]) in hr or abs(t[1]) in hr) and t in illegal:
-                    ok = False
-                    break
-            if not ok:
+            image = f.map_letters(p)
+            if any(r_illegal(a, b) for a, b in zip(image, image[1:])):
                 report.violations.append({
                     "condition": 3,
                     "stratum": r,
@@ -416,16 +412,6 @@ def verify_rtt(
                 })
     report.checked = counts
     return report
-
-
-@dataclass
-class ImprovedReport:
-    violations: list[dict] = field(default_factory=list)
-    checked: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _contractible_component_edges(graph: Graph, edges) -> set[int]:
@@ -462,7 +448,7 @@ def verify_improved(
     filtration: Filtration | None = None,
     nielsen_len_bound: int = 6,
     nielsen_period_bound: int = 4,
-) -> ImprovedReport:
+) -> CheckReport:
     """Check structural properties enjoyed by improved representatives:
     fixed (not just periodic) Nielsen classes, zero strata exactly the
     contractible lower debris, zero strata capped by exponential ones,
@@ -474,7 +460,7 @@ def verify_improved(
     if filtration is None:
         filtration = compute_filtration(f)
     g = f.graph
-    report = ImprovedReport()
+    report = CheckReport()
     records = find_nielsen_paths(
         f,
         filtration=filtration,

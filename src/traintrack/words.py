@@ -51,6 +51,44 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def substitute(table: dict[int, Sequence[int]], letters: Iterable[int]) -> tuple[int, ...]:
+    """Replace each letter x by table[x] and freely reduce the result.
+
+    The word and graph-path kernel: automorphism images, graph map images
+    and markings of edge paths all go through this one loop.
+    """
+    out: list[int] = []
+    push = out.append
+    pop = out.pop
+    for x in letters:
+        for y in table[x]:
+            if out and out[-1] == -y:
+                pop()
+            else:
+                push(y)
+    return tuple(out)
+
+
+def letter_table(images: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    """The substitution table {i: w_i, -i: w_i^-1} of images w_1, w_2, ..."""
+    t: dict[int, tuple[int, ...]] = {}
+    for i, w in enumerate(images, start=1):
+        w = tuple(w)
+        t[i] = w
+        t[-i] = tuple(-x for x in reversed(w))
+    return t
+
+
+def cyclic_trim(w: Sequence[int]) -> int:
+    """Number of inverse pairs x ... x^-1 stripped from the two ends of a
+    reduced word; w[k:len(w)-k] is its cyclic reduction."""
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    return i
+
+
 def reduce_letters(letters: Iterable[int], rank: int | None = None) -> tuple[int, ...]:
     """Freely reduce a raw letter sequence.
 
@@ -161,12 +199,9 @@ class CyclicWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        w = _reduce(tuple(letters))
-        i, j = 0, len(w)
-        while j - i >= 2 and w[i] == -w[j - 1]:
-            i += 1
-            j -= 1
-        core = w[i:j]
+        w = _reduce(letters)
+        k = cyclic_trim(w)
+        core = w[k : len(w) - k]
         if core:
             r = least_rotation(core)
             core = core[r:] + core[:r]
@@ -215,12 +250,8 @@ class CyclicWord:
 
 
 def conjugacy_length(w: Word | Sequence[int]) -> int:
-    letters = w.letters if isinstance(w, Word) else _reduce(tuple(w))
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return j - i
+    letters = w.letters if isinstance(w, Word) else _reduce(w)
+    return len(letters) - 2 * cyclic_trim(letters)
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
@@ -231,11 +262,8 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     identity w == conj * core * conj^-1 holds exactly.
     """
     letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    core = letters[i:j]
+    i = cyclic_trim(letters)
+    core = letters[i : len(letters) - i]
     prefix = letters[:i]
     if core:
         r = least_rotation(core)
@@ -291,34 +319,10 @@ class Automorphism:
 
     @cached_property
     def _table(self) -> dict[int, tuple[int, ...]]:
-        t: dict[int, tuple[int, ...]] = {}
-        for i, w in enumerate(self.images, start=1):
-            t[i] = w.letters
-            t[-i] = tuple(-x for x in reversed(w.letters))
-        return t
-
-    @cached_property
-    def _inverse_table(self) -> dict[int, tuple[int, ...]]:
-        if self.inverse_images is None:
-            raise ValueError("no verified inverse available")
-        t: dict[int, tuple[int, ...]] = {}
-        for i, w in enumerate(self.inverse_images, start=1):
-            t[i] = w.letters
-            t[-i] = tuple(-x for x in reversed(w.letters))
-        return t
+        return letter_table(w.letters for w in self.images)
 
     def apply_letters(self, letters: Sequence[int]) -> tuple[int, ...]:
-        table = self._table
-        out: list[int] = []
-        push = out.append
-        pop = out.pop
-        for x in letters:
-            for y in table[x]:
-                if out and out[-1] == -y:
-                    pop()
-                else:
-                    push(y)
-        return tuple(out)
+        return substitute(self._table, letters)
 
     def __call__(self, w: Word) -> Word:
         return Word._raw(self.apply_letters(w.letters))
@@ -350,11 +354,6 @@ class Automorphism:
 def identity_automorphism(rank: int) -> Automorphism:
     gens = [Word((i,)) for i in range(1, rank + 1)]
     return Automorphism(rank, gens, gens, label="id")
-
-
-def apply(phi: Automorphism, w: Word) -> Word:
-    """Image of w under phi."""
-    return phi(w)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

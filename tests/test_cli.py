@@ -237,6 +237,29 @@ class TestValidate:
         assert code == 0
         assert out.splitlines()[0] == "circuit,case,fraction,pieces,pass"
 
+    def test_decomp_violation_survives_optimize(self, files):
+        # python -O strips assert statements; a bound forced to fail must
+        # still give exit 1 and a bound-violated row
+        script = (
+            "import sys; from traintrack import growth; "
+            "growth._longest_short_path = lambda *a, **k: 0.0; "
+            "from traintrack.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = str(Path(traintrack.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "validate",
+             str(files / "fib.aut"), "decomp", "--samples", "5",
+             "--l0", "3", "--format", "json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        rows = json.loads(proc.stdout)["rows"]
+        assert any(r["case"] == "bound-violated" for r in rows)
+
     def test_seed_reproducibility(self, capsys, files):
         argv = ["validate", files / "fib.aut", "bw1", "--samples", "25"]
         _, a, _ = run(capsys, *argv, "--seed", "7")
@@ -263,10 +286,9 @@ class TestInputErrors:
         assert "bad.aut:2" in err
 
     def test_tol_must_be_positive(self, capsys, files):
-        code, _, err = run(
-            capsys, "analyze", files / "fib.aut", "--tol", "0"
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "analyze", files / "fib.aut", "--tol", "0")
+        assert exc.value.code == 2
 
     def test_jobs_must_be_positive(self, capsys, files):
         code, _, err = run(

@@ -16,11 +16,8 @@ from traintrack.growth import (
     path_stats,
     trichotomy_classify,
     validate_backgrowth,
-    validate_bgrowth2,
     validate_bw1,
-    validate_bw2,
     validate_illen,
-    validate_illen2,
 )
 from traintrack.strata import assign_metric, compute_filtration
 
@@ -190,7 +187,7 @@ class TestBwValidators:
     def test_bw2_relative(self, rel_setup, rel_inv_rose, rng):
         f, filt, met = rel_setup
         circuits = [random_circuit(f.graph, 10, rng) for _ in range(60)]
-        rep = validate_bw2(
+        rep = validate_bw1(
             f, rel_inv_rose, circuits, k_max=3, r=2,
             filtration=filt, metric=met,
         )
@@ -212,7 +209,7 @@ class TestBwValidators:
     def test_illen2_relative(self, rel_setup):
         f, filt, met = rel_setup
         sample = list(iter_tight_paths(f.graph, 5))
-        got = validate_illen2(sample, 10.0, r=2, filtration=filt, metric=met)
+        got = validate_illen(sample, 10.0, r=2, filtration=filt, metric=met)
         expected = 0.0
         for p in sample:
             st = path_stats(p, filt, met, r=2)
@@ -254,7 +251,7 @@ class TestBackgrowth:
     def test_rel_relative_family(self, rel_setup, rel_inv_rose):
         f, filt, met = rel_setup
         family = Circuit(f.graph, (2, -3) * 5)
-        rep = validate_bgrowth2(
+        rep = validate_backgrowth(
             f, rel_inv_rose, [family], L0=12.0, r=2, n_max=3,
             filtration=filt, metric=met,
         )

@@ -9,6 +9,7 @@ from traintrack.words import (
     compose,
     conjugacy_length,
     conjugate_automorphism,
+    cyclic_reduce,
     identity_automorphism,
     inner_conjugator,
     invert_verify,
@@ -20,7 +21,9 @@ from traintrack.words import (
     spell,
 )
 
-from conftest import naive_cyclic_reduce, naive_reduce
+from traintrack.graphs import cyclic_tighten, rose_of
+
+from conftest import image_dict, naive_apply, naive_cyclic_reduce, naive_reduce
 
 letters_st = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=40
@@ -56,6 +59,25 @@ def test_cyclic_word_matches_naive_up_to_rotation(raw):
     assert len(c.letters) == len(n)
     if n:
         assert c.letters in {n[i:] + n[:i] for i in range(len(n))}
+    assert conjugacy_length(raw) == len(n)
+    assert cyclic_tighten(raw) == n
+    w = Word(raw, 3)
+    core, conj = cyclic_reduce(w)
+    assert core == c
+    assert conj * core.word() * conj.inverse() == w
+
+
+@given(letters_st)
+def test_kernel_matches_naive_on_unreduced_input(fib, plas, rel, raw):
+    # one substitute-and-reduce loop serves automorphisms, graph maps and
+    # markings; letters beyond an automorphism's rank are dropped
+    for phi in (fib, plas, rel):
+        letters = [x for x in raw if abs(x) <= phi.rank]
+        expect = naive_apply(image_dict(phi), letters)
+        rose = rose_of(phi)
+        assert phi.apply_letters(letters) == expect
+        assert rose.map_letters(letters) == expect
+        assert rose.graph.path_marking(letters).letters == naive_reduce(letters)
 
 
 @given(letters_st, st.integers(min_value=0, max_value=10))
