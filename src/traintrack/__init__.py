@@ -9,6 +9,7 @@ operations on two small text formats.
 
 from .words import (
     Automorphism,
+    BudgetExceeded,
     CyclicWord,
     Word,
     compose,

@@ -10,7 +10,8 @@ Six subcommands over the two input formats (.aut automorphism files,
     nielsen   inventory periodic Nielsen paths
     validate  run one of the named inequality validators
 
-Exit codes: 0 completed, 1 a validator found a violation, 2 input error.
+Exit codes: 0 completed, 1 a validator found a violation, 2 input error,
+3 a bounded search ran out of its budget.
 Reports are deterministic byte-for-byte for a fixed config; floats are
 printed at 12 significant digits.
 """
@@ -42,13 +43,21 @@ from .graphs import (
 from .hyperbolicity import atoroidality_probe, certificate_search, growth_table
 from .nielsen import find_nielsen_paths
 from .strata import assign_metric, compute_filtration, verify_improved, verify_rtt
-from .words import Automorphism, Word, generator_name, nielsen_inverse_search, spell
+from .words import (
+    Automorphism,
+    BudgetExceeded,
+    Word,
+    generator_name,
+    nielsen_inverse_search,
+    spell,
+)
 
 LEMMAS = ("bcc", "bw1", "bw2", "illen", "backgrowth", "tricho", "decomp")
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_BUDGET = 3
 
 
 class CliError(Exception):
@@ -265,7 +274,7 @@ def cmd_certify(cfg: RunConfig, args) -> tuple[int, str]:
         "lambda": cert.lam,
         "lambda_exact": list(cert.lam_exact) if cert.lam_exact else None,
         "history": history,
-        "table_size": len(cert.table),
+        "table_size": cert.table_size,
     }
     if cfg.fmt == "json":
         return EXIT_OK, canonical_json(report)
@@ -632,6 +641,9 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     sys.stdout.write(out)
     return code
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .graphs import Circuit, GraphMap, iter_tight_paths, preimage_circuit, turns_of_circuit, turns_of_path
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import Filtration, Metric, assign_metric, compute_filtration
-from .words import letter_key
+from .words import BudgetExceeded, letter_key
 
 __all__ = [
     "PathStats",
@@ -624,7 +624,7 @@ def _longest_short_path(graph, metric: Metric, L0: float, budget: int = 2_000_00
     for p in iter_tight_paths(graph, max_len=10 ** 9, prune=prune):
         count += 1
         if count > budget:
-            raise ArithmeticError("short-path enumeration budget exceeded")
+            raise BudgetExceeded("short-path enumeration budget exceeded")
         length = metric.length(p)
         if length > best:
             best = length

@@ -11,8 +11,9 @@ leave the implication to the theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +65,32 @@ class HyperbolicityCertificate:
     lam: float | None
     lam_exact: tuple[int, int] | None
     L: int
-    table: list[ClassRatio]
     history: list[tuple[int, int, int, str]]  # (M, num, den, argmin class)
-    verdict: str  # "empirical-certificate" | "no-certificate-within-bounds"
+    # "empirical-certificate" | "no-certificate-within-bounds" | "budget-exceeded"
+    verdict: str
+    table_size: int
+    # (rank, [(chunk, norms, fwd lengths, bwd lengths)]) behind `table`
+    sweep: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def table(self) -> list[ClassRatio]:
+        """Per-class lengths at the decisive M (or the last M reached),
+        spelled on first access: only the CSV report reads them."""
+        rank, chunks = self.sweep
+        out = []
+        for (flat, off), nn, lf, lb in chunks:
+            for i in range(len(nn)):
+                f, b, n = int(lf[i]), int(lb[i]), int(nn[i])
+                out.append(
+                    ClassRatio(
+                        cls=spell([int(x) for x in flat[off[i] : off[i + 1]]], rank),
+                        norm=n,
+                        fwd=f,
+                        bwd=b,
+                        ratio=max(f, b) / n,
+                    )
+                )
+        return out
 
 
 def _require_inverse(phi: Automorphism):
@@ -86,6 +110,123 @@ def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch
     return engine.batch_cyclic_reduce(
         engine.batch_reduce(engine.batch_apply(batch, table))
     )
+
+
+# A batch step costs numpy passes over every letter of phi^M(w); a stack
+# costs a fixed amount of Python per letter of w but never builds
+# phi^M(w).  Each (chunk, direction) of certificate_search leaves the
+# batch once its next step could hold more letters per class than this.
+# certificate_search at the CLI defaults (M = 20, L = 8), in process on
+# 2 CPUs: 128 and 256 were within 0.03 s of each other on fib (0.66 s),
+# plas (0.47 s) and poly (0.11 s); 64 made poly take 0.30 s, 16 made plas
+# take 1.81 s, and 4096 made fib take 1.52 s against 0.52 s at 128.
+_STACK_AT = 128
+
+_FLIP = bytes(k ^ 1 for k in range(256))  # letter key -> key of the inverse
+
+
+class _Powers:
+    """phi^M(x) for every letter x, as key-encoded bytes indexed by the
+    letter key of x, advanced one exponent at a time on demand.
+
+    phi^M(x) = phi(phi^(M-1)(x)) goes through the batch engine: the
+    Python substitute loop took most of a run once powers reached 10^6
+    letters."""
+
+    def __init__(self, table: engine.ImageTable, rank: int):
+        self._table = table
+        self._gens = engine.batch_from_words([(x,) for x in range(1, rank + 1)])
+        self.words: list[bytes] = []
+        self.lens: list[int] = []
+        self.letters = 0  # sum of |phi^M(x)| over the generators x
+
+    def advance(self) -> None:
+        self._gens = engine.batch_reduce(engine.batch_apply(self._gens, self._table))
+        flat, off = self._gens
+        kb = engine._keys(flat).astype(np.uint8).tobytes()
+        self.words = []
+        for i in range(len(off) - 1):
+            b = kb[off[i] : off[i + 1]]
+            self.words += [b, b[::-1].translate(_FLIP)]
+        self.lens = [len(b) for b in self.words]
+        self.letters = int(off[-1])
+
+
+def _lcp(p: bytes, i: int, q: bytes, j: int, n: int) -> int:
+    """Length of the longest common prefix of p[i:i+n] and q[j:j+n]."""
+    if not n or p[i] != q[j]:
+        return 0
+    if p[i : i + n] == q[j : j + n]:
+        return n
+    lo, hi = 1, n - 1  # p[i:i+lo] == q[j:j+lo]; the prefix of length hi+1 differs
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if p[i + lo : i + mid] == q[j + lo : j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
+    """Conjugacy length of phi^M(w) for w = x_1...x_n given by its letter
+    keys, from the pieces words[k] = phi^M(x) without building phi^M(w).
+
+    The reduced word is a stack of intervals (key, lo, hi) into the
+    pieces.  The inverse of words[k][lo:hi] is words[k ^ 1][n-hi:n-lo]
+    (n = lens[k]), so the letters a new piece cancels against the top of
+    the stack are the common prefix of that inverse and the piece.
+    """
+    stack: list[tuple[int, int, int]] = []
+    total = 0
+    for b in keys:
+        piece = words[b]
+        blo, bhi = 0, lens[b]
+        while stack:
+            a, alo, ahi = stack[-1]
+            inv, at = words[a ^ 1], lens[a] - ahi
+            if inv[at] != piece[blo]:  # the common case: nothing cancels
+                break
+            n = min(ahi - alo, bhi - blo)
+            c = _lcp(inv, at, piece, blo, n)
+            total -= c
+            blo += c
+            if c < ahi - alo:
+                stack[-1] = (a, alo, ahi - c)
+            else:
+                stack.pop()
+            if c < n or blo == bhi:
+                break
+        if blo < bhi:
+            stack.append((b, blo, bhi))
+            total += bhi - blo
+    # cyclic trim: the same query between the two ends of the stack
+    first = 0
+    while len(stack) - first >= 2:
+        a, alo, ahi = stack[-1]
+        b, blo, bhi = stack[first]
+        n = min(ahi - alo, bhi - blo)
+        c = _lcp(words[a ^ 1], lens[a] - ahi, words[b], blo, n)
+        if not c:
+            break
+        total -= 2 * c
+        if c < ahi - alo:
+            stack[-1] = (a, alo, ahi - c)
+        else:
+            stack.pop()
+        if c < bhi - blo:
+            stack[first] = (b, blo + c, bhi)
+        else:
+            first += 1
+        if c < n:
+            break
+    if len(stack) - first == 1:
+        # a reduced word cancels against its own inverse for less than half
+        a, alo, ahi = stack[first]
+        total -= 2 * _lcp(words[a ^ 1], lens[a] - ahi, words[a], alo, total // 2)
+    if total <= 0:
+        raise ArithmeticError("a nontrivial class reduced to the trivial class")
+    return total
 
 
 def atoroidality_probe(
@@ -159,6 +300,7 @@ def certificate_search(
     M_max: int,
     L: int,
     partitions: int = 1,
+    letter_budget: int = 10_000_000,
 ) -> HyperbolicityCertificate:
     """Find the least M for which every class with norm <= L grows under
     phi^M or phi^-M: r(M) = min over classes of max(fwd, bwd)/norm, and
@@ -167,27 +309,62 @@ def certificate_search(
     Ratios are exact (integer pairs); r(M) values for each M up to the
     decisive one land in the history, and the per-class table is taken
     at the decisive M (or at M_max when no certificate exists).
+
+    Only conjugacy lengths are computed.  While a chunk's words are short
+    they are pushed through phi in batch steps; after that each class's
+    length comes from the powers phi^M(x) through _stack_length, so
+    memory is bounded by the powers.  When the powers phi^M(x) and
+    phi^-M(x) of the generators x would hold more than letter_budget
+    letters in all, the search stops with verdict "budget-exceeded" and
+    the history and table of the last M completed.
     """
     if M_max < 1 or L < 1:
         raise ValueError("M_max and L must be positive")
     _require_inverse(phi)
-    tf = _table(phi.images, phi.rank)
-    tb = _table(phi.inverse_images, phi.rank)
+    tables = (_table(phi.images, phi.rank), _table(phi.inverse_images, phi.rank))
+    powers = tuple(_Powers(t, phi.rank) for t in tables)
+    # a batch step multiplies a chunk's letters by at most the longest
+    # image, which bounds the next batch without a per-letter temporary
+    widest = tuple(int(t.lens.max()) for t in tables)
     chunks = list(engine.enumerate_classes(phi.rank, L, partitions))
     norms = [engine.batch_lengths(c) for c in chunks]
-    fwd = list(chunks)
-    bwd = list(chunks)
+    # per chunk and direction: phi^+-M of every class while the chunk is
+    # on batch steps, None once it has moved to stacks
+    batches = [[c, c] for c in chunks]
+    lengths = [[n, n] for n in norms]
+    class_keys: dict[int, list[bytes]] = {}
     history: list[tuple[int, int, int, str]] = []
-    decisive = None
+    verdict = "no-certificate-within-bounds"
     for M in range(1, M_max + 1):
+        for pw in powers:
+            pw.advance()
+        if powers[0].letters + powers[1].letters > letter_budget:
+            verdict = "budget-exceeded"
+            break
         best_num = best_den = 0
         best_at = (0, 0)
-        for ci in range(len(chunks)):
-            fwd[ci] = _step(fwd[ci], tf)
-            bwd[ci] = _step(bwd[ci], tb)
-            mx = np.maximum(
-                engine.batch_lengths(fwd[ci]), engine.batch_lengths(bwd[ci])
-            )
+        for ci, chunk in enumerate(chunks):
+            for d in (0, 1):
+                batch = batches[ci][d]
+                if batch is not None:
+                    if len(batch.flat) * widest[d] <= _STACK_AT * len(batch):
+                        batches[ci][d] = batch = _step(batch, tables[d])
+                        lengths[ci][d] = engine.batch_lengths(batch)
+                        continue
+                    batches[ci][d] = None
+                if ci not in class_keys:
+                    flat, off = chunk
+                    kb = engine.key_bytes(flat.tolist())
+                    class_keys[ci] = [
+                        kb[off[i] : off[i + 1]] for i in range(len(chunk))
+                    ]
+                pw = powers[d]
+                lengths[ci][d] = np.fromiter(
+                    (_stack_length(k, pw.words, pw.lens) for k in class_keys[ci]),
+                    dtype=np.int64,
+                    count=len(chunk),
+                )
+            mx = np.maximum(lengths[ci][0], lengths[ci][1])
             i = int(np.argmin(mx / norms[ci]))
             num, den = int(mx[i]), int(norms[ci][i])
             if best_den == 0 or num * best_den < best_num * den:
@@ -200,43 +377,24 @@ def certificate_search(
         )
         history.append((M, best_num, best_den, arg))
         if best_num > best_den:
-            decisive = M
+            verdict = "empirical-certificate"
             break
-    table = []
-    for ci in range(len(chunks)):
-        flat, off = chunks[ci]
-        lf = engine.batch_lengths(fwd[ci])
-        lb = engine.batch_lengths(bwd[ci])
-        nn = norms[ci]
-        for i in range(len(nn)):
-            table.append(
-                ClassRatio(
-                    cls=spell([int(x) for x in flat[off[i] : off[i + 1]]], phi.rank),
-                    norm=int(nn[i]),
-                    fwd=int(lf[i]),
-                    bwd=int(lb[i]),
-                    ratio=max(int(lf[i]), int(lb[i])) / int(nn[i]),
-                )
-            )
-    if decisive is None:
-        return HyperbolicityCertificate(
-            M=None,
-            lam=None,
-            lam_exact=None,
-            L=L,
-            table=table,
-            history=history,
-            verdict="no-certificate-within-bounds",
-        )
-    lam = Fraction(history[-1][1], history[-1][2])
+    sweep = (
+        phi.rank,
+        [(c, n, lf, lb) for c, n, (lf, lb) in zip(chunks, norms, lengths)],
+    )
+    lam = None
+    if verdict == "empirical-certificate":
+        lam = Fraction(history[-1][1], history[-1][2])
     return HyperbolicityCertificate(
-        M=decisive,
-        lam=float(lam),
-        lam_exact=(lam.numerator, lam.denominator),
+        M=None if lam is None else history[-1][0],
+        lam=None if lam is None else float(lam),
+        lam_exact=None if lam is None else (lam.numerator, lam.denominator),
         L=L,
-        table=table,
         history=history,
-        verdict="empirical-certificate",
+        verdict=verdict,
+        table_size=sum(len(c) for c in chunks),
+        sweep=sweep,
     )
 
 

@@ -29,7 +29,7 @@ from .graphs import (
     turns_of_path,
 )
 from .strata import Filtration, Metric, assign_metric, compute_filtration
-from .words import letter_key
+from .words import BudgetExceeded, letter_key
 
 __all__ = [
     "NielsenPathRecord",
@@ -203,7 +203,7 @@ def _develop_turn(
     seen = set()
     while work:
         if len(seen) > max_states:
-            raise RuntimeError("ray development budget exceeded")
+            raise BudgetExceeded("ray development budget exceeded")
         state = work.pop()
         if state in seen:
             continue

@@ -20,6 +20,10 @@ from typing import Iterable, Iterator, Sequence
 _ABC = "abcdefghijklmnopqrstuvwxyz"
 
 
+class BudgetExceeded(Exception):
+    """A bounded search ran past its budget before reaching an answer."""
+
+
 def generator_name(i: int, rank: int) -> str:
     """Display name for generator index i (1-based)."""
     if rank <= len(_ABC):

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -138,11 +139,18 @@ class TestCertify:
         assert all(h["ratio"] == 1.0 for h in rep["history"])
 
     def test_csv_stable_across_jobs(self, capsys, files):
-        argv = ["certify", files / "plas.aut", "-L", "5", "--format", "csv"]
-        _, one, _ = run(capsys, *argv, "--jobs", "1")
-        _, three, _ = run(capsys, *argv, "--jobs", "3")
-        assert one == three
-        assert one.splitlines()[0] == "class,norm,fwd,bwd,ratio"
+        # plas certifies on batch steps; by M = 10 fib's chunks have moved
+        # to interval stacks
+        for args, classes in (
+            (["plas.aut", "-L", "5"], 868),
+            (["fib.aut", "-M", "10", "-L", "6"], 234),
+        ):
+            argv = ["certify", files / args[0], *args[1:], "--format", "csv"]
+            outs = {run(capsys, *argv, "--jobs", j)[1] for j in "123"}
+            assert len(outs) == 1
+            lines = outs.pop().splitlines()
+            assert lines[0] == "class,norm,fwd,bwd,ratio"
+            assert len(lines) == 1 + classes
 
 
 class TestGrowth:
@@ -267,6 +275,39 @@ class TestValidate:
         _, c, _ = run(capsys, *argv, "--seed", "8")
         assert a == b
         assert a != c
+
+
+class TestBudgetErrors:
+    """A search that runs out of its budget exits 3 with one error line."""
+
+    def test_short_path_budget(self, capsys, files, monkeypatch):
+        from traintrack import growth
+
+        monkeypatch.setattr(
+            growth, "_longest_short_path",
+            functools.partial(growth._longest_short_path, budget=1),
+        )
+        code, out, err = run(
+            capsys, "validate", files / "fib.aut", "decomp", "--samples", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: short-path enumeration budget exceeded\n"
+
+    def test_ray_development_budget(self, capsys, files, monkeypatch):
+        from traintrack import nielsen
+
+        monkeypatch.setattr(
+            nielsen, "_develop_turn",
+            functools.partial(nielsen._develop_turn, max_states=-1),
+        )
+        # len-bound 12 puts the path universe past the orbit budget
+        code, out, err = run(
+            capsys, "nielsen", files / "fib.aut", "--len-bound", "12"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: ray development budget exceeded\n"
 
 
 class TestInputErrors:

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traintrack import engine, hyperbolicity, load_fixture
 from traintrack.engine import class_count
 from traintrack.graphs import Graph, rose_of
 from traintrack.hyperbolicity import (
@@ -15,7 +19,10 @@ from traintrack.words import (
     Automorphism,
     CyclicWord,
     Word,
+    compose,
     conjugate_automorphism,
+    invert_verify,
+    iterate,
 )
 
 from conftest import PHI, random_reduced_word
@@ -110,6 +117,26 @@ class TestCertificate:
             if M % p == 0:
                 assert Fraction(num, den) <= 1
 
+    def test_letter_budget(self, fib):
+        # sum of |phi^M(x)| + |phi^-M(x)| over the generators: 6 at M = 1
+        cert = certificate_search(fib, M_max=20, L=6, letter_budget=100)
+        assert cert.verdict == "budget-exceeded"
+        assert cert.M is None and cert.lam is None and cert.lam_exact is None
+        reached = len(cert.history)
+        assert 1 <= reached < 20
+        # history and table are those of the last M completed
+        ref = certificate_search(fib, M_max=reached, L=6)
+        assert ref.verdict == "no-certificate-within-bounds"
+        assert cert.history == ref.history
+        assert cert.table == ref.table
+        assert cert.table_size == len(cert.table) == class_count(2, 6)
+
+    def test_letter_budget_before_first_step(self, fib):
+        cert = certificate_search(fib, M_max=5, L=3, letter_budget=5)
+        assert cert.verdict == "budget-exceeded"
+        assert cert.history == []
+        assert all(r.fwd == r.bwd == r.norm for r in cert.table)
+
     def test_validation(self, fib):
         with pytest.raises(ValueError):
             certificate_search(fib, M_max=0, L=4)
@@ -185,3 +212,89 @@ class TestOuterInvariance:
             cert = certificate_search(psi, M_max=10, L=6)
             assert (cert.M, cert.lam_exact) == (base_cert.M, base_cert.lam_exact)
             assert cert.history == base_cert.history
+
+
+def _moves(rank):
+    """Elementary Nielsen moves with exact inverses, as (images, inverse
+    images): inversions x_i -> x_i^-1 and transvections x_i -> x_i x_j^s,
+    x_j^s x_i."""
+    basis = [(i,) for i in range(1, rank + 1)]
+    moves = []
+    for i in range(1, rank + 1):
+        ims = list(basis)
+        ims[i - 1] = (-i,)
+        moves.append((ims, ims))
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            if i == j:
+                continue
+            for s in (1, -1):
+                for fwd, bwd in (((i, s * j), (i, -s * j)),
+                                 ((s * j, i), (-s * j, i))):
+                    f, b = list(basis), list(basis)
+                    f[i - 1], b[i - 1] = fwd, bwd
+                    moves.append((f, b))
+    return moves
+
+
+def _conjugate(phi, picks):
+    """psi phi psi^-1 for psi the product of the picked moves."""
+    moves = _moves(phi.rank)
+    psi = None
+    for p in picks:
+        images, inverse = moves[p % len(moves)]
+        move = Automorphism.from_letter_lists(images, inverse, rank=phi.rank)
+        psi = move if psi is None else compose(move, psi)
+    if psi is None:
+        return phi
+    conj = compose(compose(psi, phi), psi.inverse())
+    assert invert_verify(conj, conj.inverse())
+    return conj
+
+
+def _engine_lengths(phi, L, M_max):
+    """Per-class (fwd, bwd) conjugacy lengths at M = 1..M_max from the
+    batch engine, in enumeration order."""
+    (chunk,) = engine.enumerate_classes(phi.rank, L)
+    tf = hyperbolicity._table(phi.images, phi.rank)
+    tb = hyperbolicity._table(phi.inverse_images, phi.rank)
+    fwd = bwd = chunk
+    out = []
+    for _ in range(M_max):
+        fwd = hyperbolicity._step(fwd, tf)
+        bwd = hyperbolicity._step(bwd, tb)
+        out.append(list(zip(engine.batch_lengths(fwd).tolist(),
+                            engine.batch_lengths(bwd).tolist())))
+    return chunk, out
+
+
+_FIXTURES = {"fib": 5, "plas": 4, "poly": 5}  # name -> L
+
+
+@pytest.mark.parametrize("stack_at", [hyperbolicity._STACK_AT, 0],
+                         ids=["default", "stacks-from-M1"])
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FIXTURES)),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=2),
+)
+def test_certify_lengths_match_engine(stack_at, name, picks):
+    """certificate_search's table equals the _step engine's lengths at
+    every M <= 8, whether its chunks stay on batch steps or move to
+    interval stacks, and agrees with iterate on a few classes."""
+    phi = _conjugate(load_fixture(name), picks)
+    L = _FIXTURES[name]
+    chunk, ref = _engine_lengths(phi, L, 8)
+    words = engine.batch_to_words(chunk)
+    with mock.patch.object(hyperbolicity, "_STACK_AT", stack_at):
+        for M in range(1, 9):
+            cert = certificate_search(phi, M_max=M, L=L, partitions=2)
+            reached = len(cert.history)  # less than M after a certificate
+            got = [(r.fwd, r.bwd) for r in cert.table]
+            assert got == ref[reached - 1]
+    for i in (0, len(words) // 2, len(words) - 1):
+        w = Word(words[i])
+        assert got[i] == (
+            CyclicWord(iterate(phi, w, reached).letters).norm,
+            CyclicWord(iterate(phi, w, -reached).letters).norm,
+        )
