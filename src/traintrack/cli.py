@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from . import growth as growth_mod
 from .formats import (
@@ -62,21 +61,6 @@ EXIT_BUDGET = 3
 
 class CliError(Exception):
     """Input or configuration problem; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bounds shared across subcommands."""
-
-    fmt: str
-    seed: int
-    jobs: int
-
-    def __post_init__(self):
-        if self.fmt not in ("json", "csv", "text"):
-            raise CliError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise CliError("--jobs must be positive")
 
 
 def _positive(args, names):
@@ -136,7 +120,7 @@ def _parse_class_word(text: str, rank: int) -> Word:
 # analyze
 
 
-def cmd_analyze(cfg: RunConfig, args) -> tuple[int, str]:
+def cmd_analyze(args) -> tuple[int, str]:
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
     g = f.graph
@@ -170,9 +154,9 @@ def cmd_analyze(cfg: RunConfig, args) -> tuple[int, str]:
     failed = not rtt.passed or (args.strict and not improved.passed)
     code = EXIT_VIOLATION if failed else EXIT_OK
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         return code, canonical_json(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [
             [r["index"], " ".join(r["edges"]), r["kind"],
              "" if r["lambda"] is None else r["lambda"]]
@@ -205,13 +189,11 @@ def cmd_analyze(cfg: RunConfig, args) -> tuple[int, str]:
 # probe / certify / growth
 
 
-def cmd_probe(cfg: RunConfig, args) -> tuple[int, str]:
+def cmd_probe(args) -> tuple[int, str]:
     _positive(args, ["max_class_len", "max_period"])
     kind, obj = _load_input(args.file)
     phi = _with_inverse(_as_automorphism(kind, obj))
-    rep = atoroidality_probe(
-        phi, args.max_class_len, args.max_period, partitions=cfg.jobs
-    )
+    rep = atoroidality_probe(phi, args.max_class_len, args.max_period)
     wit_rows = [
         {
             "class": spell(w.cls.letters, phi.rank),
@@ -230,9 +212,9 @@ def cmd_probe(cfg: RunConfig, args) -> tuple[int, str]:
         "classes_enumerated": rep.classes_enumerated,
         "witnesses": wit_rows,
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         return EXIT_OK, canonical_json(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [
             [w["class"], w["norm"], w["period"], w["inverted"], w["inversion_step"]]
             for w in wit_rows
@@ -254,13 +236,11 @@ def cmd_probe(cfg: RunConfig, args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_certify(cfg: RunConfig, args) -> tuple[int, str]:
+def cmd_certify(args) -> tuple[int, str]:
     _positive(args, ["m_max", "max_class_len"])
     kind, obj = _load_input(args.file)
     phi = _with_inverse(_as_automorphism(kind, obj))
-    cert = certificate_search(
-        phi, args.m_max, args.max_class_len, partitions=cfg.jobs
-    )
+    cert = certificate_search(phi, args.m_max, args.max_class_len)
     history = [
         {"M": m, "num": num, "den": den, "ratio": num / den, "argmin": cls}
         for m, num, den, cls in cert.history
@@ -276,9 +256,9 @@ def cmd_certify(cfg: RunConfig, args) -> tuple[int, str]:
         "history": history,
         "table_size": cert.table_size,
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         return EXIT_OK, canonical_json(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [[t.cls, t.norm, t.fwd, t.bwd, t.ratio] for t in cert.table]
         return EXIT_OK, render_csv(["class", "norm", "fwd", "bwd", "ratio"], rows)
     lines = [f"input: {phi.label}", f"verdict: {cert.verdict}"]
@@ -295,7 +275,7 @@ def cmd_certify(cfg: RunConfig, args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_growth(cfg: RunConfig, args) -> tuple[int, str]:
+def cmd_growth(args) -> tuple[int, str]:
     kind, obj = _load_input(args.file)
     phi = _as_automorphism(kind, obj)
     if args.k_min < 0:
@@ -304,14 +284,14 @@ def cmd_growth(cfg: RunConfig, args) -> tuple[int, str]:
         raise CliError("--k-max must be >= --k-min")
     g = _parse_class_word(args.word, phi.rank)
     rows = growth_table(phi, g, range(args.k_min, args.k_max + 1))
-    if cfg.fmt == "json":
+    if args.format == "json":
         report = {
             "input": phi.label,
             "word": spell(g.letters, phi.rank),
             "rows": [{"k": k, "norm": n} for k, n in rows],
         }
         return EXIT_OK, canonical_json(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return EXIT_OK, render_csv(["k", "norm"], rows)
     lines = [f"input: {phi.label}", f"word: {spell(g.letters, phi.rank)}"]
     lines += [f"k={k} norm={n}" for k, n in rows]
@@ -322,7 +302,7 @@ def cmd_growth(cfg: RunConfig, args) -> tuple[int, str]:
 # nielsen
 
 
-def cmd_nielsen(cfg: RunConfig, args) -> tuple[int, str]:
+def cmd_nielsen(args) -> tuple[int, str]:
     _positive(args, ["len_bound", "period_bound"])
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
@@ -344,7 +324,7 @@ def cmd_nielsen(cfg: RunConfig, args) -> tuple[int, str]:
         }
         for r in recs
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         report = {
             "input": f.label,
             "len_bound": args.len_bound,
@@ -353,7 +333,7 @@ def cmd_nielsen(cfg: RunConfig, args) -> tuple[int, str]:
             "paths": rows,
         }
         return EXIT_OK, canonical_json(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         header = ["path", "period", "indivisible", "illegal", "height", "exact"]
         return EXIT_OK, render_csv(header, [[r[h] for h in header] for r in rows])
     lines = [f"input: {f.label}", f"count: {len(rows)}"]
@@ -404,7 +384,7 @@ def _inverse_pair(kind, obj):
     return rose_of(phi), rose_of(phi.inverse())
 
 
-def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
+def cmd_validate(args) -> tuple[int, str]:
     _positive(
         args, ["pairs", "k_max", "len_bound", "samples", "m_max"]
     )
@@ -437,7 +417,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
         fwd, bwd = _inverse_pair(kind, obj)
         filt = compute_filtration(fwd)
         metric = assign_metric(filt)
-        circuits = _sample_circuits(fwd, args.samples, args.len_bound, cfg.seed)
+        circuits = _sample_circuits(fwd, args.samples, args.len_bound, args.seed)
         rep = growth_mod.validate_bw1(
             fwd, bwd, circuits, k_max=args.k_max,
             r=_top_exponential(filt) if lemma == "bw2" else None,
@@ -447,7 +427,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
         if not rep.all_pass:
             code = EXIT_VIOLATION
     elif lemma == "illen":
-        circuits = _sample_circuits(f, args.samples, args.len_bound, cfg.seed)
+        circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
         r = _top_exponential(filt) if len(filt.strata) > 1 else None
         c = growth_mod.validate_illen(
             circuits, float(args.l0), filt, metric, circuit=True, r=r
@@ -459,7 +439,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
         fwd, bwd = _inverse_pair(kind, obj)
         filt = compute_filtration(fwd)
         metric = assign_metric(filt)
-        circuits = _sample_circuits(fwd, args.samples, args.len_bound, cfg.seed)
+        circuits = _sample_circuits(fwd, args.samples, args.len_bound, args.seed)
         rep = growth_mod.validate_backgrowth(
             fwd, bwd, circuits, float(args.l0),
             n_max=args.k_max, m_search_max=args.m_max,
@@ -471,7 +451,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
         if not vacuous and (not rep.all_pass or not constants.get("found", True)):
             code = EXIT_VIOLATION
     elif lemma == "tricho":
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         unresolved = 0
         for _ in range(args.samples):
             p = random_tight_path(f.graph, args.len_bound, rng)
@@ -490,7 +470,7 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
         if unresolved:
             code = EXIT_VIOLATION
     elif lemma == "decomp":
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         for _ in range(args.samples):
             c = random_circuit(f.graph, args.len_bound, rng)
             try:
@@ -520,14 +500,14 @@ def cmd_validate(cfg: RunConfig, args) -> tuple[int, str]:
     report = {
         "input": f.label,
         "lemma": lemma,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "constants": constants,
         "rows": rows,
         "all_pass": code == EXIT_OK,
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         return code, canonical_json(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         if lemma in ("bw1", "bw2", "backgrowth"):
             return code, _validator_csv(rows)
         if lemma == "tricho":
@@ -576,9 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="input file (.aut or .gm)")
         p.add_argument("--format", default=default_fmt,
                        choices=["json", "csv", "text"])
-        p.add_argument("--jobs", type=int, default=1,
-                       help="partition count for class enumeration")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="strata, growth rates, metric, map checks")
     common(p, "json")
@@ -614,6 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run one inequality validator")
     common(p, "csv")
     p.add_argument("lemma", choices=LEMMAS)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled circuits and paths")
     p.add_argument("--pairs", type=int, default=8,
                    help="bcc: concatenation factor length bound")
     p.add_argument("--k-max", type=int, default=5,
@@ -633,12 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(fmt=args.format, seed=args.seed, jobs=args.jobs)
-        code, out = args.handler(cfg, args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, OSError, ValueError) as exc:
+        code, out = args.handler(args)
+    except (CliError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceeded as exc:

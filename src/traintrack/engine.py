@@ -186,6 +186,9 @@ def cyclic_equal_bytes(canon: bytes, other: bytes) -> bool:
 
 # --- conjugacy class enumeration -------------------------------------
 
+MAX_RANK = 128  # 2 * rank letter keys fit in uint8
+
+
 def _grow_reduced(first_key: int, n: int, nkeys: int) -> np.ndarray:
     """All linearly reduced key words of length n starting with the
     given key, as a (N, n) uint8 array."""
@@ -224,44 +227,26 @@ def _letters_from_keys(words: np.ndarray) -> np.ndarray:
     return np.where(k & 1, -(k // 2) - 1, k // 2 + 1)
 
 
-def enumerate_classes(
-    rank: int,
-    max_norm: int,
-    partitions: int = 1,
-) -> Iterator[WordBatch]:
-    """Canonical conjugacy classes with norm <= max_norm, in chunks.
+def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
+    """Canonical conjugacy classes with norm <= max_norm, yielded as one
+    batch.
 
     A class is a cyclically reduced word taken at its lexicographically
     least rotation in letter-key order; a class and its inverse are both
-    produced.  Chunk boundaries depend on the partition count but the
-    union of chunks does not.
+    produced.  Letter keys are enumerated as uint8, so rank is at most
+    MAX_RANK.
     """
     if rank < 1 or max_norm < 1:
         raise ValueError("rank and max_norm must be positive")
-    if partitions < 1:
-        raise ValueError("partitions must be positive")
-    nkeys = 2 * rank
-    pending_flat: list[np.ndarray] = []
-    pending_off: list[np.ndarray] = []
-    pending_words = 0
-
-    def drain():
-        nonlocal pending_flat, pending_off, pending_words
-        flat = (
-            np.concatenate(pending_flat)
-            if pending_flat
-            else np.empty(0, dtype=np.int16)
+    if rank > MAX_RANK:
+        raise ValueError(
+            f"rank {rank} is above the class sweep's limit of {MAX_RANK}"
         )
-        lens = np.concatenate(pending_off) if pending_off else np.empty(0, dtype=np.int64)
-        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        pending_flat, pending_off, pending_words = [], [], 0
-        return WordBatch(flat, offsets)
-
-    # a canonical word starts with its smallest key, so splitting the
-    # outer loop by first key partitions the classes
-    total_classes = class_count(rank, max_norm)
-    per_chunk = max(1, -(-total_classes // partitions))
+    nkeys = 2 * rank
+    flats: list[np.ndarray] = []
+    lens: list[np.ndarray] = []
+    # a canonical word starts with its smallest key, so the outer loop
+    # over first keys meets every class once
     for first in range(nkeys):
         for n in range(1, max_norm + 1):
             words = _grow_reduced(first, n, nkeys)
@@ -275,14 +260,11 @@ def enumerate_classes(
                 words = words[_min_rotation_mask(words)]
                 if not len(words):
                     continue
-            letters = _letters_from_keys(words)
-            pending_flat.append(letters.reshape(-1))
-            pending_off.append(np.full(len(words), n, dtype=np.int64))
-            pending_words += len(words)
-            if pending_words >= per_chunk:
-                yield drain()
-    if pending_words:
-        yield drain()
+            flats.append(_letters_from_keys(words).reshape(-1))
+            lens.append(np.full(len(words), n, dtype=np.int64))
+    offsets = np.zeros(sum(map(len, lens)) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lens), out=offsets[1:])
+    yield WordBatch(np.concatenate(flats), offsets)
 
 
 def class_count(rank: int, max_norm: int) -> int:

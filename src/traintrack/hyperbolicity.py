@@ -20,7 +20,7 @@ import numpy as np
 from . import engine
 from .strata import Metric
 from .graphs import GraphMap
-from .words import Automorphism, CyclicWord, Word, spell
+from .words import Automorphism, BudgetExceeded, CyclicWord, Word, spell
 
 __all__ = [
     "Witness",
@@ -69,27 +69,26 @@ class HyperbolicityCertificate:
     # "empirical-certificate" | "no-certificate-within-bounds" | "budget-exceeded"
     verdict: str
     table_size: int
-    # (rank, [(chunk, norms, fwd lengths, bwd lengths)]) behind `table`
+    # (rank, classes, norms, fwd lengths, bwd lengths) behind `table`
     sweep: tuple = field(repr=False, compare=False)
 
     @cached_property
     def table(self) -> list[ClassRatio]:
         """Per-class lengths at the decisive M (or the last M reached),
         spelled on first access: only the CSV report reads them."""
-        rank, chunks = self.sweep
+        rank, (flat, off), nn, lf, lb = self.sweep
         out = []
-        for (flat, off), nn, lf, lb in chunks:
-            for i in range(len(nn)):
-                f, b, n = int(lf[i]), int(lb[i]), int(nn[i])
-                out.append(
-                    ClassRatio(
-                        cls=spell([int(x) for x in flat[off[i] : off[i + 1]]], rank),
-                        norm=n,
-                        fwd=f,
-                        bwd=b,
-                        ratio=max(f, b) / n,
-                    )
+        for i in range(len(nn)):
+            f, b, n = int(lf[i]), int(lb[i]), int(nn[i])
+            out.append(
+                ClassRatio(
+                    cls=spell([int(x) for x in flat[off[i] : off[i + 1]]], rank),
+                    norm=n,
+                    fwd=f,
+                    bwd=b,
+                    ratio=max(f, b) / n,
                 )
+            )
         return out
 
 
@@ -114,8 +113,8 @@ def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch
 
 # A batch step costs numpy passes over every letter of phi^M(w); a stack
 # costs a fixed amount of Python per letter of w but never builds
-# phi^M(w).  Each (chunk, direction) of certificate_search leaves the
-# batch once its next step could hold more letters per class than this.
+# phi^M(w).  Each direction of certificate_search leaves the batch once
+# its next step could hold more letters per class than this.
 # certificate_search at the CLI defaults (M = 20, L = 8), in process on
 # 2 CPUs: 128 and 256 were within 0.03 s of each other on fib (0.66 s),
 # plas (0.47 s) and poly (0.11 s); 64 made poly take 0.30 s, 16 made plas
@@ -229,12 +228,7 @@ def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
     return total
 
 
-def atoroidality_probe(
-    phi: Automorphism,
-    L: int,
-    P: int,
-    partitions: int = 1,
-) -> AtoroidalityReport:
+def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     """Sweep every conjugacy class with norm <= L and follow its class
     orbit for up to P steps, recording first returns.
 
@@ -247,25 +241,13 @@ def atoroidality_probe(
         raise ValueError("L and P must be positive")
     _require_inverse(phi)
     table = _table(phi.images, phi.rank)
+    (classes,) = engine.enumerate_classes(phi.rank, L)
+    oflat, ooff = classes
+    orig_len = engine.batch_lengths(classes)
+    unresolved = np.ones(len(classes), dtype=bool)
+    inv_at = np.zeros(len(classes), dtype=np.int64)
     witnesses: list[Witness] = []
-    total = 0
-    for chunk in engine.enumerate_classes(phi.rank, L, partitions):
-        total += len(chunk)
-        witnesses.extend(_probe_chunk(table, chunk, P))
-    witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
-    verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
-    return AtoroidalityReport(witnesses, (L, P), total, verdict)
-
-
-def _probe_chunk(
-    table: engine.ImageTable, chunk: engine.WordBatch, P: int
-) -> list[Witness]:
-    oflat, ooff = chunk
-    orig_len = engine.batch_lengths(chunk)
-    unresolved = np.ones(len(chunk), dtype=bool)
-    inv_at = np.zeros(len(chunk), dtype=np.int64)
-    out: list[Witness] = []
-    cur = chunk
+    cur = classes
     for k in range(1, P + 1):
         cur = _step(cur, table)
         lens = engine.batch_lengths(cur)
@@ -279,7 +261,7 @@ def _probe_chunk(
             wb = engine.key_bytes(cflat[coff[i] : coff[i + 1]])
             if engine.cyclic_equal_bytes(ob, wb):
                 step = int(inv_at[i])
-                out.append(
+                witnesses.append(
                     Witness(
                         cls=CyclicWord(int(x) for x in ow),
                         period=k,
@@ -292,14 +274,15 @@ def _probe_chunk(
                 iob = bytes(b ^ 1 for b in reversed(ob))
                 if engine.cyclic_equal_bytes(iob, wb):
                     inv_at[i] = k
-    return out
+    witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
+    verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
+    return AtoroidalityReport(witnesses, (L, P), len(classes), verdict)
 
 
 def certificate_search(
     phi: Automorphism,
     M_max: int,
     L: int,
-    partitions: int = 1,
     letter_budget: int = 10_000_000,
 ) -> HyperbolicityCertificate:
     """Find the least M for which every class with norm <= L grows under
@@ -310,7 +293,7 @@ def certificate_search(
     decisive one land in the history, and the per-class table is taken
     at the decisive M (or at M_max when no certificate exists).
 
-    Only conjugacy lengths are computed.  While a chunk's words are short
+    Only conjugacy lengths are computed.  While the batch's words are short
     they are pushed through phi in batch steps; after that each class's
     length comes from the powers phi^M(x) through _stack_length, so
     memory is bounded by the powers.  When the powers phi^M(x) and
@@ -323,16 +306,17 @@ def certificate_search(
     _require_inverse(phi)
     tables = (_table(phi.images, phi.rank), _table(phi.inverse_images, phi.rank))
     powers = tuple(_Powers(t, phi.rank) for t in tables)
-    # a batch step multiplies a chunk's letters by at most the longest
+    # a batch step multiplies the batch's letters by at most the longest
     # image, which bounds the next batch without a per-letter temporary
     widest = tuple(int(t.lens.max()) for t in tables)
-    chunks = list(engine.enumerate_classes(phi.rank, L, partitions))
-    norms = [engine.batch_lengths(c) for c in chunks]
-    # per chunk and direction: phi^+-M of every class while the chunk is
-    # on batch steps, None once it has moved to stacks
-    batches = [[c, c] for c in chunks]
-    lengths = [[n, n] for n in norms]
-    class_keys: dict[int, list[bytes]] = {}
+    (classes,) = engine.enumerate_classes(phi.rank, L)
+    flat, off = classes
+    norms = engine.batch_lengths(classes)
+    # per direction: phi^+-M of every class while that direction is on
+    # batch steps, None once it has moved to stacks
+    batches = [classes, classes]
+    lengths = [norms, norms]
+    class_keys: list[bytes] | None = None
     history: list[tuple[int, int, int, str]] = []
     verdict = "no-certificate-within-bounds"
     for M in range(1, M_max + 1):
@@ -341,48 +325,32 @@ def certificate_search(
         if powers[0].letters + powers[1].letters > letter_budget:
             verdict = "budget-exceeded"
             break
-        best_num = best_den = 0
-        best_at = (0, 0)
-        for ci, chunk in enumerate(chunks):
-            for d in (0, 1):
-                batch = batches[ci][d]
-                if batch is not None:
-                    if len(batch.flat) * widest[d] <= _STACK_AT * len(batch):
-                        batches[ci][d] = batch = _step(batch, tables[d])
-                        lengths[ci][d] = engine.batch_lengths(batch)
-                        continue
-                    batches[ci][d] = None
-                if ci not in class_keys:
-                    flat, off = chunk
-                    kb = engine.key_bytes(flat.tolist())
-                    class_keys[ci] = [
-                        kb[off[i] : off[i + 1]] for i in range(len(chunk))
-                    ]
-                pw = powers[d]
-                lengths[ci][d] = np.fromiter(
-                    (_stack_length(k, pw.words, pw.lens) for k in class_keys[ci]),
-                    dtype=np.int64,
-                    count=len(chunk),
-                )
-            mx = np.maximum(lengths[ci][0], lengths[ci][1])
-            i = int(np.argmin(mx / norms[ci]))
-            num, den = int(mx[i]), int(norms[ci][i])
-            if best_den == 0 or num * best_den < best_num * den:
-                best_num, best_den = num, den
-                best_at = (ci, i)
-        ci, i = best_at
-        flat, off = chunks[ci]
-        arg = spell(
-            [int(x) for x in flat[off[i] : off[i + 1]]], phi.rank
-        )
-        history.append((M, best_num, best_den, arg))
-        if best_num > best_den:
+        for d in (0, 1):
+            batch = batches[d]
+            if batch is not None:
+                if len(batch.flat) * widest[d] <= _STACK_AT * len(batch):
+                    batches[d] = batch = _step(batch, tables[d])
+                    lengths[d] = engine.batch_lengths(batch)
+                    continue
+                batches[d] = None
+            if class_keys is None:
+                kb = engine.key_bytes(flat.tolist())
+                class_keys = [kb[off[i] : off[i + 1]] for i in range(len(classes))]
+            pw = powers[d]
+            lengths[d] = np.fromiter(
+                (_stack_length(k, pw.words, pw.lens) for k in class_keys),
+                dtype=np.int64,
+                count=len(classes),
+            )
+        mx = np.maximum(lengths[0], lengths[1])
+        i = int(np.argmin(mx / norms))
+        num, den = int(mx[i]), int(norms[i])
+        arg = spell([int(x) for x in flat[off[i] : off[i + 1]]], phi.rank)
+        history.append((M, num, den, arg))
+        if num > den:
             verdict = "empirical-certificate"
             break
-    sweep = (
-        phi.rank,
-        [(c, n, lf, lb) for c, n, (lf, lb) in zip(chunks, norms, lengths)],
-    )
+    sweep = (phi.rank, classes, norms, lengths[0], lengths[1])
     lam = None
     if verdict == "empirical-certificate":
         lam = Fraction(history[-1][1], history[-1][2])
@@ -393,7 +361,7 @@ def certificate_search(
         L=L,
         history=history,
         verdict=verdict,
-        table_size=sum(len(c) for c in chunks),
+        table_size=len(classes),
         sweep=sweep,
     )
 
@@ -422,8 +390,8 @@ def growth_table(
     """Exact conjugacy lengths of phi^k(g) over the given exponents.
 
     Walks outward from k = 0 applying phi (or its inverse), reducing
-    cyclically at every step; refuses to grow any intermediate word past
-    the letter budget.
+    cyclically at every step; raises BudgetExceeded rather than grow any
+    intermediate word past the letter budget.
     """
     ks = sorted(set(int(k) for k in n_range))
     if not ks:
@@ -448,7 +416,7 @@ def growth_table(
                     else inv.apply_class(cur)
                 )
                 if len(nxt.letters) > letter_budget:
-                    raise ValueError(
+                    raise BudgetExceeded(
                         f"letter budget {letter_budget} exceeded at exponent {k}"
                     )
                 cur = nxt

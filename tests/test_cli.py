@@ -2,6 +2,7 @@ import functools
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import traintrack
 from traintrack.cli import main
 from traintrack.formats import dump_automorphism
+from traintrack.words import Automorphism
 from traintrack.fixtures import fixture_text
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -108,12 +110,6 @@ class TestProbe:
         assert rep["verdict"] == "no-witness-within-bounds"
         assert rep["witnesses"] == []
 
-    def test_jobs_do_not_change_bytes(self, capsys, files):
-        argv = ["probe", files / "fib.aut", "-L", "4", "-P", "2"]
-        _, one, _ = run(capsys, *argv, "--jobs", "1")
-        _, four, _ = run(capsys, *argv, "--jobs", "4")
-        assert one == four
-
 
 class TestCertify:
     def test_plas_certificate(self, capsys, files):
@@ -138,17 +134,17 @@ class TestCertify:
         assert rep["M"] is None
         assert all(h["ratio"] == 1.0 for h in rep["history"])
 
-    def test_csv_stable_across_jobs(self, capsys, files):
-        # plas certifies on batch steps; by M = 10 fib's chunks have moved
+    def test_csv_row_counts(self, capsys, files):
+        # plas certifies on batch steps; by M = 10 fib's batch has moved
         # to interval stacks
         for args, classes in (
             (["plas.aut", "-L", "5"], 868),
             (["fib.aut", "-M", "10", "-L", "6"], 234),
         ):
             argv = ["certify", files / args[0], *args[1:], "--format", "csv"]
-            outs = {run(capsys, *argv, "--jobs", j)[1] for j in "123"}
-            assert len(outs) == 1
-            lines = outs.pop().splitlines()
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            lines = out.splitlines()
             assert lines[0] == "class,norm,fwd,bwd,ratio"
             assert len(lines) == 1 + classes
 
@@ -309,6 +305,21 @@ class TestBudgetErrors:
         assert out == ""
         assert err == "error: ray development budget exceeded\n"
 
+    def test_growth_letter_budget(self, capsys, files, monkeypatch):
+        from traintrack import cli
+
+        monkeypatch.setattr(
+            cli, "growth_table",
+            functools.partial(cli.growth_table, letter_budget=20),
+        )
+        # |phi^6(a)| = 21 for the Fibonacci map
+        code, out, err = run(
+            capsys, "growth", files / "fib.aut", "a", "--k-max", "8"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: letter budget 20 exceeded at exponent 6\n"
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys, files):
@@ -331,11 +342,38 @@ class TestInputErrors:
             run(capsys, "analyze", files / "fib.aut", "--tol", "0")
         assert exc.value.code == 2
 
-    def test_jobs_must_be_positive(self, capsys, files):
-        code, _, err = run(
-            capsys, "probe", files / "fib.aut", "--jobs", "0"
-        )
-        assert code == 2
+    def test_argparse_rejects_removed_options(self, capsys, files):
+        # --jobs is gone and --seed belongs to validate
+        for argv in (
+            ["probe", files / "fib.aut", "--jobs", "2"],
+            ["certify", files / "fib.aut", "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, *argv)
+            assert exc.value.code == 2
+
+    def test_class_sweeps_limit_rank(self, capsys, tmp_path):
+        def identity(rank):
+            path = tmp_path / f"id{rank}.aut"
+            path.write_text(dump_automorphism(Automorphism.from_letter_lists(
+                [(x,) for x in range(1, rank + 1)],
+                [(x,) for x in range(1, rank + 1)],
+            )))
+            return path
+
+        for sub in ("probe", "certify"):
+            code, out, err = run(capsys, sub, identity(129), "-L", "1")
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: rank 129 is above the class sweep's limit of 128\n"
+            )
+        code, out, _ = run(capsys, "probe", identity(128), "-L", "1", "-P", "1")
+        assert code == 0
+        assert json.loads(out)["classes_enumerated"] == 256
+        code, out, _ = run(capsys, "certify", identity(128), "-M", "1", "-L", "1")
+        assert code == 0
+        assert json.loads(out)["table_size"] == 256
 
     def test_argparse_rejects_unknown_lemma(self, capsys, files):
         with pytest.raises(SystemExit) as exc:
@@ -387,3 +425,29 @@ class TestEntryPoints:
             )
             assert proc.returncode == 1
             assert '"condition": 1' in proc.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, stdout) for every `$ traintrack ...` block under the
+    README's Command line section."""
+    text = README.read_text()
+    start = text.index("\n## Command line\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    out = []
+    for block in section.split("```\n")[1::2]:
+        if block.startswith("$ traintrack "):
+            command, _, expected = block.partition("\n")
+            out.append((shlex.split(command)[2:], expected))
+    return out
+
+
+def test_readme_examples_match_output(capsys, files):
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for argv, expected in examples:
+        argv = [files / a if a.endswith((".aut", ".gm")) else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected), argv

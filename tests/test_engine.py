@@ -116,12 +116,6 @@ def test_enumerate_classes_exhaustive_and_canonical():
     assert len(hits) == 1 and len(inv_hits) == 1 and hits != inv_hits
 
 
-def test_enumerate_classes_partition_invariant():
-    flat1 = [w for b in enumerate_classes(3, 6, partitions=1) for w in batch_to_words(b)]
-    flat4 = [w for b in enumerate_classes(3, 6, partitions=4) for w in batch_to_words(b)]
-    assert flat1 == flat4
-
-
 def test_enumerate_matches_probe_oracle_count():
     # brute-force oracle (stdlib FKM implementation) counted 1,257,526
     # cyclically reduced classes of norm <= 10 at rank 3

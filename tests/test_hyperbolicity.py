@@ -17,6 +17,7 @@ from traintrack.hyperbolicity import (
 from traintrack.strata import assign_metric, compute_filtration
 from traintrack.words import (
     Automorphism,
+    BudgetExceeded,
     CyclicWord,
     Word,
     compose,
@@ -62,11 +63,6 @@ class TestProbe:
             w.period == 1 and not w.inverted and w.inversion_step == 0
             for w in rep.witnesses
         )
-
-    def test_partition_invariance(self, fib):
-        one = atoroidality_probe(fib, L=4, P=2, partitions=1)
-        four = atoroidality_probe(fib, L=4, P=2, partitions=4)
-        assert one == four
 
     def test_validation(self, fib):
         with pytest.raises(ValueError):
@@ -168,8 +164,14 @@ class TestGrowthTable:
             growth_table(fib, Word(()), range(3))
 
     def test_letter_budget(self, fib):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            BudgetExceeded, match="letter budget 500 exceeded at exponent 60"
+        ):
             growth_table(fib, Word((1,)), [60], letter_budget=500)
+        # a word of exactly the budget still fits: |phi^12(a)| = 377
+        assert growth_table(fib, Word((1,)), [12], letter_budget=377) == [(12, 377)]
+        with pytest.raises(BudgetExceeded):
+            growth_table(fib, Word((1,)), [12], letter_budget=376)
 
 
 class TestDistortion:
@@ -255,17 +257,17 @@ def _conjugate(phi, picks):
 def _engine_lengths(phi, L, M_max):
     """Per-class (fwd, bwd) conjugacy lengths at M = 1..M_max from the
     batch engine, in enumeration order."""
-    (chunk,) = engine.enumerate_classes(phi.rank, L)
+    (classes,) = engine.enumerate_classes(phi.rank, L)
     tf = hyperbolicity._table(phi.images, phi.rank)
     tb = hyperbolicity._table(phi.inverse_images, phi.rank)
-    fwd = bwd = chunk
+    fwd = bwd = classes
     out = []
     for _ in range(M_max):
         fwd = hyperbolicity._step(fwd, tf)
         bwd = hyperbolicity._step(bwd, tb)
         out.append(list(zip(engine.batch_lengths(fwd).tolist(),
                             engine.batch_lengths(bwd).tolist())))
-    return chunk, out
+    return classes, out
 
 
 _FIXTURES = {"fib": 5, "plas": 4, "poly": 5}  # name -> L
@@ -280,15 +282,15 @@ _FIXTURES = {"fib": 5, "plas": 4, "poly": 5}  # name -> L
 )
 def test_certify_lengths_match_engine(stack_at, name, picks):
     """certificate_search's table equals the _step engine's lengths at
-    every M <= 8, whether its chunks stay on batch steps or move to
-    interval stacks, and agrees with iterate on a few classes."""
+    every M <= 8, whether it stays on batch steps or moves to interval
+    stacks, and agrees with iterate on a few classes."""
     phi = _conjugate(load_fixture(name), picks)
     L = _FIXTURES[name]
-    chunk, ref = _engine_lengths(phi, L, 8)
-    words = engine.batch_to_words(chunk)
+    classes, ref = _engine_lengths(phi, L, 8)
+    words = engine.batch_to_words(classes)
     with mock.patch.object(hyperbolicity, "_STACK_AT", stack_at):
         for M in range(1, 9):
-            cert = certificate_search(phi, M_max=M, L=L, partitions=2)
+            cert = certificate_search(phi, M_max=M, L=L)
             reached = len(cert.history)  # less than M after a certificate
             got = [(r.fwd, r.bwd) for r in cert.table]
             assert got == ref[reached - 1]
