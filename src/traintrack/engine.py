@@ -1,8 +1,11 @@
 """Batch word arithmetic on flat numpy arrays.
 
-Words are stored CSR-style: one int16 array of letters and an int64
-offset array, word i occupying flat[offsets[i]:offsets[i+1]].  All
-operations are vectorized passes; nothing here allocates per word.
+Words are stored CSR-style: one uint8 array of letter keys (see
+words.key_word) and an int64 offset array, word i occupying
+flat[offsets[i]:offsets[i+1]].  Keys index the image table directly, and
+a key and its inverse's key differ in the low bit, so apply and reduce
+never convert back to letters.  All operations are vectorized passes;
+nothing here allocates per word.
 Used by the class enumeration and the orbit/certificate searches, where
 millions of conjugacy classes are pushed through an automorphism at
 once.
@@ -14,6 +17,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .words import MAX_LETTER, inverse_keys, key_letters, key_word
+
 __all__ = [
     "WordBatch",
     "ImageTable",
@@ -24,7 +29,6 @@ __all__ = [
     "batch_apply",
     "batch_reduce",
     "batch_cyclic_reduce",
-    "key_bytes",
     "cyclic_equal_bytes",
     "enumerate_classes",
     "class_count",
@@ -45,66 +49,46 @@ class ImageTable(NamedTuple):
     lens: np.ndarray
 
 
+def _packed(chunks: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Key words laid end to end, and the offsets between them."""
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in chunks], out=offsets[1:])
+    return np.frombuffer(b"".join(chunks), dtype=np.uint8), offsets
+
+
 def batch_from_words(words: Sequence[Sequence[int]]) -> WordBatch:
-    lens = np.fromiter((len(w) for w in words), dtype=np.int64, count=len(words))
-    offsets = np.zeros(len(words) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    flat = np.empty(offsets[-1], dtype=np.int16)
-    pos = 0
-    for w in words:
-        flat[pos : pos + len(w)] = w
-        pos += len(w)
-    return WordBatch(flat, offsets)
+    return WordBatch(*_packed([key_word(w) for w in words]))
 
 
 def batch_to_words(batch: WordBatch) -> list[tuple[int, ...]]:
     flat, offsets = batch
-    return [
-        tuple(int(x) for x in flat[offsets[i] : offsets[i + 1]])
-        for i in range(len(batch))
-    ]
+    kb = flat.tobytes()
+    return [key_letters(kb[offsets[i] : offsets[i + 1]]) for i in range(len(batch))]
 
 
 def batch_lengths(batch: WordBatch) -> np.ndarray:
     return np.diff(batch.offsets)
 
 
-def _keys(flat: np.ndarray) -> np.ndarray:
-    # letter_key, vectorized: 2x-2 for x > 0, -2x-1 for x < 0
-    return np.where(flat > 0, 2 * flat - 2, -2 * flat - 1)
-
-
-def image_table(images: dict[int, Sequence[int]], rank: int) -> ImageTable:
-    """Pack generator images (letters +-1..+-rank each mapped to a word)
-    into flat arrays indexed by letter key."""
+def image_table(images: Sequence[Sequence[int]]) -> ImageTable:
+    """Pack the images of the generators x_1, x_2, ... and of their
+    inverses into flat arrays indexed by letter key."""
     chunks = []
-    lens = np.zeros(2 * rank, dtype=np.int64)
-    for x in range(1, rank + 1):
-        fwd = tuple(images[x])
-        bwd = tuple(-y for y in reversed(fwd))
-        lens[2 * x - 2] = len(fwd)
-        lens[2 * x - 1] = len(bwd)
-        chunks.append(np.asarray(fwd, dtype=np.int16))
-        chunks.append(np.asarray(bwd, dtype=np.int16))
-    off = np.zeros(2 * rank + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    flat = (
-        np.concatenate(chunks)
-        if off[-1]
-        else np.empty(0, dtype=np.int16)
-    )
-    return ImageTable(flat, off, lens)
+    for w in images:
+        fwd = key_word(w)
+        chunks += [fwd, inverse_keys(fwd)]
+    flat, off = _packed(chunks)
+    return ImageTable(flat, off, np.diff(off))
 
 
 def batch_apply(batch: WordBatch, table: ImageTable) -> WordBatch:
     """Substitute each letter by its image, without reduction."""
     flat, offsets = batch
-    k = _keys(flat)
-    counts = table.lens[k]
+    counts = table.lens[flat]
     total = int(counts.sum())
     out_starts = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out_starts[1:])
-    src = np.repeat(table.off[k], counts) + (
+    src = np.repeat(table.off[flat], counts) + (
         np.arange(total, dtype=np.int64) - np.repeat(out_starts[:-1], counts)
     )
     new_flat = table.flat[src]
@@ -129,7 +113,7 @@ def batch_reduce(batch: WordBatch) -> WordBatch:
     while True:
         if len(flat) < 2:
             break
-        flag = (flat[:-1] == -flat[1:]) & (word_id[:-1] == word_id[1:])
+        flag = (flat[:-1] == flat[1:] ^ 1) & (word_id[:-1] == word_id[1:])
         idx = np.flatnonzero(flag)
         if not len(idx):
             break
@@ -159,7 +143,7 @@ def batch_cyclic_reduce(batch: WordBatch) -> WordBatch:
         long_enough = ends - starts >= 2
         s = np.where(long_enough, starts, 0)
         e = np.where(long_enough, ends - 1, 0)
-        act = long_enough & (flat[s] == -flat[e])
+        act = long_enough & (flat[s] == flat[e] ^ 1)
         if not act.any():
             break
         starts[act] += 1
@@ -174,10 +158,6 @@ def batch_cyclic_reduce(batch: WordBatch) -> WordBatch:
     return WordBatch(flat[src], new_offsets)
 
 
-def key_bytes(word: Sequence[int]) -> bytes:
-    return bytes(2 * x - 2 if x > 0 else -2 * x - 1 for x in word)
-
-
 def cyclic_equal_bytes(canon: bytes, other: bytes) -> bool:
     """Whether two equal-length key-encoded words are rotations of each
     other (doubled-word substring test)."""
@@ -185,9 +165,6 @@ def cyclic_equal_bytes(canon: bytes, other: bytes) -> bool:
 
 
 # --- conjugacy class enumeration -------------------------------------
-
-MAX_RANK = 128  # 2 * rank letter keys fit in uint8
-
 
 def _grow_reduced(first_key: int, n: int, nkeys: int) -> np.ndarray:
     """All linearly reduced key words of length n starting with the
@@ -222,11 +199,6 @@ def _min_rotation_mask(words: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _letters_from_keys(words: np.ndarray) -> np.ndarray:
-    k = words.astype(np.int16)
-    return np.where(k & 1, -(k // 2) - 1, k // 2 + 1)
-
-
 def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     """Canonical conjugacy classes with norm <= max_norm, yielded as one
     batch.
@@ -234,13 +206,13 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     A class is a cyclically reduced word taken at its lexicographically
     least rotation in letter-key order; a class and its inverse are both
     produced.  Letter keys are enumerated as uint8, so rank is at most
-    MAX_RANK.
+    words.MAX_LETTER.
     """
     if rank < 1 or max_norm < 1:
         raise ValueError("rank and max_norm must be positive")
-    if rank > MAX_RANK:
+    if rank > MAX_LETTER:
         raise ValueError(
-            f"rank {rank} is above the class sweep's limit of {MAX_RANK}"
+            f"rank {rank} is above the class sweep's limit of {MAX_LETTER}"
         )
     nkeys = 2 * rank
     flats: list[np.ndarray] = []
@@ -260,7 +232,7 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
                 words = words[_min_rotation_mask(words)]
                 if not len(words):
                     continue
-            flats.append(_letters_from_keys(words).reshape(-1))
+            flats.append(words.reshape(-1))
             lens.append(np.full(len(words), n, dtype=np.int64))
     offsets = np.zeros(sum(map(len, lens)) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lens), out=offsets[1:])

@@ -335,9 +335,6 @@ class GraphMap:
         """Tightened image of an edge sequence."""
         return substitute(self._images, edges)
 
-    def map_path(self, p: EdgePath) -> EdgePath:
-        return EdgePath._raw(self.graph, self.map_letters(p.edges))
-
     def map_circuit(self, c: Circuit) -> Circuit:
         return Circuit(self.graph, self.map_letters(c.edges))
 
@@ -411,10 +408,6 @@ class GraphMap:
     def is_legal(self, edges: Sequence[int]) -> bool:
         illegal = self.illegal_turns
         return all(t not in illegal for t in turns_of_path(edges))
-
-    def is_legal_circuit(self, edges: Sequence[int]) -> bool:
-        illegal = self.illegal_turns
-        return all(t not in illegal for t in turns_of_circuit(edges))
 
     def __repr__(self) -> str:
         ims = ", ".join(

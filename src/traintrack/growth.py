@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .graphs import Circuit, GraphMap, iter_tight_paths, preimage_circuit, turns_of_circuit, turns_of_path
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import Filtration, Metric, assign_metric, compute_filtration
-from .words import BudgetExceeded, letter_key
+from .words import BudgetExceeded, inverse_keys, key_word, letter_key
 
 __all__ = [
     "PathStats",
@@ -143,13 +143,13 @@ class CancellationData:
 
 def _iter_path_images(f: GraphMap, window: int):
     """All tight paths with at most window edges, as triples
-    (first direction, last direction, tightened image)."""
+    (first direction, last direction, tightened image as key bytes)."""
     g = f.graph
     dirs = sorted(g.directions(), key=letter_key)
     by_vertex: dict[str, list[int]] = {}
     for d in dirs:
         by_vertex.setdefault(g.origin(d), []).append(d)
-    img = {d: tuple(f.edge_image(d)) for d in dirs}
+    img = {d: key_word(f.edge_image(d)) for d in dirs}
     stack = [((d,), img[d]) for d in reversed(dirs)]
     while stack:
         path, u = stack.pop()
@@ -160,7 +160,7 @@ def _iter_path_images(f: GraphMap, window: int):
                     continue
                 w = img[d]
                 i, j = len(u), 0
-                while i > 0 and j < len(w) and u[i - 1] == -w[j]:
+                while i > 0 and j < len(w) and u[i - 1] == w[j] ^ 1:
                     i -= 1
                     j += 1
                 stack.append((path + (d,), u[:i] + w[j:]))
@@ -201,13 +201,9 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
             partners[m] = partners[m] + (tag_a[d],)
     seen: list[set[bytes]] = [set() for _ in range(2 * ndir)]
     for first, last, u in _iter_path_images(f, window):
-        if not u:
-            continue
-        word = bytes(letter_key(x) for x in u)
-        seen[tag_b[first]].add(word)
-        # letter_key(-x) == letter_key(x) ^ 1, so the inverse word is a
-        # reversed bit-flip of the encoding
-        seen[tag_a[last]].add(bytes(b ^ 1 for b in reversed(word)))
+        if u:
+            seen[tag_b[first]].add(u)
+            seen[tag_a[last]].add(inverse_keys(u))
     entries = [(w, t) for t, bucket in enumerate(seen) for w in bucket]
     entries.sort()
     best = 0.0

@@ -20,7 +20,15 @@ import numpy as np
 from . import engine
 from .strata import Metric
 from .graphs import GraphMap
-from .words import Automorphism, BudgetExceeded, CyclicWord, Word, spell
+from .words import (
+    Automorphism,
+    BudgetExceeded,
+    CyclicWord,
+    Word,
+    inverse_keys,
+    key_letters,
+    spell,
+)
 
 __all__ = [
     "Witness",
@@ -77,12 +85,13 @@ class HyperbolicityCertificate:
         """Per-class lengths at the decisive M (or the last M reached),
         spelled on first access: only the CSV report reads them."""
         rank, (flat, off), nn, lf, lb = self.sweep
+        kb = flat.tobytes()
         out = []
         for i in range(len(nn)):
             f, b, n = int(lf[i]), int(lb[i]), int(nn[i])
             out.append(
                 ClassRatio(
-                    cls=spell([int(x) for x in flat[off[i] : off[i + 1]]], rank),
+                    cls=spell(key_letters(kb[off[i] : off[i + 1]]), rank),
                     norm=n,
                     fwd=f,
                     bwd=b,
@@ -97,12 +106,6 @@ def _require_inverse(phi: Automorphism):
         raise ValueError(
             f"automorphism {phi.label or '?'} has no verified inverse"
         )
-
-
-def _table(images, rank: int) -> engine.ImageTable:
-    return engine.image_table(
-        {i: w.letters for i, w in enumerate(images, start=1)}, rank
-    )
 
 
 def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch:
@@ -120,8 +123,6 @@ def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch
 # plas (0.47 s) and poly (0.11 s); 64 made poly take 0.30 s, 16 made plas
 # take 1.81 s, and 4096 made fib take 1.52 s against 0.52 s at 128.
 _STACK_AT = 128
-
-_FLIP = bytes(k ^ 1 for k in range(256))  # letter key -> key of the inverse
 
 
 class _Powers:
@@ -142,11 +143,11 @@ class _Powers:
     def advance(self) -> None:
         self._gens = engine.batch_reduce(engine.batch_apply(self._gens, self._table))
         flat, off = self._gens
-        kb = engine._keys(flat).astype(np.uint8).tobytes()
+        kb = flat.tobytes()
         self.words = []
         for i in range(len(off) - 1):
             b = kb[off[i] : off[i + 1]]
-            self.words += [b, b[::-1].translate(_FLIP)]
+            self.words += [b, inverse_keys(b)]
         self.lens = [len(b) for b in self.words]
         self.letters = int(off[-1])
 
@@ -240,8 +241,9 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     if L < 1 or P < 1:
         raise ValueError("L and P must be positive")
     _require_inverse(phi)
-    table = _table(phi.images, phi.rank)
+    # the enumeration checks the rank before the table encodes the images
     (classes,) = engine.enumerate_classes(phi.rank, L)
+    table = engine.image_table(phi.images)
     oflat, ooff = classes
     orig_len = engine.batch_lengths(classes)
     unresolved = np.ones(len(classes), dtype=bool)
@@ -256,14 +258,13 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
             continue
         cflat, coff = cur
         for i in map(int, cand):
-            ow = oflat[ooff[i] : ooff[i + 1]]
-            ob = engine.key_bytes(ow)
-            wb = engine.key_bytes(cflat[coff[i] : coff[i + 1]])
+            ob = oflat[ooff[i] : ooff[i + 1]].tobytes()
+            wb = cflat[coff[i] : coff[i + 1]].tobytes()
             if engine.cyclic_equal_bytes(ob, wb):
                 step = int(inv_at[i])
                 witnesses.append(
                     Witness(
-                        cls=CyclicWord(int(x) for x in ow),
+                        cls=CyclicWord(key_letters(ob)),
                         period=k,
                         inverted=step > 0,
                         inversion_step=step,
@@ -271,8 +272,7 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
                 )
                 unresolved[i] = False
             elif inv_at[i] == 0:
-                iob = bytes(b ^ 1 for b in reversed(ob))
-                if engine.cyclic_equal_bytes(iob, wb):
+                if engine.cyclic_equal_bytes(inverse_keys(ob), wb):
                     inv_at[i] = k
     witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
     verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
@@ -304,19 +304,20 @@ def certificate_search(
     if M_max < 1 or L < 1:
         raise ValueError("M_max and L must be positive")
     _require_inverse(phi)
-    tables = (_table(phi.images, phi.rank), _table(phi.inverse_images, phi.rank))
+    # the enumeration checks the rank before the tables encode the images
+    (classes,) = engine.enumerate_classes(phi.rank, L)
+    tables = tuple(map(engine.image_table, (phi.images, phi.inverse_images)))
     powers = tuple(_Powers(t, phi.rank) for t in tables)
     # a batch step multiplies the batch's letters by at most the longest
     # image, which bounds the next batch without a per-letter temporary
     widest = tuple(int(t.lens.max()) for t in tables)
-    (classes,) = engine.enumerate_classes(phi.rank, L)
     flat, off = classes
     norms = engine.batch_lengths(classes)
     # per direction: phi^+-M of every class while that direction is on
     # batch steps, None once it has moved to stacks
     batches = [classes, classes]
     lengths = [norms, norms]
-    class_keys: list[bytes] | None = None
+    class_bytes: list[bytes] | None = None
     history: list[tuple[int, int, int, str]] = []
     verdict = "no-certificate-within-bounds"
     for M in range(1, M_max + 1):
@@ -333,19 +334,19 @@ def certificate_search(
                     lengths[d] = engine.batch_lengths(batch)
                     continue
                 batches[d] = None
-            if class_keys is None:
-                kb = engine.key_bytes(flat.tolist())
-                class_keys = [kb[off[i] : off[i + 1]] for i in range(len(classes))]
+            if class_bytes is None:
+                kb = flat.tobytes()
+                class_bytes = [kb[off[i] : off[i + 1]] for i in range(len(classes))]
             pw = powers[d]
             lengths[d] = np.fromiter(
-                (_stack_length(k, pw.words, pw.lens) for k in class_keys),
+                (_stack_length(k, pw.words, pw.lens) for k in class_bytes),
                 dtype=np.int64,
                 count=len(classes),
             )
         mx = np.maximum(lengths[0], lengths[1])
         i = int(np.argmin(mx / norms))
         num, den = int(mx[i]), int(norms[i])
-        arg = spell([int(x) for x in flat[off[i] : off[i + 1]]], phi.rank)
+        arg = spell(key_letters(flat[off[i] : off[i + 1]]), phi.rank)
         history.append((M, num, den, arg))
         if num > den:
             verdict = "empirical-certificate"

@@ -8,6 +8,15 @@ by cyclic words: cyclically reduced and rotated to a canonical position.
 The canonical position is the lexicographically least rotation under the
 fixed letter order x_1 < x_1^-1 < x_2 < x_2^-1 < ...; a class and its
 inverse class are distinct objects.
+
+The same order numbers the letters: letter_key(x) is 2x-2 for x > 0 and
+-2x-1 for x < 0, so x_i and x_i^-1 get the adjacent keys 2i-2 and 2i-1
+and the key of an inverse letter is key ^ 1.  The class sweeps and the
+cancellation search store words as key bytes (key_word), one byte per
+letter, which holds letters +-1..+-MAX_LETTER: generators of a rank <= 128
+free group, or edges of a graph with <= 128 edges.  This module is the
+only one that knows the formula; the others call key_word, key_letters
+and inverse_keys.
 """
 
 from __future__ import annotations
@@ -111,6 +120,34 @@ def reduce_letters(letters: Iterable[int], rank: int | None = None) -> tuple[int
 def letter_key(x: int) -> int:
     """Total order on letters: x_1 < x_1^-1 < x_2 < x_2^-1 < ..."""
     return 2 * x - 2 if x > 0 else -2 * x - 1
+
+
+MAX_LETTER = 128  # the keys of +-1..+-128 are 0..255, one byte each
+
+# key of a letter -> key of its inverse letter
+_FLIP = bytes(k ^ 1 for k in range(256))
+
+
+def key_word(letters: Sequence[int]) -> bytes:
+    """The word as bytes of letter keys."""
+    try:
+        return bytes(2 * x - 2 if x > 0 else -2 * x - 1 for x in letters)
+    except ValueError:
+        bad = next(x for x in letters if not 0 < abs(x) <= MAX_LETTER)
+        raise ValueError(
+            f"letter {bad} is outside the limit of {MAX_LETTER} generators "
+            f"or graph edges that a key-encoded word can hold"
+        ) from None
+
+
+def key_letters(keys) -> tuple[int, ...]:
+    """The letters of a key-encoded word (bytes or a uint8 array)."""
+    return tuple(-(k >> 1) - 1 if k & 1 else (k >> 1) + 1 for k in bytes(keys))
+
+
+def inverse_keys(keys: bytes) -> bytes:
+    """The key bytes of the inverse word: reversed, each key flipped."""
+    return keys[::-1].translate(_FLIP)
 
 
 def least_rotation(seq: Sequence[int]) -> int:
@@ -343,9 +380,6 @@ class Automorphism:
             self.images,
             label=(self.label + "^-1") if self.label else "",
         )
-
-    def is_identity(self) -> bool:
-        return all(w.letters == (i,) for i, w in enumerate(self.images, start=1))
 
     def __repr__(self) -> str:
         ims = ", ".join(

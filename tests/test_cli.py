@@ -33,6 +33,15 @@ def files(tmp_path_factory, rel):
     return d
 
 
+def identity_file(tmp_path, rank):
+    path = tmp_path / f"id{rank}.aut"
+    path.write_text(dump_automorphism(Automorphism.from_letter_lists(
+        [(x,) for x in range(1, rank + 1)],
+        [(x,) for x in range(1, rank + 1)],
+    )))
+    return path
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     cap = capsys.readouterr()
@@ -162,6 +171,15 @@ class TestGrowth:
         )
         assert code == 0
         assert out == "k,norm\n-3,3\n-2,2\n-1,1\n0,1\n"
+
+    def test_periodic_class_over_long_range(self, capsys, files):
+        # fib maps the commutator class to its inverse and back, so its
+        # norm is 4 at every exponent, however long the run
+        code, out, err = run(
+            capsys, "growth", files / "fib.aut", "a b a^-1 b^-1", "--k-max", "60"
+        )
+        assert (code, err) == (0, "")
+        assert out == "k,norm\n" + "".join(f"{k},4\n" for k in range(61))
 
     def test_unknown_letter(self, capsys, files):
         code, _, err = run(capsys, "growth", files / "fib.aut", "z")
@@ -353,27 +371,39 @@ class TestInputErrors:
             assert exc.value.code == 2
 
     def test_class_sweeps_limit_rank(self, capsys, tmp_path):
-        def identity(rank):
-            path = tmp_path / f"id{rank}.aut"
-            path.write_text(dump_automorphism(Automorphism.from_letter_lists(
-                [(x,) for x in range(1, rank + 1)],
-                [(x,) for x in range(1, rank + 1)],
-            )))
-            return path
-
         for sub in ("probe", "certify"):
-            code, out, err = run(capsys, sub, identity(129), "-L", "1")
+            code, out, err = run(capsys, sub, identity_file(tmp_path, 129), "-L", "1")
             assert code == 2
             assert out == ""
             assert err == (
                 "error: rank 129 is above the class sweep's limit of 128\n"
             )
-        code, out, _ = run(capsys, "probe", identity(128), "-L", "1", "-P", "1")
+        code, out, _ = run(capsys, "probe", identity_file(tmp_path, 128), "-L", "1", "-P", "1")
         assert code == 0
         assert json.loads(out)["classes_enumerated"] == 256
-        code, out, _ = run(capsys, "certify", identity(128), "-M", "1", "-L", "1")
+        code, out, _ = run(capsys, "certify", identity_file(tmp_path, 128), "-M", "1", "-L", "1")
         assert code == 0
         assert json.loads(out)["table_size"] == 256
+
+    def test_cancellation_search_limits_edges(self, capsys, tmp_path):
+        # bcc stores path images as key bytes, one per letter, so a map
+        # on 129 edges is refused with one line, also when a validator
+        # calls it: the map x_i -> x_i+1, x_129 -> x_2 x_1 is a train
+        # track map with one exponential stratum, so bw1 reaches bcc
+        shift = tmp_path / "shift129.aut"
+        shift.write_text(dump_automorphism(Automorphism.from_letter_lists(
+            [(x + 1,) for x in range(1, 129)] + [(2, 1)],
+            [(-1, 129)] + [(x - 1,) for x in range(2, 130)],
+        )))
+        limit = (
+            "error: letter 129 is outside the limit of 128 generators or "
+            "graph edges that a key-encoded word can hold\n"
+        )
+        for path, lemma in ((identity_file(tmp_path, 129), "bcc"), (shift, "bw1")):
+            code, out, err = run(capsys, "validate", path, lemma)
+            assert (code, out, err) == (2, "", limit)
+        code, out, _ = run(capsys, "validate", identity_file(tmp_path, 128), "bcc")
+        assert code == 0 and "stable,true" in out
 
     def test_argparse_rejects_unknown_lemma(self, capsys, files):
         with pytest.raises(SystemExit) as exc:

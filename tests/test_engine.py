@@ -16,9 +16,8 @@ from traintrack.engine import (
     cyclic_equal_bytes,
     enumerate_classes,
     image_table,
-    key_bytes,
 )
-from traintrack.words import CyclicWord, Word
+from traintrack.words import CyclicWord, Word, key_word
 
 from conftest import image_dict, naive_apply, naive_cyclic_reduce, naive_reduce
 
@@ -46,10 +45,7 @@ def test_batch_cyclic_reduce_matches_naive(words):
 
 def test_batch_apply_matches_naive(fib, plas, rng):
     for phi in (fib, plas):
-        table = image_table(
-            {i: phi.images[i - 1].letters for i in range(1, phi.rank + 1)},
-            phi.rank,
-        )
+        table = image_table(phi.images)
         imgs = image_dict(phi)
         words = [
             tuple(
@@ -64,18 +60,42 @@ def test_batch_apply_matches_naive(fib, plas, rng):
 
 
 def test_batch_apply_rejects_empty_words(fib):
-    table = image_table({1: (1, 2), 2: (1,)}, 2)
+    table = image_table([(1, 2), (1,)])
     with pytest.raises(ValueError):
         batch_apply(batch_from_words([()]), table)
 
 
+def test_batch_kernels_at_the_key_limit(rng):
+    # letters +-127 and +-128 have keys 252..255, the top of a uint8
+    images = [(x,) for x in range(1, 129)]
+    images[126] = (127, 128)
+    images[127] = (-1, 128, 127)
+    top = [1, -1, 127, -127, 128, -128]
+    words = [
+        tuple(rng.choice(top) for _ in range(rng.randint(1, 20)))
+        for _ in range(300)
+    ]
+    batch = batch_from_words(words)
+    assert batch.flat.dtype == np.uint8
+    assert {252, 253, 254, 255} <= set(batch.flat.tolist())
+    assert batch_to_words(batch) == words
+    reduced = batch_reduce(batch)
+    assert batch_to_words(reduced) == [naive_reduce(w) for w in words]
+    assert batch_to_words(batch_cyclic_reduce(reduced)) == [
+        naive_cyclic_reduce(w) for w in words
+    ]
+    imgs = {x: list(w) for x, w in enumerate(images, start=1)}
+    out = batch_to_words(batch_reduce(batch_apply(batch, image_table(images))))
+    assert out == [naive_apply(imgs, w) for w in words]
+
+
 def test_key_bytes_cyclic_equality():
-    a = key_bytes((1, 2, -1))
-    b = key_bytes((2, -1, 1))
-    c = key_bytes((1, -2, 1))
+    a = key_word((1, 2, -1))
+    b = key_word((2, -1, 1))
+    c = key_word((1, -2, 1))
     assert cyclic_equal_bytes(a, b)
     assert not cyclic_equal_bytes(a, c)
-    assert not cyclic_equal_bytes(a, key_bytes((1, 2)))
+    assert not cyclic_equal_bytes(a, key_word((1, 2)))
 
 
 def _burnside(rank: int, n: int) -> int:
@@ -100,6 +120,7 @@ def test_class_count_matches_burnside_formula():
 def test_enumerate_classes_exhaustive_and_canonical():
     seen = set()
     for batch in enumerate_classes(2, 5):
+        assert batch.flat.dtype == np.uint8
         for w in batch_to_words(batch):
             assert naive_cyclic_reduce(w) == w  # cyclically reduced
             assert w not in seen
@@ -111,8 +132,8 @@ def test_enumerate_classes_exhaustive_and_canonical():
     # inverse classes are kept separate: the commutator and its inverse
     comm = CyclicWord((1, 2, -1, -2))
     inv = comm.inverse_class()
-    hits = [w for w in seen if cyclic_equal_bytes(key_bytes(w), key_bytes(comm.letters))]
-    inv_hits = [w for w in seen if cyclic_equal_bytes(key_bytes(w), key_bytes(inv.letters))]
+    hits = [w for w in seen if cyclic_equal_bytes(key_word(w), key_word(comm.letters))]
+    inv_hits = [w for w in seen if cyclic_equal_bytes(key_word(w), key_word(inv.letters))]
     assert len(hits) == 1 and len(inv_hits) == 1 and hits != inv_hits
 
 
@@ -123,7 +144,7 @@ def test_enumerate_matches_probe_oracle_count():
 
 
 def test_image_table_handles_inverses():
-    table = image_table({1: (1, 2), 2: (1,)}, 2)
+    table = image_table([(1, 2), (1,)])
     batch = batch_from_words([(-1,), (-2,)])
     out = batch_to_words(batch_reduce(batch_apply(batch, table)))
     assert out == [(-2, -1), (-1,)]

@@ -258,8 +258,8 @@ def _engine_lengths(phi, L, M_max):
     """Per-class (fwd, bwd) conjugacy lengths at M = 1..M_max from the
     batch engine, in enumeration order."""
     (classes,) = engine.enumerate_classes(phi.rank, L)
-    tf = hyperbolicity._table(phi.images, phi.rank)
-    tb = hyperbolicity._table(phi.inverse_images, phi.rank)
+    tf = engine.image_table(phi.images)
+    tb = engine.image_table(phi.inverse_images)
     fwd = bwd = classes
     out = []
     for _ in range(M_max):

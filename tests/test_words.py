@@ -13,7 +13,10 @@ from traintrack.words import (
     identity_automorphism,
     inner_conjugator,
     invert_verify,
+    inverse_keys,
     iterate,
+    key_letters,
+    key_word,
     letter_key,
     least_rotation,
     nielsen_inverse_search,
@@ -109,6 +112,22 @@ def test_least_rotation_is_minimal():
 def test_letter_key_total_order():
     # a < a^-1 < b < b^-1 < c < c^-1
     assert sorted([1, -1, 2, -2, 3, -3], key=letter_key) == [1, -1, 2, -2, 3, -3]
+
+
+@given(st.lists(st.integers(-128, 128).filter(bool), max_size=40))
+def test_key_word_round_trip(letters):
+    keys = key_word(letters)
+    assert list(keys) == [letter_key(x) for x in letters]
+    assert key_letters(keys) == tuple(letters)
+    assert key_letters(inverse_keys(keys)) == tuple(-x for x in reversed(letters))
+    assert inverse_keys(inverse_keys(keys)) == keys
+
+
+def test_key_word_limit():
+    assert key_word((127, -127, 128, -128)) == bytes([252, 253, 254, 255])
+    for bad in (129, -129, 0):
+        with pytest.raises(ValueError, match=f"letter {bad} is outside the limit of 128"):
+            key_word((1, bad))
 
 
 def test_spell_round_names():
