@@ -1,0 +1,95 @@
+"""Pinned report bytes: a fixed matrix of `traintrack` invocations on the
+bundled fixtures, each in json, csv and text, must keep the exit code and
+stdout sha256 recorded in tests/report_bytes.json.
+
+The matrix is every validator at --seed 0 (decomp only where it finishes
+in well under a second), plus analyze, nielsen, a small probe, a small
+certify and one growth series per fixture.  Regenerate the JSON only when
+a report is meant to change:
+
+    PYTHONPATH=src python tests/test_report_bytes.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from traintrack.cli import main
+from traintrack.fixtures import FIXTURE_FILES, fixture_text
+
+PINNED = Path(__file__).resolve().parent / "report_bytes.json"
+FORMATS = ("json", "csv", "text")
+LEMMAS = ("bcc", "bw1", "bw2", "illen", "backgrowth", "tricho")
+# decomp on plas and broken.gm runs for minutes; fib needs a short L0
+DECOMP = {"fib": ["--l0", "8"], "fib_inverse": [], "poly": [], "identity": []}
+
+
+def matrix():
+    """Argument lists with the input as a bare fixture file name."""
+    cases = []
+    for fname in FIXTURE_FILES.values():
+        cases += [["validate", fname, lemma, "--seed", "0"] for lemma in LEMMAS]
+    for name, extra in DECOMP.items():
+        cases.append(["validate", FIXTURE_FILES[name], "decomp", "--seed", "0", *extra])
+    for fname in FIXTURE_FILES.values():
+        cases += [
+            ["analyze", fname],
+            ["nielsen", fname],
+            ["probe", fname, "-L", "4", "-P", "2"],
+            ["certify", fname, "-M", "5", "-L", "4"],
+            ["growth", fname, "a"],
+        ]
+    return cases
+
+
+def replay(case, inputs: Path) -> dict:
+    """{format: [exit code, stdout sha256]} for one case."""
+    argv = [case[0], str(inputs / case[1]), *case[2:]]
+    got = {}
+    for fmt in FORMATS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--format", fmt])
+        got[fmt] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    return got
+
+
+def write_inputs(d: Path) -> Path:
+    for name, fname in FIXTURE_FILES.items():
+        (d / fname).write_text(fixture_text(name))
+    return d
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("fixtures"))
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PINNED.read_text())
+
+
+def test_matrix_is_pinned(pinned):
+    assert list(pinned) == [" ".join(c) for c in matrix()]
+
+
+@pytest.mark.parametrize("case", matrix(), ids=" ".join)
+def test_report_bytes(case, inputs, pinned):
+    assert replay(case, inputs) == pinned[" ".join(case)]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = write_inputs(Path(tmp))
+        table = {" ".join(c): replay(c, d) for c in matrix()}
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()]
+    PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(table)} cases to {PINNED}", file=sys.stderr)
