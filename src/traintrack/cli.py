@@ -116,6 +116,17 @@ def _parse_class_word(text: str, rank: int) -> Word:
     return Word(letters, rank)
 
 
+def _dict_csv(header, rows) -> str:
+    """CSV of the header's keys from each row dict; a missing or None
+    value is an empty cell."""
+
+    def cell(row, key):
+        v = row.get(key)
+        return "" if v is None else v
+
+    return render_csv(header, [[cell(r, h) for h in header] for r in rows])
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -215,12 +226,8 @@ def cmd_probe(args) -> tuple[int, str]:
     if args.format == "json":
         return EXIT_OK, canonical_json(report)
     if args.format == "csv":
-        rows = [
-            [w["class"], w["norm"], w["period"], w["inverted"], w["inversion_step"]]
-            for w in wit_rows
-        ]
-        return EXIT_OK, render_csv(
-            ["class", "norm", "period", "inverted", "inversion_step"], rows
+        return EXIT_OK, _dict_csv(
+            ["class", "norm", "period", "inverted", "inversion_step"], wit_rows
         )
     lines = [
         f"input: {phi.label}",
@@ -335,7 +342,7 @@ def cmd_nielsen(args) -> tuple[int, str]:
         return EXIT_OK, canonical_json(report)
     if args.format == "csv":
         header = ["path", "period", "indivisible", "illegal", "height", "exact"]
-        return EXIT_OK, render_csv(header, [[r[h] for h in header] for r in rows])
+        return EXIT_OK, _dict_csv(header, rows)
     lines = [f"input: {f.label}", f"count: {len(rows)}"]
     for r in rows:
         lines.append(
@@ -351,16 +358,6 @@ def cmd_nielsen(args) -> tuple[int, str]:
 # validate
 
 
-def _validator_csv(rows) -> str:
-    header = ["circuit", "k", "L", "Lr", "i", "ir", "scriptL", "bound", "margin", "pass"]
-
-    def cell(row, key):
-        v = row.get(key)
-        return "" if v is None else v
-
-    return render_csv(header, [[cell(r, h) for h in header] for r in rows])
-
-
 def _sample_circuits(f: GraphMap, count: int, len_bound: int, seed: int):
     rng = random.Random(seed)
     return [random_circuit(f.graph, len_bound, rng) for _ in range(count)]
@@ -373,22 +370,21 @@ def _top_exponential(filt):
     return exp[-1].index
 
 
-def _inverse_pair(kind, obj):
-    """(f, f_inv) as graph maps; only automorphism inputs carry an inverse."""
+def _inverse_rose(kind, obj) -> GraphMap:
+    """The inverse as a graph map; only automorphism inputs carry one."""
     if kind != "aut":
         raise CliError(
             "this validator iterates backwards and needs an automorphism "
             "input with inv lines"
         )
-    phi = _with_inverse(obj)
-    return rose_of(phi), rose_of(phi.inverse())
+    return rose_of(_with_inverse(obj).inverse())
 
 
 def cmd_validate(args) -> tuple[int, str]:
     _positive(
         args, ["pairs", "k_max", "len_bound", "samples", "m_max"]
     )
-    if args.l0 <= 0:
+    if not args.l0 > 0:  # also refuses nan
         raise CliError("--l0 must be positive")
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
@@ -414,12 +410,10 @@ def cmd_validate(args) -> tuple[int, str]:
         if not data.stable:
             code = EXIT_VIOLATION
     elif lemma in ("bw1", "bw2"):
-        fwd, bwd = _inverse_pair(kind, obj)
-        filt = compute_filtration(fwd)
-        metric = assign_metric(filt)
-        circuits = _sample_circuits(fwd, args.samples, args.len_bound, args.seed)
+        bwd = _inverse_rose(kind, obj)
+        circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
         rep = growth_mod.validate_bw1(
-            fwd, bwd, circuits, k_max=args.k_max,
+            f, bwd, circuits, k_max=args.k_max,
             r=_top_exponential(filt) if lemma == "bw2" else None,
             filtration=filt, metric=metric,
         )
@@ -436,12 +430,10 @@ def cmd_validate(args) -> tuple[int, str]:
         if r is not None:
             constants["stratum"] = r
     elif lemma == "backgrowth":
-        fwd, bwd = _inverse_pair(kind, obj)
-        filt = compute_filtration(fwd)
-        metric = assign_metric(filt)
-        circuits = _sample_circuits(fwd, args.samples, args.len_bound, args.seed)
+        bwd = _inverse_rose(kind, obj)
+        circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
         rep = growth_mod.validate_backgrowth(
-            fwd, bwd, circuits, float(args.l0),
+            f, bwd, circuits, float(args.l0),
             n_max=args.k_max, m_search_max=args.m_max,
             r=_top_exponential(filt) if len(filt.strata) > 1 else None,
             filtration=filt, metric=metric,
@@ -509,18 +501,14 @@ def cmd_validate(args) -> tuple[int, str]:
         return code, canonical_json(report)
     if args.format == "csv":
         if lemma in ("bw1", "bw2", "backgrowth"):
-            return code, _validator_csv(rows)
+            header = ["circuit", "k", "L", "Lr", "i", "ir", "scriptL", "bound",
+                      "margin", "pass"]
+            return code, _dict_csv(header, rows)
         if lemma == "tricho":
-            return code, render_csv(
-                ["path", "case", "pass"],
-                [[r["path"], r["case"], r["pass"]] for r in rows],
-            )
+            return code, _dict_csv(["path", "case", "pass"], rows)
         if lemma == "decomp":
-            return code, render_csv(
-                ["circuit", "case", "fraction", "pieces", "pass"],
-                [[r["circuit"], r["case"], r.get("fraction", ""),
-                  r.get("pieces", ""), r["pass"]] for r in rows],
-            )
+            header = ["circuit", "case", "fraction", "pieces", "pass"]
+            return code, _dict_csv(header, rows)
         # bcc and illen reduce to named constants
         return code, render_csv(
             ["quantity", "value"],

@@ -33,7 +33,7 @@ import warnings
 from typing import Any, Iterable, Mapping, Sequence
 
 from .graphs import Graph, GraphMap, tighten
-from .words import _ABC, Automorphism, Word, generator_name, invert_verify
+from .words import _ABC, Automorphism, Word, generator_name, invert_verify, spell
 
 __all__ = [
     "FormatWarning",
@@ -67,7 +67,7 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _logical_lines(text: str) -> list[tuple[int, str, str]]:
+def _logical_lines(text: str, source: str) -> list[tuple[int, str, str]]:
     """Yield (line number, keyword, payload) for each non-comment line."""
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -76,7 +76,7 @@ def _logical_lines(text: str) -> list[tuple[int, str, str]]:
             continue
         key, sep, rest = line.partition(":")
         if not sep:
-            raise ParseError("<input>", no, f"expected 'keyword: ...', got {line!r}")
+            raise ParseError(source, no, f"expected 'keyword: ...', got {line!r}")
         out.append((no, key.strip(), rest.strip()))
     return out
 
@@ -125,8 +125,7 @@ def parse_automorphism(text: str, source: str = "<aut>", label: str = "") -> Aut
     index: dict[str, int] = {}
     images: dict[int, tuple[int, ...]] = {}
     inverses: dict[int, tuple[int, ...]] = {}
-    lines = _logical_lines(text)
-    for no, key, payload in lines:
+    for no, key, payload in _logical_lines(text, source):
         if key == "basis":
             if names is not None:
                 raise ParseError(source, no, "duplicate basis line")
@@ -189,19 +188,11 @@ def dump_automorphism(phi: Automorphism) -> str:
     """Render an automorphism in the text format parse_automorphism reads."""
     names = [generator_name(i, phi.rank) for i in range(1, phi.rank + 1)]
     out = [f"basis: {' '.join(names)}"]
-
-    def render(letters: Sequence[int]) -> str:
-        toks = []
-        for x in letters:
-            n = names[abs(x) - 1]
-            toks.append(n if x > 0 else n + "^-1")
-        return " ".join(toks)
-
     for i, n in enumerate(names):
-        out.append(f"map: {n} -> {render(phi.images[i].letters)}")
+        out.append(f"map: {n} -> {spell(phi.images[i].letters, phi.rank)}")
     if phi.inverse_images is not None:
         for i, n in enumerate(names):
-            out.append(f"inv: {n} -> {render(phi.inverse_images[i].letters)}")
+            out.append(f"inv: {n} -> {spell(phi.inverse_images[i].letters, phi.rank)}")
     return "\n".join(out) + "\n"
 
 
@@ -238,7 +229,7 @@ def parse_graph_map(text: str, source: str = "<gm>", label: str = "") -> GraphMa
     image_lines: list[tuple[int, str, str]] = []
     mark_lines: list[tuple[int, str, str]] = []
     fvertex: dict[str, str] = {}
-    for no, key, payload in _logical_lines(text):
+    for no, key, payload in _logical_lines(text, source):
         if key == "vertex":
             for v in payload.split():
                 if v in vset:

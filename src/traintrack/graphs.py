@@ -120,16 +120,8 @@ class Graph:
         return self.edge_count - len(self.vertices) + 1
 
     def _check_connected(self):
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for d in self._directions_at[v]:
-                w = self._origin[-d]
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(self.vertices):
+        from_base, _ = _spanning_tree(self)
+        if len(from_base) != len(self.vertices):
             raise ValueError("graph is not connected")
 
     def _check_valence(self):
@@ -405,9 +397,22 @@ class GraphMap:
             t for t, v in self.turn_classification.items() if v == "illegal"
         )
 
-    def is_legal(self, edges: Sequence[int]) -> bool:
+    def illegal_flags(
+        self, edges: Sequence[int], hr=None, circuit: bool = False
+    ) -> list[bool]:
+        """One flag per turn of a path, or of a circuit with the wrap turn
+        last: whether the turn is illegal and, when hr (a set of positive
+        edge ids) is given, also meets an edge of hr."""
         illegal = self.illegal_turns
-        return all(t not in illegal for t in turns_of_path(edges))
+        turns = turns_of_circuit(edges) if circuit else turns_of_path(edges)
+        if hr is None:
+            return [t in illegal for t in turns]
+        return [
+            t in illegal and (abs(t[0]) in hr or abs(t[1]) in hr) for t in turns
+        ]
+
+    def is_legal(self, edges: Sequence[int]) -> bool:
+        return not any(self.illegal_flags(edges))
 
     def __repr__(self) -> str:
         ims = ", ".join(

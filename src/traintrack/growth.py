@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Circuit, GraphMap, iter_tight_paths, preimage_circuit, turns_of_circuit, turns_of_path
+from .graphs import Circuit, GraphMap, iter_tight_paths, preimage_circuit
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import Filtration, Metric, assign_metric, compute_filtration
-from .words import BudgetExceeded, inverse_keys, key_word, letter_key
+from .words import BudgetExceeded, common_prefix, inverse_keys, key_word, letter_key
 
 __all__ = [
     "PathStats",
@@ -51,29 +51,22 @@ def _segments(edges, cut_flags, circuit):
     to the junction after edge j (for circuits the last flag is the wrap
     junction).  A circuit with no cuts comes back as one cyclic piece."""
     edges = tuple(edges)
-    n = len(edges)
     if not any(cut_flags):
         return [edges]
     if circuit:
-        last_cut = max(j for j, c in enumerate(cut_flags) if c)
-        shift = (last_cut + 1) % n
+        # rotate the last cut onto the wrap junction, then cut as a path
+        shift = (max(j for j, c in enumerate(cut_flags) if c) + 1) % len(edges)
         edges = edges[shift:] + edges[:shift]
-        flags = [cut_flags[(j + shift) % n] for j in range(n)]
-        pieces = []
-        prev = 0
-        for j, c in enumerate(flags):
-            if c:
-                pieces.append(edges[prev : j + 1])
-                prev = j + 1
-        return pieces
+        cut_flags = cut_flags[shift:] + cut_flags[:shift]
     pieces = []
     prev = 0
     for j, c in enumerate(cut_flags):
         if c:
             pieces.append(edges[prev : j + 1])
             prev = j + 1
-    pieces.append(edges[prev:])
-    return [p for p in pieces if p]
+    if prev < len(edges):
+        pieces.append(edges[prev:])
+    return pieces
 
 
 def path_stats(
@@ -88,9 +81,7 @@ def path_stats(
     if not edges:
         raise ValueError("constant paths have no defined statistics")
     f = filtration.graph_map
-    illegal = f.illegal_turns
-    turns = turns_of_circuit(edges) if circuit else turns_of_path(edges)
-    ill_flags = [t in illegal for t in turns]
+    ill_flags = f.illegal_flags(edges, circuit=circuit)
     L = metric.length(edges)
     i = sum(ill_flags)
     script_L = (
@@ -106,10 +97,7 @@ def path_stats(
         hr = frozenset(
             next(s for s in filtration.strata if s.index == r).edges
         )
-        r_flags = [
-            flag and (abs(t[0]) in hr or abs(t[1]) in hr)
-            for flag, t in zip(ill_flags, turns)
-        ]
+        r_flags = f.illegal_flags(edges, hr, circuit)
         L_r = metric.r_length(edges, hr)
         i_r = sum(r_flags)
         script_L_r = (
@@ -145,17 +133,14 @@ def _iter_path_images(f: GraphMap, window: int):
     """All tight paths with at most window edges, as triples
     (first direction, last direction, tightened image as key bytes)."""
     g = f.graph
-    dirs = sorted(g.directions(), key=letter_key)
-    by_vertex: dict[str, list[int]] = {}
-    for d in dirs:
-        by_vertex.setdefault(g.origin(d), []).append(d)
+    dirs = g.directions()
     img = {d: key_word(f.edge_image(d)) for d in dirs}
     stack = [((d,), img[d]) for d in reversed(dirs)]
     while stack:
         path, u = stack.pop()
         yield path[0], path[-1], u
         if len(path) < window:
-            for d in by_vertex.get(g.terminus(path[-1]), ()):
+            for d in g.directions_at(g.terminus(path[-1])):
                 if d == -path[-1]:
                     continue
                 w = img[d]
@@ -180,7 +165,7 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     every pair without the quadratic join.
     """
     g = f.graph
-    dirs = sorted(g.directions(), key=letter_key)
+    dirs = g.directions()
     ndir = len(dirs)
     nkeys = 2 * g.edge_count
     len_by_key = [0.0] * nkeys
@@ -191,11 +176,7 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     tag_b = {d: i + ndir for i, d in enumerate(dirs)}
     partners: list[tuple[int, ...]] = [()] * (2 * ndir)
     for d in dirs:
-        mates = [
-            tag_b[d2]
-            for d2 in dirs
-            if g.origin(d2) == g.terminus(d) and d2 != -d
-        ]
+        mates = [tag_b[d2] for d2 in g.directions_at(g.terminus(d)) if d2 != -d]
         partners[tag_a[d]] = tuple(mates)
         for m in mates:
             partners[m] = partners[m] + (tag_a[d],)
@@ -213,10 +194,7 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
             v = latest[p]
             if v is None:
                 continue
-            n = min(len(w), len(v))
-            k = 0
-            while k < n and w[k] == v[k]:
-                k += 1
+            k = common_prefix(w, v)
             if k and 2.0 * k * max_edge > best:
                 c = 2.0 * sum(len_by_key[b] for b in w[:k])
                 if c > best:
@@ -284,6 +262,24 @@ def _require_absolute(filtration: Filtration) -> float:
     return filtration.strata[0].pf_value
 
 
+def _circuit_row(g, c, k, st: PathStats, r, bound, margin, ok) -> dict:
+    """The row validate_bw1 and validate_backgrowth report for one circuit
+    and exponent k: the statistics st of its k-fold preimage, the bound and
+    the margin."""
+    return {
+        "circuit": g.spell_path(c.edges),
+        "k": k,
+        "L": st.L,
+        "Lr": st.L_r,
+        "i": st.i,
+        "ir": st.i_r,
+        "scriptL": st.script_L if r is None else st.script_L_r,
+        "bound": bound,
+        "margin": margin,
+        "pass": bool(ok),
+    }
+
+
 def validate_bw1(
     f: GraphMap,
     f_inv: GraphMap,
@@ -332,20 +328,8 @@ def validate_bw1(
                 bound = base.script_L_r + lc
                 weak_ok = True
             margin = bound - seg
-            report.rows.append({
-                "circuit": g.spell_path(c.edges),
-                "k": k,
-                "L": st.L,
-                "Lr": st.L_r,
-                "i": st.i,
-                "ir": st.i_r,
-                "scriptL": seg,
-                "bound": bound,
-                "margin": margin,
-                "pass": bool(
-                    margin > -_SLACK * max(1.0, abs(bound)) and weak_ok
-                ),
-            })
+            ok = margin > -_SLACK * max(1.0, abs(bound)) and weak_ok
+            report.rows.append(_circuit_row(g, c, k, st, r, bound, margin, ok))
     return report
 
 
@@ -395,7 +379,7 @@ def _splittable_into_pre_nielsen(
     """Try to split a path into pre-Nielsen pieces with one (r-)illegal
     turn each; in the relative case lower segments may sit in between.
     Returns the pieces, or None."""
-    illegal = f.illegal_turns
+    hr = None
     if r is not None:
         hr = frozenset(next(s for s in filtration.strata if s.index == r).edges)
         lower = filtration.edges_below(r)
@@ -404,14 +388,7 @@ def _splittable_into_pre_nielsen(
     def piece_ok(piece):
         if r is not None and all(abs(d) in lower for d in piece):
             return True
-        turns = turns_of_path(piece)
-        flags = [t in illegal for t in turns]
-        if r is not None:
-            flags = [
-                fl and (abs(t[0]) in hr or abs(t[1]) in hr)
-                for fl, t in zip(flags, turns)
-            ]
-        if sum(flags) != 1:
+        if sum(f.illegal_flags(piece, hr)) != 1:
             return False
         verdict, _, _ = is_pre_nielsen(f, piece, max_steps=pre_steps)
         return verdict in ("nielsen", "pre-nielsen")
@@ -532,18 +509,8 @@ def _backgrowth_rows(
             st = path_stats(pre, filtration, metric, r=r, circuit=True)
             val = st.i if r is None else st.i_r
             bound = ratio ** n * turns
-            rows.append({
-                "circuit": g.spell_path(c.edges),
-                "k": n * M,
-                "L": st.L,
-                "Lr": st.L_r,
-                "i": st.i,
-                "ir": st.i_r,
-                "scriptL": st.script_L if r is None else st.script_L_r,
-                "bound": bound,
-                "margin": val - bound,
-                "pass": bool(val >= bound - _SLACK * max(1.0, bound)),
-            })
+            ok = val >= bound - _SLACK * max(1.0, bound)
+            rows.append(_circuit_row(g, c, n * M, st, r, bound, val - bound, ok))
     return rows
 
 
@@ -666,17 +633,15 @@ def growth_decomposition(
             details={"stratum": top},
         )
     st = path_stats(c, filtration, metric, circuit=True)
-    if st.i == 0 or st.L / st.i >= L0 - _SLACK:
-        if st.i == 0:
-            return DecompositionReport(
-                case="legal-or-sparse",
-                pieces=[edges],
-                fraction=1.0,
-                details={"i": 0},
-            )
-        illegal = f.illegal_turns
-        flags = [t in illegal for t in turns_of_circuit(edges)]
-        segs = _segments(edges, flags, circuit=True)
+    if st.i == 0:
+        return DecompositionReport(
+            case="legal-or-sparse",
+            pieces=[edges],
+            fraction=1.0,
+            details={"i": 0},
+        )
+    segs = _segments(edges, f.illegal_flags(edges, circuit=True), circuit=True)
+    if st.L / st.i >= L0 - _SLACK:
         keep = [s for s in segs if metric.length(s) >= L0 - _SLACK]
         frac = sum(metric.length(s) for s in keep) / total
         short = _longest_short_path(g, metric, L0)
@@ -692,9 +657,6 @@ def growth_decomposition(
             details={"lower_bound": lower, "l": short, "i": st.i},
         )
     if st.i >= 4:
-        illegal = f.illegal_turns
-        flags = [t in illegal for t in turns_of_circuit(edges)]
-        segs = _segments(edges, flags, circuit=True)
         long_flags = [metric.length(s) > 6.0 * L0 + _SLACK for s in segs]
         if not any(long_flags):
             return DecompositionReport(

@@ -25,6 +25,7 @@ from .words import (
     BudgetExceeded,
     CyclicWord,
     Word,
+    common_prefix,
     inverse_keys,
     key_letters,
     spell,
@@ -152,22 +153,6 @@ class _Powers:
         self.letters = int(off[-1])
 
 
-def _lcp(p: bytes, i: int, q: bytes, j: int, n: int) -> int:
-    """Length of the longest common prefix of p[i:i+n] and q[j:j+n]."""
-    if not n or p[i] != q[j]:
-        return 0
-    if p[i : i + n] == q[j : j + n]:
-        return n
-    lo, hi = 1, n - 1  # p[i:i+lo] == q[j:j+lo]; the prefix of length hi+1 differs
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if p[i + lo : i + mid] == q[j + lo : j + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
     """Conjugacy length of phi^M(w) for w = x_1...x_n given by its letter
     keys, from the pieces words[k] = phi^M(x) without building phi^M(w).
@@ -188,7 +173,7 @@ def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
             if inv[at] != piece[blo]:  # the common case: nothing cancels
                 break
             n = min(ahi - alo, bhi - blo)
-            c = _lcp(inv, at, piece, blo, n)
+            c = common_prefix(inv, piece, at, blo, n)
             total -= c
             blo += c
             if c < ahi - alo:
@@ -206,7 +191,7 @@ def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
         a, alo, ahi = stack[-1]
         b, blo, bhi = stack[first]
         n = min(ahi - alo, bhi - blo)
-        c = _lcp(words[a ^ 1], lens[a] - ahi, words[b], blo, n)
+        c = common_prefix(words[a ^ 1], words[b], lens[a] - ahi, blo, n)
         if not c:
             break
         total -= 2 * c
@@ -223,7 +208,8 @@ def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
     if len(stack) - first == 1:
         # a reduced word cancels against its own inverse for less than half
         a, alo, ahi = stack[first]
-        total -= 2 * _lcp(words[a ^ 1], lens[a] - ahi, words[a], alo, total // 2)
+        inv, at = words[a ^ 1], lens[a] - ahi
+        total -= 2 * common_prefix(inv, words[a], at, alo, total // 2)
     if total <= 0:
         raise ArithmeticError("a nontrivial class reduced to the trivial class")
     return total

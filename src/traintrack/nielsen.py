@@ -21,15 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .graphs import (
-    GraphMap,
-    is_degenerate,
-    iter_tight_paths,
-    make_turn,
-    turns_of_path,
-)
+from .graphs import GraphMap, iter_tight_paths
 from .strata import Filtration, Metric, assign_metric, compute_filtration
-from .words import BudgetExceeded, letter_key
+from .words import BudgetExceeded, common_prefix, letter_key
 
 __all__ = [
     "NielsenPathRecord",
@@ -127,10 +121,7 @@ def _orbit_search(f, filtration, len_bound, period_bound):
     nielsen_set = set(found)
     nielsen_set |= {tuple(-d for d in reversed(p)) for p in nielsen_set}
     records = []
-    illegal = f.illegal_turns
     for p, j in sorted(found.items(), key=lambda kv: (len(kv[0]), _key_tuple(kv[0]))):
-        turns = turns_of_path(p)
-        n_ill = sum(1 for t in turns if t in illegal)
         divisible = any(
             p[:i] in nielsen_set and p[i:] in nielsen_set
             for i in range(1, len(p))
@@ -140,7 +131,7 @@ def _orbit_search(f, filtration, len_bound, period_bound):
                 path=p,
                 period=j,
                 indivisible=not divisible,
-                illegal_count=n_ill,
+                illegal_count=sum(f.illegal_flags(p)),
                 height=max(filtration.stratum_of(d) for d in p),
                 method="orbit",
             )
@@ -162,29 +153,10 @@ def _iterated_map(f: GraphMap, k: int) -> GraphMap:
     return GraphMap(g, vimg, images, label=f"{f.label}^{k}" if f.label else "")
 
 
-def _common_len(x, y) -> int:
-    n = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
-def _prefix_compatible(a, b) -> bool:
-    return _common_len(a, b) == min(len(a), len(b))
-
-
 def _legal_extensions(f: GraphMap, path):
-    g = f.graph
-    v = g.terminus(path[-1])
-    illegal = f.illegal_turns
-    for x in g.directions_at(v):
-        if x == -path[-1]:
-            continue
-        if make_turn(-path[-1], x) in illegal:
-            continue
-        yield x
+    for x in f.graph.directions_at(f.graph.terminus(path[-1])):
+        if x != -path[-1] and f.is_legal((path[-1], x)):
+            yield x
 
 
 def _develop_turn(
@@ -213,7 +185,7 @@ def _develop_turn(
             continue
         for _ in range(max_iter):
             gp, gq = fk.map_letters(p), fk.map_letters(q)
-            c = _common_len(gp, gq)
+            c = common_prefix(gp, gq)
             if c == 0:
                 break
             p2, q2 = gp[c:], gq[c:]
@@ -225,7 +197,11 @@ def _develop_turn(
                     nxt = src + (x,)
                     work.append((nxt, other) if short_side == 0 else (other, nxt))
                 break
-            if not (_prefix_compatible(p, p2) and _prefix_compatible(q, q2)):
+            # each ray and what is left of its image: one must extend the other
+            if any(
+                common_prefix(a, b) < min(len(a), len(b))
+                for a, b in ((p, p2), (q, q2))
+            ):
                 break
             if p2 == p and q2 == q:
                 results.append(("exact", p, q, gp[:c]))
@@ -336,14 +312,12 @@ def _compose_records(f, base, len_bound, period_bound):
             frontier.append((cand, k))
     records = []
     for path, k in out:
-        illegal = f.illegal_turns
-        n_ill = sum(1 for t in turns_of_path(path) if t in illegal)
         records.append(
             NielsenPathRecord(
                 path=path,
                 period=k,
                 indivisible=False,
-                illegal_count=n_ill,
+                illegal_count=sum(f.illegal_flags(path)),
                 height=0,
                 method="compose",
             )
@@ -367,21 +341,30 @@ def find_nielsen_paths(
     concatenations up to twice that, and also finds paths with endpoints
     inside edges, but requires every stratum to be exponential.  "auto"
     picks orbit when the path universe fits in orbit_budget, develop
-    otherwise.
+    otherwise, and raises BudgetExceeded when develop does not apply.
     """
     if filtration is None:
         filtration = compute_filtration(f)
     if mode not in ("auto", "orbit", "develop"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        feasible = _path_universe_size(f.graph, len_bound) <= orbit_budget
-        mode = "orbit" if feasible else "develop"
-    if mode == "orbit":
-        if _path_universe_size(f.graph, len_bound) > orbit_budget:
+    if mode != "develop":
+        size = _path_universe_size(f.graph, len_bound)
+        if size <= orbit_budget:
+            mode = "orbit"
+        elif mode == "orbit":
             raise ValueError(
                 "path universe exceeds orbit budget; lower len_bound or "
                 "raise orbit_budget"
             )
+        elif any(s.kind != "exponential" for s in filtration.strata):
+            # develop does not apply, so auto has nothing left to try
+            raise BudgetExceeded(
+                f"Nielsen orbit search budget exceeded: {size} tight paths "
+                f"of up to {len_bound} edges, budget {orbit_budget}"
+            )
+        else:
+            mode = "develop"
+    if mode == "orbit":
         records = _orbit_search(f, filtration, len_bound, period_bound)
     else:
         metric = assign_metric(filtration)
@@ -442,9 +425,7 @@ def check_np_constraints(
     False, or None when the check does not apply (inexact endpoints)."""
     if filtration is None:
         filtration = compute_filtration(f)
-    illegal = f.illegal_turns
-    turns = turns_of_path(rec.path)
-    flags = [t in illegal for t in turns]
+    flags = f.illegal_flags(rec.path)
     out: dict[str, bool | None] = {}
     out["one_illegal_turn"] = sum(flags) == 1
     if sum(flags) == 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphMap, iter_tight_paths, make_turn
+from .graphs import Graph, GraphMap, iter_tight_paths
 
 __all__ = [
     "Stratum",
@@ -156,20 +156,8 @@ def is_irreducible(matrix: np.ndarray) -> bool:
         return False
     if n == 1:
         return bool(m[0, 0] > 0)
-    support = m > 0
-    for mat in (support, support.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in np.nonzero(mat[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    frontier.append(int(j))
-        if not seen.all():
-            return False
-    return True
+    adj = {i: set(np.flatnonzero(row).tolist()) for i, row in enumerate(m > 0)}
+    return len(_strongly_connected_components(adj)) == 1
 
 
 def _is_permutation_matrix(m: np.ndarray) -> bool:
@@ -352,7 +340,6 @@ def verify_rtt(
     g = f.graph
     report = CheckReport()
     counts = {"strata": 0, "beta_paths": 0, "legal_paths": 0}
-    illegal = f.illegal_turns
     for s in filtration.exponential_strata():
         counts["strata"] += 1
         r = s.index
@@ -388,13 +375,8 @@ def verify_rtt(
                     })
         gr = filtration.edges_through(r)
 
-        def r_illegal(a, b, hr=hr):
-            """Whether the turn between edges a and b is illegal and meets H_r."""
-            t = make_turn(-a, b)
-            return (abs(t[0]) in hr or abs(t[1]) in hr) and t in illegal
-
-        def r_illegal_prefix(path):
-            return len(path) >= 2 and r_illegal(path[-2], path[-1])
+        def r_illegal_prefix(path, hr=hr):
+            return any(f.illegal_flags(path[-2:], hr))
 
         for p in iter_tight_paths(
             g, legal_len_bound, allowed_edges=gr, prune=r_illegal_prefix
@@ -403,7 +385,7 @@ def verify_rtt(
                 continue
             counts["legal_paths"] += 1
             image = f.map_letters(p)
-            if any(r_illegal(a, b) for a, b in zip(image, image[1:])):
+            if any(f.illegal_flags(image, hr)):
                 report.violations.append({
                     "condition": 3,
                     "stratum": r,

@@ -150,6 +150,27 @@ def inverse_keys(keys: bytes) -> bytes:
     return keys[::-1].translate(_FLIP)
 
 
+def common_prefix(p, q, i: int = 0, j: int = 0, n: int | None = None) -> int:
+    """Length of the longest common prefix of p[i:i+n] and q[j:j+n], for
+    tuples of letters or key bytes; n defaults to all that both have left.
+
+    Slice comparisons and a binary search keep long matches fast."""
+    if n is None:
+        n = min(len(p) - i, len(q) - j)
+    if n <= 0 or p[i] != q[j]:
+        return 0
+    if p[i : i + n] == q[j : j + n]:
+        return n
+    lo, hi = 1, n - 1  # p[i:i+lo] == q[j:j+lo]; the prefix of length hi+1 differs
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if p[i + lo : i + mid] == q[j + lo : j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def least_rotation(seq: Sequence[int]) -> int:
     """Index of the lexicographically least rotation (Booth's algorithm).
 

@@ -338,6 +338,22 @@ class TestBudgetErrors:
         assert out == ""
         assert err == "error: letter budget 20 exceeded at exponent 6\n"
 
+    def test_nielsen_orbit_budget(self, capsys, tmp_path):
+        # every stratum is polynomial, so ray development does not apply,
+        # and the 664,300 tight paths of up to 6 edges pass the orbit budget
+        path = tmp_path / "poly5.aut"
+        path.write_text(dump_automorphism(Automorphism.from_letter_lists(
+            [(1,), (2, 1), (3,), (4,), (5,)]
+        )))
+        for sub in ("analyze", "nielsen"):
+            code, out, err = run(capsys, sub, path)
+            assert code == 3
+            assert out == ""
+            assert err == (
+                "error: Nielsen orbit search budget exceeded: 664300 tight "
+                "paths of up to 6 edges, budget 200000\n"
+            )
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys, files):
@@ -354,6 +370,14 @@ class TestInputErrors:
         code, _, err = run(capsys, "probe", files / "bad.aut")
         assert code == 2
         assert "bad.aut:2" in err
+
+    def test_l0_nan_is_refused(self, capsys, files):
+        # every comparison with nan is false, so nan once passed as positive
+        code, out, err = run(
+            capsys, "validate", files / "fib.aut", "decomp",
+            "--l0", "nan", "--samples", "5",
+        )
+        assert (code, out, err) == (2, "", "error: --l0 must be positive\n")
 
     def test_tol_must_be_positive(self, capsys, files):
         with pytest.raises(SystemExit) as exc:

@@ -63,6 +63,7 @@ class TestAutomorphismParsing:
             (lambda t: t.replace("inv: a -> b", "inv: a -> a"), 0, "do not invert"),
             (lambda t: t.replace("map: b -> a\n", "map: b -> a a^-1\n"), 4, "reduces to the identity"),
             (lambda t: t.replace("map: a -> a b", "map: a -> a^2 b"), 3, "bad exponent"),
+            (lambda t: t.replace("map: a -> a b", "map a -> a b"), 3, "expected 'keyword: ...'"),
         ],
     )
     @pytest.mark.filterwarnings("ignore::traintrack.formats.FormatWarning")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traintrack.graphs import (
     Circuit,
@@ -18,7 +20,8 @@ from traintrack.graphs import (
     turns_of_circuit,
     turns_of_path,
 )
-from traintrack.words import CyclicWord, Word, outer_equal
+from traintrack.strata import compute_filtration
+from traintrack.words import Automorphism, CyclicWord, Word, outer_equal
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +191,40 @@ def test_edge_path_wrapper(fib_rose):
     assert fib_rose.graph.spell_path(p.edges) == "a b"
     with pytest.raises(ValueError):
         EdgePath(fib_rose.graph, (1, -1))
+
+
+@pytest.fixture(scope="module")
+def turn_maps(fib_rose, plas_rose, poly_rose, rel):
+    # two exponential strata {a, b} < {c, d}; c -> a c d pinches the turn
+    # {a, c}, so an illegal turn meets H_2 through its second direction only
+    two = Automorphism.from_letter_lists([(1, 2), (1,), (1, 3, 4), (3,)])
+    return {
+        "fib": fib_rose, "plas": plas_rose, "poly": poly_rose,
+        "rel": rose_of(rel), "two": rose_of(two),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["fib", "plas", "poly", "rel", "two"]),
+    rng=st.randoms(use_true_random=False),
+    circuit=st.booleans(),
+)
+def test_illegal_flags_match_definition(turn_maps, name, rng, circuit):
+    """Turn by turn, with the wrap turn last on a circuit: illegal_flags
+    flags exactly the turns {a^-1, b} in illegal_turns, and with hr given
+    only those where a or b is an edge of hr."""
+    f = turn_maps[name]
+    g = f.graph
+    edges = random_circuit(g, 10, rng) if circuit else random_tight_path(g, 10, rng)
+    pairs = list(zip(edges, edges[1:]))
+    if circuit:
+        pairs.append((edges[-1], edges[0]))
+    strata = compute_filtration(f).exponential_strata()
+    for hr in [None] + [frozenset(s.edges) for s in strata]:
+        want = [
+            make_turn(-a, b) in f.illegal_turns
+            and (hr is None or abs(a) in hr or abs(b) in hr)
+            for a, b in pairs
+        ]
+        assert f.illegal_flags(edges, hr, circuit) == want

@@ -6,6 +6,7 @@ from traintrack.words import (
     Automorphism,
     CyclicWord,
     Word,
+    common_prefix,
     compose,
     conjugacy_length,
     conjugate_automorphism,
@@ -112,6 +113,23 @@ def test_least_rotation_is_minimal():
 def test_letter_key_total_order():
     # a < a^-1 < b < b^-1 < c < c^-1
     assert sorted([1, -1, 2, -2, 3, -3], key=letter_key) == [1, -1, 2, -2, 3, -3]
+
+
+@given(letters_st, letters_st, st.integers(0, 40), st.integers(0, 4), st.integers(0, 40))
+def test_common_prefix_matches_naive(u, tail, k, i, n):
+    # q shares a prefix of up to k letters with p, so long matches occur
+    p, q = tuple(u), tuple(u[:k] + tail)
+
+    def naive(a, b):
+        m = 0
+        while m < min(len(a), len(b)) and a[m] == b[m]:
+            m += 1
+        return m
+
+    for a, b in ((p, q), (key_word(p), key_word(q))):
+        assert common_prefix(a, b) == naive(a, b)
+        m = max(0, min(n, len(a) - i, len(b) - i))
+        assert common_prefix(a, b, i, i, m) == naive(a[i : i + m], b[i : i + m])
 
 
 @given(st.lists(st.integers(-128, 128).filter(bool), max_size=40))
