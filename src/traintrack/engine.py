@@ -29,7 +29,10 @@ __all__ = [
     "batch_apply",
     "batch_reduce",
     "batch_cyclic_reduce",
-    "cyclic_equal_bytes",
+    "batch_take",
+    "inverse_rows",
+    "is_rotation",
+    "inverse_pair_mask",
     "enumerate_classes",
     "class_count",
 ]
@@ -81,24 +84,29 @@ def image_table(images: Sequence[Sequence[int]]) -> ImageTable:
     return ImageTable(flat, off, np.diff(off))
 
 
+def _gather(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> WordBatch:
+    """The slices flat[starts[i] : starts[i] + lens[i]] laid end to end."""
+    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    src = np.repeat(starts - offsets[:-1], lens) + np.arange(
+        offsets[-1], dtype=np.int64
+    )
+    return WordBatch(flat[src], offsets)
+
+
+def batch_take(batch: WordBatch, idx: np.ndarray) -> WordBatch:
+    """The words at the given indices, in that order."""
+    return _gather(batch.flat, batch.offsets[idx], batch_lengths(batch)[idx])
+
+
 def batch_apply(batch: WordBatch, table: ImageTable) -> WordBatch:
     """Substitute each letter by its image, without reduction."""
     flat, offsets = batch
-    counts = table.lens[flat]
-    total = int(counts.sum())
-    out_starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_starts[1:])
-    src = np.repeat(table.off[flat], counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(out_starts[:-1], counts)
-    )
-    new_flat = table.flat[src]
-    # word boundaries: sum image lengths per word
-    word_lens = np.add.reduceat(counts, offsets[:-1]) if len(flat) else np.zeros(len(batch), dtype=np.int64)
     if len(batch) and (np.diff(offsets) == 0).any():
         raise ValueError("empty word in batch")
-    new_offsets = np.zeros(len(batch) + 1, dtype=np.int64)
-    np.cumsum(word_lens, out=new_offsets[1:])
-    return WordBatch(new_flat, new_offsets)
+    # one image per letter; a word ends where the images of its letters do
+    images = _gather(table.flat, table.off[flat], table.lens[flat])
+    return WordBatch(images.flat, images.offsets[offsets])
 
 
 def batch_reduce(batch: WordBatch) -> WordBatch:
@@ -148,48 +156,60 @@ def batch_cyclic_reduce(batch: WordBatch) -> WordBatch:
             break
         starts[act] += 1
         ends[act] -= 1
-    lens = ends - starts
-    new_offsets = np.zeros(len(batch) + 1, dtype=np.int64)
-    np.cumsum(lens, out=new_offsets[1:])
-    total = int(new_offsets[-1])
-    src = np.repeat(starts, lens) + (
-        np.arange(total, dtype=np.int64) - np.repeat(new_offsets[:-1], lens)
-    )
-    return WordBatch(flat[src], new_offsets)
+    return _gather(flat, starts, ends - starts)
 
 
-def cyclic_equal_bytes(canon: bytes, other: bytes) -> bool:
-    """Whether two equal-length key-encoded words are rotations of each
-    other (doubled-word substring test)."""
-    return len(canon) == len(other) and canon in other + other
+def inverse_rows(words: np.ndarray) -> np.ndarray:
+    """The inverse of each row of an (N, n) array of key words."""
+    return words[:, ::-1] ^ 1
+
+
+def is_rotation(words: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """Rows of an (N, n) array of key words that are a rotation of the
+    matching row of `of`."""
+    if words.shape != of.shape:
+        raise ValueError(f"rows of shape {words.shape} against {of.shape}")
+    hit = np.zeros(len(words), dtype=bool)
+    for s in range(words.shape[1]):
+        hit |= (words == np.roll(of, -s, axis=1)).all(axis=1)
+    return hit
 
 
 # --- conjugacy class enumeration -------------------------------------
 
-def _grow_reduced(first_key: int, n: int, nkeys: int) -> np.ndarray:
-    """All linearly reduced key words of length n starting with the
-    given key, as a (N, n) uint8 array."""
-    succ = np.empty((nkeys, nkeys - 1), dtype=np.uint8)
-    for k in range(nkeys):
-        succ[k] = [c for c in range(nkeys) if c != k ^ 1]
-    cur = np.full((1, 1), first_key, dtype=np.uint8)
+def _grow_reduced(first: int, n: int, nkeys: int) -> np.ndarray:
+    """All linearly reduced key words of length n that start with the
+    given key and use no smaller key, as an (N, n) uint8 array in
+    lexicographic order."""
+    keys = np.arange(first, nkeys, dtype=np.uint8)
+    # follows[k]: which of keys may come after k without cancelling
+    follows = keys != (np.arange(nkeys, dtype=np.uint8) ^ 1)[:, None]
+    cur = np.full((1, 1), first, dtype=np.uint8)
     for _ in range(n - 1):
-        nxt = succ[cur[:, -1]].reshape(-1, 1)
+        ok = follows[cur[:, -1]]
+        nxt = np.broadcast_to(keys, ok.shape)[ok]
         cur = np.concatenate(
-            [np.repeat(cur, nkeys - 1, axis=0), nxt], axis=1
+            [np.repeat(cur, ok.sum(axis=1), axis=0), nxt[:, None]], axis=1
         )
     return cur
 
 
-def _min_rotation_mask(words: np.ndarray) -> np.ndarray:
-    """Rows that are lexicographically minimal among their rotations."""
+def _min_rotation_mask(
+    words: np.ndarray, rotated: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows that no rotation of the matching row of `rotated` (by default
+    the row itself) precedes lexicographically."""
     n_words, n = words.shape
+    if rotated is None:
+        rotated, shifts = words, range(1, n)  # shift 0 is the row itself
+    else:
+        shifts = range(n)
     keep = np.ones(n_words, dtype=bool)
-    for s in range(1, n):
+    for s in shifts:
         eq = np.ones(n_words, dtype=bool)
         less = np.zeros(n_words, dtype=bool)
         for j in range(n):
-            a = words[:, (j + s) % n]
+            a = rotated[:, (j + s) % n]
             b = words[:, j]
             less |= eq & (a < b)
             eq &= a == b
@@ -218,15 +238,13 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     flats: list[np.ndarray] = []
     lens: list[np.ndarray] = []
     # a canonical word starts with its smallest key, so the outer loop
-    # over first keys meets every class once
+    # over first keys meets every class once, and a word that uses a key
+    # below its first is never grown
     for first in range(nkeys):
         for n in range(1, max_norm + 1):
             words = _grow_reduced(first, n, nkeys)
             if n > 1:
                 words = words[words[:, -1] != first ^ 1]
-                if not len(words):
-                    continue
-                words = words[(words >= first).all(axis=1)]
                 if not len(words):
                     continue
                 words = words[_min_rotation_mask(words)]
@@ -237,6 +255,24 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     offsets = np.zeros(sum(map(len, lens)) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lens), out=offsets[1:])
     yield WordBatch(np.concatenate(flats), offsets)
+
+
+def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
+    """Canonical classes that precede their inverse class in key order.
+
+    No nontrivial class of a free group is its own inverse, so this keeps
+    exactly one class of each {w, w^-1} pair.  The enumeration lays out
+    classes of one length contiguously within each first key, so each run
+    of one length is compared as an (N, n) view."""
+    flat, offsets = classes
+    lens = batch_lengths(classes)
+    keep = np.zeros(len(classes), dtype=bool)
+    runs = np.flatnonzero(np.diff(lens, prepend=-1))
+    for lo, hi in zip(runs, [*runs[1:], len(lens)]):
+        n = int(lens[lo])
+        words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
+        keep[lo:hi] = _min_rotation_mask(words, inverse_rows(words))
+    return keep
 
 
 def class_count(rank: int, max_norm: int) -> int:

@@ -20,12 +20,7 @@ workloads = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = workloads  # dataclasses resolve annotations here
 _spec.loader.exec_module(workloads)
 
-# about 20 s; the benchmark runs it
-SLOW = {"probe-plas-L10-P6"}
-CASES = [
-    c for c in workloads.Workload(str(ROOT), str(ROOT)).fixed_cases()
-    if c.name not in SLOW
-]
+CASES = workloads.Workload(str(ROOT), str(ROOT)).fixed_cases()
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)

@@ -435,12 +435,21 @@ class TestInputErrors:
         assert exc.value.code == 2
 
 
+def _package_env():
+    """The environment with the package this suite imported first on
+    PYTHONPATH, so that a child Python runs the same code."""
+    src = str(Path(traintrack.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoints:
     def test_module_execution(self, files):
         proc = subprocess.run(
             [sys.executable, "-m", "traintrack.cli", "growth",
              str(files / "fib.aut"), "a", "--k-max", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_package_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "k,norm\n0,1\n1,2\n2,3\n3,5\n"
@@ -462,13 +471,8 @@ class TestEntryPoints:
             "import sys; sys.argv[0] = 'traintrack'; "
             f"from {module} import {func}; sys.exit({func}())"
         )
-        src = str(Path(traintrack.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         args = ["analyze", str(files / "broken.gm")]
-        runs = [([sys.executable, "-c", wrapper, *args], env)]
+        runs = [([sys.executable, "-c", wrapper, *args], _package_env())]
         # Where the package is installed, also run the script on PATH.
         installed = shutil.which("traintrack")
         if installed:

@@ -13,9 +13,11 @@ from traintrack.engine import (
     batch_reduce,
     batch_to_words,
     class_count,
-    cyclic_equal_bytes,
     enumerate_classes,
     image_table,
+    inverse_pair_mask,
+    inverse_rows,
+    is_rotation,
 )
 from traintrack.words import CyclicWord, Word, key_word
 
@@ -90,12 +92,16 @@ def test_batch_kernels_at_the_key_limit(rng):
 
 
 def test_key_bytes_cyclic_equality():
-    a = key_word((1, 2, -1))
-    b = key_word((2, -1, 1))
-    c = key_word((1, -2, 1))
-    assert cyclic_equal_bytes(a, b)
-    assert not cyclic_equal_bytes(a, c)
-    assert not cyclic_equal_bytes(a, key_word((1, 2)))
+    def rows(*words):
+        return np.array([list(key_word(w)) for w in words], dtype=np.uint8)
+
+    a = rows((1, 2, -1), (1, 2, -1))
+    assert is_rotation(a, rows((2, -1, 1), (1, -2, 1))).tolist() == [True, False]
+    # (-1, 1, -2) is the inverse of (2, -1, 1)
+    inv = inverse_rows(rows((-1, 1, -2), (2, -1, 1)))
+    assert is_rotation(a, inv).tolist() == [True, False]
+    with pytest.raises(ValueError):
+        is_rotation(a[:1], rows((1, 2)))
 
 
 def _burnside(rank: int, n: int) -> int:
@@ -132,9 +138,26 @@ def test_enumerate_classes_exhaustive_and_canonical():
     # inverse classes are kept separate: the commutator and its inverse
     comm = CyclicWord((1, 2, -1, -2))
     inv = comm.inverse_class()
-    hits = [w for w in seen if cyclic_equal_bytes(key_word(w), key_word(comm.letters))]
-    inv_hits = [w for w in seen if cyclic_equal_bytes(key_word(w), key_word(inv.letters))]
+    hits = [w for w in seen if CyclicWord(w) == comm]
+    inv_hits = [w for w in seen if CyclicWord(w) == inv]
     assert len(hits) == 1 and len(inv_hits) == 1 and hits != inv_hits
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_enumerate_classes_order(rank):
+    # sorted by first key, then length, then key bytes
+    (batch,) = enumerate_classes(rank, 6)
+    keys = [key_word(w) for w in batch_to_words(batch)]
+    assert keys == sorted(keys, key=lambda b: (b[0], len(b), b))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_inverse_pair_mask_keeps_one_of_each_pair(rank):
+    (batch,) = enumerate_classes(rank, 6)
+    classes = [CyclicWord(w) for w in batch_to_words(batch)]
+    kept = {c for c, k in zip(classes, inverse_pair_mask(batch)) if k}
+    for c in classes:
+        assert (c in kept) != (c.inverse_class() in kept)
 
 
 def test_enumerate_matches_probe_oracle_count():

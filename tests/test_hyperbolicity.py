@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traintrack import engine, hyperbolicity, load_fixture
@@ -300,3 +301,58 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
             CyclicWord(iterate(phi, w, reached).letters).norm,
             CyclicWord(iterate(phi, w, -reached).letters).norm,
         )
+
+
+def _all_classes(rank, L):
+    """Every nontrivial class of norm <= L, from all words by brute force."""
+    gens = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    classes = set()
+    for n in range(1, L + 1):
+        for w in itertools.product(gens, repeat=n):
+            c = CyclicWord(w)
+            if c:
+                classes.add(c)
+    return classes
+
+
+def _orbit_witnesses(phi, L, P):
+    """Witnesses from each class's own orbit under apply_class: the first
+    return within P steps, and the first step before it at the inverse."""
+    out = []
+    for c in _all_classes(phi.rank, L):
+        inv = c.inverse_class()
+        cur, inv_step = c, 0
+        for k in range(1, P + 1):
+            cur = phi.apply_class(cur)
+            if cur == c:
+                out.append((c.letters, k, inv_step > 0, inv_step))
+                break
+            if cur == inv and not inv_step:
+                inv_step = k
+    return sorted(out, key=lambda w: (len(w[0]), w[0]))
+
+
+_PROBE_L = {"fib": 5, "plas": 4, "poly": 5, "identity": 5}  # name -> max L
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PROBE_L)),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=2),
+    L=st.integers(min_value=1, max_value=5),
+    P=st.integers(min_value=1, max_value=4),
+)
+# 25 kept classes at rank 2, L = 4: the last block of three holds one
+@example(name="identity", picks=[], L=4, P=1)
+def test_probe_matches_orbit_oracle(name, picks, L, P):
+    """atoroidality_probe, with blocks of three classes so that classes of
+    one length straddle blocks, reports exactly the witnesses that
+    following every class's own orbit finds."""
+    phi = _conjugate(load_fixture(name), picks)
+    L = min(L, _PROBE_L[name])
+    with mock.patch.object(hyperbolicity, "_PROBE_BLOCK", 3):
+        rep = atoroidality_probe(phi, L=L, P=P)
+    got = [(w.cls.letters, w.period, w.inverted, w.inversion_step)
+           for w in rep.witnesses]
+    assert got == _orbit_witnesses(phi, L, P)
+    assert rep.classes_enumerated == len(_all_classes(phi.rank, L))
