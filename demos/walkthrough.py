@@ -14,7 +14,7 @@ from traintrack.hyperbolicity import (
     growth_table,
 )
 from traintrack.nielsen import find_nielsen_paths
-from traintrack.strata import assign_metric, compute_filtration, verify_rtt
+from traintrack.strata import verify_rtt
 from traintrack.words import Word
 
 
@@ -29,13 +29,13 @@ def main():
     f = rose_of(phi)
 
     section("strata and growth")
-    filt = compute_filtration(f)
+    filt = f.filtration
     for s in filt.strata:
         print(f"stratum {s.index}: {s.kind}, edges {s.edges}, "
               f"lambda {s.pf_value}")
-    metric = assign_metric(filt)
+    metric = filt.metric
     print("metric:", {e: round(metric.edge_length(e), 6) for e in (1, 2)})
-    print("rtt check:", "pass" if verify_rtt(f, filt).passed else "fail")
+    print("rtt check:", "pass" if verify_rtt(f).passed else "fail")
 
     section("turns")
     for t in sorted(f.all_turns()):
@@ -48,7 +48,7 @@ def main():
               f"indivisible={rec.indivisible} exact={rec.exact}")
 
     section("bounded cancellation")
-    data = bcc_estimate(f, filtration=filt, metric=metric)
+    data = bcc_estimate(f)
     print(f"C_f = {data.C_f:.10f} (window {data.window}, "
           f"stable={data.stable})")
     print(f"critical length = {data.critical_length(1):.10f}")

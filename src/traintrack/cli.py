@@ -41,7 +41,7 @@ from .graphs import (
 )
 from .hyperbolicity import atoroidality_probe, certificate_search, growth_table
 from .nielsen import find_nielsen_paths
-from .strata import assign_metric, compute_filtration, verify_improved, verify_rtt
+from .strata import verify_improved, verify_rtt
 from .words import (
     Automorphism,
     BudgetExceeded,
@@ -92,7 +92,7 @@ def _as_automorphism(kind, obj) -> Automorphism:
 def _with_inverse(phi: Automorphism) -> Automorphism:
     if phi.inverse_images is not None:
         return phi
-    found = nielsen_inverse_search(phi, depth=4)
+    found = nielsen_inverse_search(phi)
     if found is None:
         raise CliError(
             "no inverse known for this map and a short search found none; "
@@ -135,10 +135,10 @@ def cmd_analyze(args) -> tuple[int, str]:
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
     g = f.graph
-    filt = compute_filtration(f)
-    metric = assign_metric(filt)
-    rtt = verify_rtt(f, filt)
-    improved = verify_improved(f, filt)
+    filt = f.filtration
+    metric = filt.metric
+    rtt = verify_rtt(f)
+    improved = verify_improved(f)
 
     strata_rows = []
     for s in filt.strata:
@@ -388,8 +388,7 @@ def cmd_validate(args) -> tuple[int, str]:
         raise CliError("--l0 must be positive")
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
-    filt = compute_filtration(f)
-    metric = assign_metric(filt)
+    filt = f.filtration
     lemma = args.lemma
 
     constants: dict = {}
@@ -397,9 +396,7 @@ def cmd_validate(args) -> tuple[int, str]:
     code = EXIT_OK
 
     if lemma == "bcc":
-        data = growth_mod.bcc_estimate(
-            f, pair_len_bound=args.pairs, filtration=filt, metric=metric
-        )
+        data = growth_mod.bcc_estimate(f, pair_len_bound=args.pairs)
         constants = {
             "C_f": data.C_f,
             "window": data.window,
@@ -415,7 +412,6 @@ def cmd_validate(args) -> tuple[int, str]:
         rep = growth_mod.validate_bw1(
             f, bwd, circuits, k_max=args.k_max,
             r=_top_exponential(filt) if lemma == "bw2" else None,
-            filtration=filt, metric=metric,
         )
         constants, rows = rep.constants, rep.rows
         if not rep.all_pass:
@@ -424,7 +420,7 @@ def cmd_validate(args) -> tuple[int, str]:
         circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
         r = _top_exponential(filt) if len(filt.strata) > 1 else None
         c = growth_mod.validate_illen(
-            circuits, float(args.l0), filt, metric, circuit=True, r=r
+            circuits, float(args.l0), filt, circuit=True, r=r
         )
         constants = {"C": c, "L": float(args.l0)}
         if r is not None:
@@ -436,7 +432,6 @@ def cmd_validate(args) -> tuple[int, str]:
             f, bwd, circuits, float(args.l0),
             n_max=args.k_max, m_search_max=args.m_max,
             r=_top_exponential(filt) if len(filt.strata) > 1 else None,
-            filtration=filt, metric=metric,
         )
         constants, rows = rep.constants, rep.rows
         vacuous = constants.get("qualifying", 0) == 0
@@ -448,8 +443,7 @@ def cmd_validate(args) -> tuple[int, str]:
         for _ in range(args.samples):
             p = random_tight_path(f.graph, args.len_bound, rng)
             verdict = growth_mod.trichotomy_classify(
-                f, p, M=args.m_max, L=float(args.l0),
-                filtration=filt, metric=metric,
+                f, p, M=args.m_max, L=float(args.l0)
             )
             rows.append({
                 "path": f.graph.spell_path(p),
@@ -466,9 +460,7 @@ def cmd_validate(args) -> tuple[int, str]:
         for _ in range(args.samples):
             c = random_circuit(f.graph, args.len_bound, rng)
             try:
-                rep = growth_mod.growth_decomposition(
-                    c, float(args.l0), filt, metric
-                )
+                rep = growth_mod.growth_decomposition(c, float(args.l0), filt)
             except growth_mod.BoundViolation as exc:
                 rows.append({
                     "circuit": f.graph.spell_path(c),

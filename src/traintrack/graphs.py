@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .words import (
     Automorphism,
@@ -30,6 +30,9 @@ from .words import (
     generator_name,
     substitute,
 )
+
+if TYPE_CHECKING:
+    from .strata import Filtration
 
 
 class Graph:
@@ -392,6 +395,14 @@ class GraphMap:
         return out
 
     @cached_property
+    def filtration(self) -> Filtration:
+        """The maximal invariant filtration (strata.compute_filtration),
+        computed on first use."""
+        from . import strata
+
+        return strata.compute_filtration(self)
+
+    @cached_property
     def illegal_turns(self) -> frozenset[tuple[int, int]]:
         return frozenset(
             t for t, v in self.turn_classification.items() if v == "illegal"
@@ -498,7 +509,6 @@ def _spanning_tree(graph: Graph) -> tuple[dict[str, tuple[int, ...]], list[int]]
 def induced_automorphism(
     f: GraphMap,
     inverse: Automorphism | Sequence[Word] | None = None,
-    search_depth: int = 4,
 ) -> Automorphism:
     """Read off the outer automorphism that f induces on the marked fundamental group.
 
@@ -549,7 +559,7 @@ def induced_automorphism(
         phi = psi
     else:
         m = Automorphism(k, loop_markings)
-        m_full = nielsen_inverse_search(m, depth=search_depth)
+        m_full = nielsen_inverse_search(m)
         if m_full is None:
             raise ValueError("could not invert the marking; supply a simpler one")
         phi = compose(compose(m_full, psi), m_full.inverse())
@@ -562,7 +572,7 @@ def induced_automorphism(
                 "the map is not a homotopy equivalence realizing it"
             )
         return Automorphism(k, phi.images, cand, label=phi.label)
-    found = nielsen_inverse_search(phi, depth=search_depth)
+    found = nielsen_inverse_search(phi)
     if found is not None:
         return found
     return phi
@@ -605,14 +615,14 @@ def random_tight_path(graph: Graph, max_len: int, rng) -> tuple[int, ...]:
     return tuple(path)
 
 
-def random_circuit(graph: Graph, max_len: int, rng, attempts: int = 400) -> tuple[int, ...]:
+def random_circuit(graph: Graph, max_len: int, rng) -> tuple[int, ...]:
     """A random cyclically tight circuit with at most max_len edges.
 
     Rejection sampling: closed tight walks that fail to close up tightly
-    are discarded.  Raises after `attempts` misses (tiny max_len on a
-    graph with no short circuit).
+    are discarded.  Raises after 400 misses (tiny max_len on a graph with
+    no short circuit).
     """
-    for _ in range(attempts):
+    for _ in range(400):
         path = random_tight_path(graph, max_len, rng)
         if not path:
             continue

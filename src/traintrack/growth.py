@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Circuit, GraphMap, iter_tight_paths, preimage_circuit
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
-from .strata import Filtration, Metric, assign_metric, compute_filtration
+from .strata import Filtration, Metric
 from .words import BudgetExceeded, common_prefix, inverse_keys, key_word, letter_key
 
 __all__ = [
@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _SLACK = 1e-9
+# trichotomy_classify: longest pre-Nielsen piece tried, and the forward
+# steps that is_pre_nielsen and verify_splitting take
+_PIECE_CAP = 12
+_PRE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,10 @@ def path_stats(
     )
     out = {"L": L, "i": i, "script_L": script_L}
     if r is not None:
+        hr = frozenset(filtration.stratum(r).edges)
         gr = filtration.edges_through(r)
         if any(abs(d) not in gr for d in edges):
             raise ValueError(f"path is not contained in G_{r}")
-        hr = frozenset(
-            next(s for s in filtration.strata if s.index == r).edges
-        )
         r_flags = f.illegal_flags(edges, hr, circuit)
         L_r = metric.r_length(edges, hr)
         i_r = sum(r_flags)
@@ -162,7 +164,9 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     direction), over group pairs that meet tightly at a vertex.  In a
     lexicographic sort the heaviest cross-group prefix occurs between
     neighbors, so one sorted scan with per-group last-seen words covers
-    every pair without the quadratic join.
+    every pair without the quadratic join.  Words with different first
+    keys share no prefix, so each word is compared only with the groups
+    seen since the scan's first key last changed.
     """
     g = f.graph
     dirs = g.directions()
@@ -174,12 +178,12 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     max_edge = max(len_by_key)
     tag_a = {d: i for i, d in enumerate(dirs)}
     tag_b = {d: i + ndir for i, d in enumerate(dirs)}
-    partners: list[tuple[int, ...]] = [()] * (2 * ndir)
+    partners: list[set[int]] = [set() for _ in range(2 * ndir)]
     for d in dirs:
-        mates = [tag_b[d2] for d2 in g.directions_at(g.terminus(d)) if d2 != -d]
-        partners[tag_a[d]] = tuple(mates)
-        for m in mates:
-            partners[m] = partners[m] + (tag_a[d],)
+        for d2 in g.directions_at(g.terminus(d)):
+            if d2 != -d:
+                partners[tag_a[d]].add(tag_b[d2])
+                partners[tag_b[d2]].add(tag_a[d])
     seen: list[set[bytes]] = [set() for _ in range(2 * ndir)]
     for first, last, u in _iter_path_images(f, window):
         if u:
@@ -188,11 +192,13 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     entries = [(w, t) for t, bucket in enumerate(seen) for w in bucket]
     entries.sort()
     best = 0.0
-    latest: list[bytes | None] = [None] * (2 * ndir)
+    lead = None
+    latest: dict[int, bytes] = {}
     for w, t in entries:
-        for p in partners[t]:
-            v = latest[p]
-            if v is None:
+        if w[0] != lead:
+            lead, latest = w[0], {}
+        for p, v in latest.items():
+            if p not in partners[t]:
                 continue
             k = common_prefix(w, v)
             if k and 2.0 * k * max_edge > best:
@@ -203,12 +209,7 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     return best
 
 
-def bcc_estimate(
-    f: GraphMap,
-    pair_len_bound: int = 8,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
-) -> CancellationData:
+def bcc_estimate(f: GraphMap, pair_len_bound: int = 8) -> CancellationData:
     """Bounded cancellation constant by exhaustive windowed search.
 
     C_f bounds L([f(a)]) + L([f(b)]) - L([f(ab)]) over tight
@@ -220,11 +221,8 @@ def bcc_estimate(
     """
     if pair_len_bound < 1:
         raise ValueError("pair_len_bound must be >= 1")
-    if filtration is None:
-        filtration = compute_filtration(f)
-    if metric is None:
-        metric = assign_metric(filtration)
-    exp = filtration.exponential_strata()
+    metric = f.filtration.metric
+    exp = f.filtration.exponential_strata()
     lam_min = min((s.pf_value for s in exp), default=1.0)
     l_min = min(metric.lengths.values())
     cur = _max_cancellation(f, metric, 1)
@@ -286,9 +284,6 @@ def validate_bw1(
     circuits,
     k_max: int = 5,
     r: int | None = None,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
-    cancellation: CancellationData | None = None,
 ) -> ValidatorReport:
     """Backward control of the longest legal segment: for every circuit
     and k <= k_max, script_L of the k-fold preimage stays below
@@ -297,14 +292,10 @@ def validate_bw1(
     With r (relative form, BW2, for circuits in G_r): script_L_r of the
     preimage stays below script_L_r + L_c_r.
     """
-    if filtration is None:
-        filtration = compute_filtration(f)
+    filtration, metric = f.filtration, f.filtration.metric
     if r is None:
         lam = _require_absolute(filtration)
-    if metric is None:
-        metric = assign_metric(filtration)
-    if cancellation is None:
-        cancellation = bcc_estimate(f, filtration=filtration, metric=metric)
+    cancellation = bcc_estimate(f)
     lc = cancellation.critical_length(r)
     if r is None:
         constants = {"lambda": lam, "C_f": cancellation.C_f, "L_c": lc}
@@ -337,15 +328,13 @@ def validate_illen(
     sample,
     L: float,
     filtration: Filtration,
-    metric: Metric | None = None,
     circuit: bool = False,
     r: int | None = None,
 ) -> float:
     """Least constant C with i/C <= metric length <= C i over the sample
     paths (filtered to 1 <= script_L <= L and i > 0).  With r, the same
     over the r-quantities i_r, L_r and script_L_r."""
-    if metric is None:
-        metric = assign_metric(filtration)
+    metric = filtration.metric
     best = None
     for p in sample:
         st = path_stats(p, filtration, metric, r=r, circuit=circuit)
@@ -369,20 +358,15 @@ class TrichotomyVerdict:
 
 
 def _splittable_into_pre_nielsen(
-    f,
-    filtration,
-    edges,
-    r: int | None,
-    piece_cap: int,
-    pre_steps: int,
+    f, edges, r: int | None
 ) -> list[tuple[int, ...]] | None:
     """Try to split a path into pre-Nielsen pieces with one (r-)illegal
     turn each; in the relative case lower segments may sit in between.
     Returns the pieces, or None."""
     hr = None
     if r is not None:
-        hr = frozenset(next(s for s in filtration.strata if s.index == r).edges)
-        lower = filtration.edges_below(r)
+        hr = frozenset(f.filtration.stratum(r).edges)
+        lower = f.filtration.edges_below(r)
     n = len(edges)
 
     def piece_ok(piece):
@@ -390,13 +374,13 @@ def _splittable_into_pre_nielsen(
             return True
         if sum(f.illegal_flags(piece, hr)) != 1:
             return False
-        verdict, _, _ = is_pre_nielsen(f, piece, max_steps=pre_steps)
+        verdict, _, _ = is_pre_nielsen(f, piece, max_steps=_PRE_STEPS)
         return verdict in ("nielsen", "pre-nielsen")
 
     parts: list[list[tuple[int, ...]] | None] = [None] * (n + 1)
     parts[n] = []
     for pos in range(n - 1, -1, -1):
-        for nxt in range(pos + 1, min(pos + piece_cap, n) + 1):
+        for nxt in range(pos + 1, min(pos + _PIECE_CAP, n) + 1):
             if parts[nxt] is None:
                 continue
             piece = edges[pos:nxt]
@@ -405,7 +389,7 @@ def _splittable_into_pre_nielsen(
                 break
     if parts[0] is None:
         return None
-    ok, _ = verify_splitting(f, edges, parts[0], k_max=pre_steps)
+    ok, _ = verify_splitting(f, edges, parts[0], k_max=_PRE_STEPS)
     return parts[0] if ok else None
 
 
@@ -415,10 +399,6 @@ def trichotomy_classify(
     M: int,
     L: float,
     r: int | None = None,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
-    piece_cap: int = 12,
-    pre_steps: int = 8,
 ) -> TrichotomyVerdict:
     """Classify the behavior of a path under M iterations: a legal
     segment longer than L appears, or illegal turns drop, or the path
@@ -427,10 +407,7 @@ def trichotomy_classify(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if filtration is None:
-        filtration = compute_filtration(f)
-    if metric is None:
-        metric = assign_metric(filtration)
+    filtration, metric = f.filtration, f.filtration.metric
     rho = tuple(rho)
     base = path_stats(rho, filtration, metric, r=r)
     if r is not None and base.L_r < 1.0 - _SLACK:
@@ -467,9 +444,7 @@ def trichotomy_classify(
             # suffixes only grow as b decreases, so the first failure ends it
             if not trim_ok(rho[b:]):
                 break
-            pieces = _splittable_into_pre_nielsen(
-                f, filtration, rho[a:b], r, piece_cap, pre_steps
-            )
+            pieces = _splittable_into_pre_nielsen(f, rho[a:b], r)
             if pieces is not None:
                 return TrichotomyVerdict(
                     case="pre-nielsen-splitting",
@@ -482,9 +457,10 @@ def trichotomy_classify(
     return TrichotomyVerdict(case="unresolved", witness={"M": M, "L": L})
 
 
-def _qualifying_circuits(f, circuits, L0, i_min, r, filtration, metric):
+def _qualifying_circuits(f, circuits, L0, i_min, r):
     """Circuits meeting the preconditions: enough illegal turns, short
     legal segments."""
+    filtration, metric = f.filtration, f.filtration.metric
     g = f.graph
     keep = []
     for c in circuits:
@@ -497,10 +473,8 @@ def _qualifying_circuits(f, circuits, L0, i_min, r, filtration, metric):
     return keep
 
 
-def _backgrowth_rows(
-    f, f_inv, qualified, M, n_max, ratio, r,
-    filtration, metric,
-):
+def _backgrowth_rows(f, f_inv, qualified, M, n_max, ratio, r):
+    filtration, metric = f.filtration, f.filtration.metric
     g = f.graph
     rows = []
     for c, turns in qualified:
@@ -523,8 +497,6 @@ def validate_backgrowth(
     n_max: int = 3,
     m_search_max: int = 12,
     r: int | None = None,
-    filtration: Filtration | None = None,
-    metric: Metric | None = None,
 ) -> ValidatorReport:
     """Backward growth of illegal turns: (8/7)^n i <= i of the nM-fold
     preimage, over sample circuits with script_L <= L0 and i >= 4.  With
@@ -533,15 +505,9 @@ def validate_backgrowth(
     workable exponent <= m_search_max is searched for; absence is
     reported, not fatal."""
     ratio, i_min = (8.0 / 7.0, 4) if r is None else (10.0 / 9.0, 5)
-    if filtration is None:
-        filtration = compute_filtration(f)
-    if metric is None:
-        metric = assign_metric(filtration)
-    qualified = _qualifying_circuits(f, sample, L0, i_min, r, filtration, metric)
+    qualified = _qualifying_circuits(f, sample, L0, i_min, r)
     if M is not None:
-        rows = _backgrowth_rows(
-            f, f_inv, qualified, M, n_max, ratio, r, filtration, metric
-        )
+        rows = _backgrowth_rows(f, f_inv, qualified, M, n_max, ratio, r)
         report = ValidatorReport(
             rows=rows,
             constants={"M": M, "ratio": ratio, "qualifying": len(qualified)},
@@ -549,9 +515,7 @@ def validate_backgrowth(
         report.constants["found"] = report.all_pass
         return report
     for m in range(1, m_search_max + 1):
-        rows = _backgrowth_rows(
-            f, f_inv, qualified, m, n_max, ratio, r, filtration, metric
-        )
+        rows = _backgrowth_rows(f, f_inv, qualified, m, n_max, ratio, r)
         if rows and all(row["pass"] for row in rows):
             return ValidatorReport(
                 rows=rows,
@@ -595,10 +559,7 @@ def _longest_short_path(graph, metric: Metric, L0: float, budget: int = 2_000_00
 
 
 def growth_decomposition(
-    sigma,
-    L0: float,
-    filtration: Filtration,
-    metric: Metric | None = None,
+    sigma, L0: float, filtration: Filtration
 ) -> DecompositionReport:
     """Label a circuit with the case that governs its growth and return
     the witnessing collection of subpaths.
@@ -613,8 +574,7 @@ def growth_decomposition(
     polynomially growing top stratum is handled by basic-path splitting.
     A bound that fails on the circuit raises BoundViolation.
     """
-    if metric is None:
-        metric = assign_metric(filtration)
+    metric = filtration.metric
     f = filtration.graph_map
     g = f.graph
     c = sigma if isinstance(sigma, Circuit) else Circuit(g, sigma)
@@ -622,10 +582,9 @@ def growth_decomposition(
     if not edges:
         raise ValueError("trivial circuit")
     top = max(filtration.stratum_of(d) for d in edges)
-    stratum = next(s for s in filtration.strata if s.index == top)
     total = metric.length(edges)
-    if stratum.kind == "polynomial":
-        pieces = split_basic_paths(f, filtration, edges, top, circuit=True)
+    if filtration.stratum(top).kind == "polynomial":
+        pieces = split_basic_paths(f, edges, top, circuit=True)
         return DecompositionReport(
             case="polynomial-top",
             pieces=pieces,

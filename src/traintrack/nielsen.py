@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from math import lcm
 
 from .graphs import GraphMap, iter_tight_paths
-from .strata import Filtration, Metric, assign_metric, compute_filtration
+from .strata import Filtration, Metric
 from .words import BudgetExceeded, common_prefix, letter_key
 
 __all__ = [
@@ -110,7 +110,8 @@ def _minimal_period(f: GraphMap, path, period_bound: int) -> int | None:
     return None
 
 
-def _orbit_search(f, filtration, len_bound, period_bound):
+def _orbit_search(f, len_bound, period_bound):
+    filtration = f.filtration
     found: dict[tuple[int, ...], int] = {}
     for p in iter_tight_paths(f.graph, len_bound):
         if _key_tuple(tuple(-d for d in reversed(p))) < _key_tuple(p):
@@ -230,7 +231,8 @@ def _cut_ray(ray, target, metric: Metric, hr, tol=1e-9):
     return None
 
 
-def _develop_search(f, filtration, metric, len_bound, period_bound):
+def _develop_search(f, len_bound, period_bound):
+    filtration, metric = f.filtration, f.filtration.metric
     if any(s.kind != "exponential" for s in filtration.strata):
         raise ValueError(
             "ray development requires every stratum to be exponential; "
@@ -327,7 +329,6 @@ def _compose_records(f, base, len_bound, period_bound):
 
 def find_nielsen_paths(
     f: GraphMap,
-    filtration: Filtration | None = None,
     len_bound: int = 6,
     period_bound: int = 4,
     orbit_budget: int = 200_000,
@@ -343,8 +344,7 @@ def find_nielsen_paths(
     picks orbit when the path universe fits in orbit_budget, develop
     otherwise, and raises BudgetExceeded when develop does not apply.
     """
-    if filtration is None:
-        filtration = compute_filtration(f)
+    filtration = f.filtration
     if mode not in ("auto", "orbit", "develop"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "develop":
@@ -365,10 +365,9 @@ def find_nielsen_paths(
         else:
             mode = "develop"
     if mode == "orbit":
-        records = _orbit_search(f, filtration, len_bound, period_bound)
+        records = _orbit_search(f, len_bound, period_bound)
     else:
-        metric = assign_metric(filtration)
-        records = _develop_search(f, filtration, metric, len_bound, period_bound)
+        records = _develop_search(f, len_bound, period_bound)
         records += _compose_records(
             f, records, len_bound=2 * len_bound, period_bound=period_bound
         )
@@ -393,7 +392,7 @@ def find_nielsen_paths(
 
 
 def is_pre_nielsen(
-    f: GraphMap, path, max_steps: int = 12, cap: int = _ORBIT_CAP
+    f: GraphMap, path, max_steps: int = 12
 ) -> tuple[str, int | None, int | None]:
     """Walk the forward orbit of a path looking for a repeat.
 
@@ -406,7 +405,7 @@ def is_pre_nielsen(
     seen = {cur: 0}
     for j in range(1, max_steps + 1):
         cur = f.map_letters(cur)
-        if not cur or len(cur) > cap:
+        if not cur or len(cur) > _ORBIT_CAP:
             return "transient", None, None
         if cur in seen:
             entry = seen[cur]
@@ -417,14 +416,11 @@ def is_pre_nielsen(
 
 
 def check_np_constraints(
-    f: GraphMap,
-    rec: NielsenPathRecord,
-    filtration: Filtration | None = None,
+    f: GraphMap, rec: NielsenPathRecord
 ) -> dict[str, bool | None]:
     """Structural sanity checks for an INP candidate.  Values are True,
     False, or None when the check does not apply (inexact endpoints)."""
-    if filtration is None:
-        filtration = compute_filtration(f)
+    filtration = f.filtration
     flags = f.illegal_flags(rec.path)
     out: dict[str, bool | None] = {}
     out["one_illegal_turn"] = sum(flags) == 1
@@ -436,8 +432,7 @@ def check_np_constraints(
     else:
         out["halves_legal"] = False
     height = max(filtration.stratum_of(d) for d in rec.path)
-    stratum = next(s for s in filtration.strata if s.index == height)
-    out["height_exponential"] = stratum.kind == "exponential"
+    out["height_exponential"] = filtration.stratum(height).is_exponential
     if rec.exact:
         out["periodic"] = f.iterate_letters(rec.path, rec.period) == rec.path
         g = f.graph
@@ -454,7 +449,6 @@ def check_np_constraints(
 
 def split_basic_paths(
     f: GraphMap,
-    filtration: Filtration,
     edges,
     r: int,
     circuit: bool = False,
@@ -465,7 +459,8 @@ def split_basic_paths(
     u with u below the stratum.  Circuits are rotated to start at a cut
     point first; a circuit not crossing E comes back whole.
     """
-    stratum = next(s for s in filtration.strata if s.index == r)
+    filtration = f.filtration
+    stratum = filtration.stratum(r)
     if stratum.kind != "polynomial" or len(stratum.edges) != 1:
         raise ValueError("splitting needs a single-edge polynomial stratum")
     e = stratum.edges[0]
@@ -501,8 +496,7 @@ def split_basic_paths(
 
 
 def basic_path_type(filtration: Filtration, piece, r: int) -> str:
-    stratum = next(s for s in filtration.strata if s.index == r)
-    e = stratum.edges[0]
+    e = filtration.stratum(r).edges[0]
     first = piece[0] == e
     last = piece[-1] == -e
     if first and last:

@@ -9,6 +9,7 @@ the stratum type, the eigenvector metric, and the expansion factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,19 +105,23 @@ class Filtration:
     graph_map: GraphMap
     strata: tuple[Stratum, ...]
 
+    def stratum(self, r: int) -> Stratum:
+        """The stratum H_r; raises ValueError unless 1 <= r <= len(strata)."""
+        if not 1 <= r <= len(self.strata):
+            raise ValueError(f"no stratum {r}")
+        return self.strata[r - 1]
+
     def stratum_of(self, edge: int) -> int:
         return self._edge_level[abs(edge)]
 
-    @property
+    @cached_property
     def _edge_level(self) -> dict[int, int]:
-        cached = self.__dict__.get("_edge_level_cache")
-        if cached is None:
-            cached = {}
-            for s in self.strata:
-                for e in s.edges:
-                    cached[e] = s.index
-            object.__setattr__(self, "_edge_level_cache", cached)
-        return cached
+        return {e: s.index for s in self.strata for e in s.edges}
+
+    @cached_property
+    def metric(self) -> Metric:
+        """The eigenvector metric (assign_metric), computed on first use."""
+        return assign_metric(self)
 
     def edges_below(self, r: int) -> frozenset[int]:
         """Positive edges of G_{r-1}, i.e. all strata strictly below r."""
@@ -319,24 +324,18 @@ def _subgraph_vertices(graph: Graph, edges) -> set[str]:
     return out
 
 
-def verify_rtt(
-    f: GraphMap,
-    filtration: Filtration | None = None,
-    beta_len_bound: int = 12,
-    legal_len_bound: int = 6,
-) -> CheckReport:
+def verify_rtt(f: GraphMap) -> CheckReport:
     """Check the three defining conditions of a relative train track map,
     for every exponential stratum.
 
     1. Images of stratum edges start and end with edges of the stratum.
     2. Connecting paths in the lower subgraph (nontrivial, endpoints on
        the stratum) have nontrivial tightened images.  Exhaustive up to
-       beta_len_bound edges.
+       12 edges.
     3. Paths in G_r that cross the stratum only at legal turns keep that
-       property after one application.  Exhaustive up to legal_len_bound.
+       property after one application.  Exhaustive up to 6 edges.
     """
-    if filtration is None:
-        filtration = compute_filtration(f)
+    filtration = f.filtration
     g = f.graph
     report = CheckReport()
     counts = {"strata": 0, "beta_paths": 0, "legal_paths": 0}
@@ -361,7 +360,7 @@ def verify_rtt(
         if lower:
             anchors = _subgraph_vertices(g, lower) & _subgraph_vertices(g, hr)
             for beta in iter_tight_paths(
-                g, beta_len_bound, allowed_edges=lower, start_vertices=anchors
+                g, 12, allowed_edges=lower, start_vertices=anchors
             ):
                 if g.terminus(beta[-1]) not in anchors:
                     continue
@@ -379,7 +378,7 @@ def verify_rtt(
             return any(f.illegal_flags(path[-2:], hr))
 
         for p in iter_tight_paths(
-            g, legal_len_bound, allowed_edges=gr, prune=r_illegal_prefix
+            g, 6, allowed_edges=gr, prune=r_illegal_prefix
         ):
             if not any(abs(d) in hr for d in p):
                 continue
@@ -425,12 +424,7 @@ def _contractible_component_edges(graph: Graph, edges) -> set[int]:
     return out
 
 
-def verify_improved(
-    f: GraphMap,
-    filtration: Filtration | None = None,
-    nielsen_len_bound: int = 6,
-    nielsen_period_bound: int = 4,
-) -> CheckReport:
+def verify_improved(f: GraphMap) -> CheckReport:
     """Check structural properties enjoyed by improved representatives:
     fixed (not just periodic) Nielsen classes, zero strata exactly the
     contractible lower debris, zero strata capped by exponential ones,
@@ -439,16 +433,10 @@ def verify_improved(
     """
     from .nielsen import find_nielsen_paths
 
-    if filtration is None:
-        filtration = compute_filtration(f)
+    filtration = f.filtration
     g = f.graph
     report = CheckReport()
-    records = find_nielsen_paths(
-        f,
-        filtration=filtration,
-        len_bound=nielsen_len_bound,
-        period_bound=nielsen_period_bound,
-    )
+    records = find_nielsen_paths(f)
     for rec in records:
         if rec.period != 1:
             report.violations.append({

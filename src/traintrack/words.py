@@ -535,7 +535,7 @@ def _elementary_automorphisms(rank: int) -> list[Automorphism]:
     return gens
 
 
-def nielsen_inverse_search(phi: Automorphism, depth: int = 3) -> Automorphism | None:
+def nielsen_inverse_search(phi: Automorphism, depth: int = 4) -> Automorphism | None:
     """Search for phi^-1 as a short product of elementary Nielsen automorphisms.
 
     Breadth-first over compositions of at most `depth` elementary moves,

@@ -91,7 +91,7 @@ def test_criterion_04_bounded_cancellation(fib_rose, plas_rose):
     for f in (fib_rose, plas_rose):
         filt = compute_filtration(f)
         metric = assign_metric(filt)
-        data = bcc_estimate(f, filtration=filt, metric=metric)
+        data = bcc_estimate(f)
         assert data.stable
         # exact maximum of the defect over every tight concatenation
         # with both factors at most 8 edges; <= C_f means zero violations
@@ -141,7 +141,7 @@ def test_criterion_08_splitting(poly_rose, rng):
     cancellations = 0
     for _ in range(50):
         c = random_circuit(poly_rose.graph, 10, rng)
-        pieces = split_basic_paths(poly_rose, filt, c, r=2, circuit=True)
+        pieces = split_basic_paths(poly_rose, c, r=2, circuit=True)
         whole = tuple(d for p in pieces for d in p)
         ok, detail = verify_splitting(
             poly_rose, whole, pieces, k_max=5, circuit=True
@@ -179,15 +179,12 @@ def test_criterion_10_outer_invariance(fib, plas, rng):
 def test_criterion_11_trichotomy(fib_rose):
     filt = compute_filtration(fib_rose)
     metric = assign_metric(filt)
-    legal = trichotomy_classify(fib_rose, (1, 1, 1, 1), M=1, L=3.0,
-                                filtration=filt, metric=metric)
+    legal = trichotomy_classify(fib_rose, (1, 1, 1, 1), M=1, L=3.0)
     assert legal.case == "long-legal-segment"
-    drop = trichotomy_classify(fib_rose, (-1, 2), M=1, L=10.0,
-                               filtration=filt, metric=metric)
+    drop = trichotomy_classify(fib_rose, (-1, 2), M=1, L=10.0)
     assert drop.case == "fewer-illegal-turns"
     assert drop.witness["M"] == 1
-    split = trichotomy_classify(fib_rose, INP, M=1, L=4.0,
-                                filtration=filt, metric=metric)
+    split = trichotomy_classify(fib_rose, INP, M=1, L=4.0)
     assert split.case == "pre-nielsen-splitting"
     for v in (legal, drop, split):
         assert v.case != "unresolved"
@@ -196,7 +193,7 @@ def test_criterion_11_trichotomy(fib_rose):
 
 def test_criterion_12_negative_controls(broken, tmp_path, capsys):
     filt = compute_filtration(broken)
-    rep = verify_rtt(broken, filt)
+    rep = verify_rtt(broken)
     assert not rep.passed
     (violation,) = rep.violations
     assert violation["condition"] == 1

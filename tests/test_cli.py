@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import traintrack
-from traintrack.cli import main
+from traintrack import strata
+from traintrack.cli import LEMMAS, main
 from traintrack.formats import dump_automorphism
 from traintrack.words import Automorphism
 from traintrack.fixtures import fixture_text
@@ -291,6 +293,35 @@ class TestValidate:
         assert a != c
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "fib.aut"],
+        ["analyze", "broken.gm"],
+        ["nielsen", "fib.aut"],
+        *(["validate", "fib.aut", lemma, "--samples", "5"] for lemma in LEMMAS),
+    ],
+    ids=" ".join,
+)
+def test_derived_data_computed_once(capsys, files, monkeypatch, argv):
+    # GraphMap.filtration and Filtration.metric read these module
+    # attributes at call time, so every computation is counted
+    counts = {"compute_filtration": 0, "assign_metric": 0}
+    for name in counts:
+        original = getattr(strata, name)
+
+        def counted(arg, name=name, original=original):
+            counts[name] += 1
+            return original(arg)
+
+        monkeypatch.setattr(strata, name, counted)
+    argv = [str(files / a) if a.endswith((".aut", ".gm")) else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    assert counts["compute_filtration"] == 1
+    assert counts["assign_metric"] <= 1
+
+
 class TestBudgetErrors:
     """A search that runs out of its budget exits 3 with one error line."""
 
@@ -483,6 +514,16 @@ class TestEntryPoints:
             )
             assert proc.returncode == 1
             assert '"condition": 1' in proc.stdout
+
+    def test_walkthrough_demo(self):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "walkthrough.py"
+        proc = subprocess.run(
+            [sys.executable, str(demo)], capture_output=True, env=_package_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "8d102657f491ec919356e6f65dda7dff17ecc885643ec8d8354bc28c678bf56b"
+        )
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -4,6 +4,7 @@ import pytest
 
 from traintrack.graphs import (
     Circuit,
+    GraphMap,
     iter_tight_paths,
     random_circuit,
     random_tight_path,
@@ -90,6 +91,12 @@ class TestPathStats:
         with pytest.raises(ValueError):
             path_stats((2,), rfilt, rmet, r=1)  # b is above G_1
 
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_missing_stratum(self, fib_setup, r):
+        f, filt, met = fib_setup
+        with pytest.raises(ValueError, match=f"no stratum {r}"):
+            path_stats((1, 2), filt, met, r=r)
+
 
 def naive_max_cancellation(f, metric, window):
     """Quadratic reference: scan every tight concatenation directly."""
@@ -125,6 +132,16 @@ class TestBcc:
             naive_max_cancellation(poly_rose, met, window), abs=1e-12
         )
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["plas", "broken", "rel"])
+    def test_scan_matches_oracle_more_maps(self, request, name, window):
+        obj = request.getfixturevalue(name)
+        f = obj if isinstance(obj, GraphMap) else rose_of(obj)
+        met = f.filtration.metric
+        assert _max_cancellation(f, met, window) == pytest.approx(
+            naive_max_cancellation(f, met, window), abs=1e-12
+        )
+
     def test_fib_constant(self, fib_setup):
         f, _, _ = fib_setup
         data = bcc_estimate(f)
@@ -137,7 +154,7 @@ class TestBcc:
 
     def test_rel_constant(self, rel_setup):
         f, filt, met = rel_setup
-        data = bcc_estimate(f, filtration=filt, metric=met)
+        data = bcc_estimate(f)
         assert data.stable
         assert data.C_f == pytest.approx(2 * PHI + 2, abs=1e-9)
         assert data.critical_length(2) == pytest.approx(16.9442719100, abs=1e-6)
@@ -151,7 +168,7 @@ class TestBcc:
         f = rose_of(request.getfixturevalue(name))
         filt = compute_filtration(f)
         met = assign_metric(filt)
-        data = bcc_estimate(f, filtration=filt, metric=met)
+        data = bcc_estimate(f)
         assert data.stable
         exhaustive = _max_cancellation(f, met, 8)
         assert exhaustive <= data.C_f + 1e-9
@@ -171,7 +188,7 @@ class TestBwValidators:
         f, filt, met = fib_setup
         circuits = [random_circuit(f.graph, 12, rng) for _ in range(120)]
         rep = validate_bw1(
-            f, fib_inv_rose, circuits, k_max=5, filtration=filt, metric=met
+            f, fib_inv_rose, circuits, k_max=5
         )
         assert len(rep.rows) == 600
         assert rep.all_pass
@@ -182,14 +199,13 @@ class TestBwValidators:
     def test_bw1_needs_single_stratum(self, rel_setup, rel_inv_rose):
         f, filt, met = rel_setup
         with pytest.raises(ValueError):
-            validate_bw1(f, rel_inv_rose, [(2, -3)], filtration=filt)
+            validate_bw1(f, rel_inv_rose, [(2, -3)])
 
     def test_bw2_relative(self, rel_setup, rel_inv_rose, rng):
         f, filt, met = rel_setup
         circuits = [random_circuit(f.graph, 10, rng) for _ in range(60)]
         rep = validate_bw1(
             f, rel_inv_rose, circuits, k_max=3, r=2,
-            filtration=filt, metric=met,
         )
         assert rep.all_pass
         assert rep.constants["L_c_r"] == pytest.approx(16.9442719100, abs=1e-6)
@@ -197,7 +213,7 @@ class TestBwValidators:
     def test_illen_recovers_exact_max(self, fib_setup):
         f, filt, met = fib_setup
         sample = list(iter_tight_paths(f.graph, 6))
-        got = validate_illen(sample, 10.0, filt, metric=met)
+        got = validate_illen(sample, 10.0, filt)
         expected = 0.0
         for p in sample:
             st = path_stats(p, filt, met)
@@ -209,7 +225,7 @@ class TestBwValidators:
     def test_illen2_relative(self, rel_setup):
         f, filt, met = rel_setup
         sample = list(iter_tight_paths(f.graph, 5))
-        got = validate_illen(sample, 10.0, r=2, filtration=filt, metric=met)
+        got = validate_illen(sample, 10.0, r=2, filtration=filt)
         expected = 0.0
         for p in sample:
             st = path_stats(p, filt, met, r=2)
@@ -220,7 +236,7 @@ class TestBwValidators:
     def test_illen_empty_sample(self, fib_setup):
         f, filt, met = fib_setup
         with pytest.raises(ValueError):
-            validate_illen([(1, 2)], 10.0, filt, metric=met)  # i == 0 only
+            validate_illen([(1, 2)], 10.0, filt)  # i == 0 only
 
 
 class TestBackgrowth:
@@ -229,7 +245,6 @@ class TestBackgrowth:
         family = Circuit(f.graph, (1, -2) * 4)
         rep = validate_backgrowth(
             f, fib_inv_rose, [family], L0=12.0, M=2, n_max=3,
-            filtration=filt, metric=met,
         )
         assert rep.constants["qualifying"] == 1
         assert [row["i"] for row in rep.rows] == [8, 20, 52]
@@ -243,7 +258,6 @@ class TestBackgrowth:
         family = Circuit(f.graph, (1, -2) * 4)
         rep = validate_backgrowth(
             f, fib_inv_rose, [family], L0=12.0, n_max=3,
-            filtration=filt, metric=met,
         )
         assert rep.constants["M"] == 2
         assert rep.constants["found"]
@@ -253,7 +267,6 @@ class TestBackgrowth:
         family = Circuit(f.graph, (2, -3) * 5)
         rep = validate_backgrowth(
             f, rel_inv_rose, [family], L0=12.0, r=2, n_max=3,
-            filtration=filt, metric=met,
         )
         assert rep.constants["M"] == 2
         assert [row["ir"] for row in rep.rows] == [10, 25, 65]
@@ -265,7 +278,6 @@ class TestBackgrowth:
         f, filt, met = fib_setup
         rep = validate_backgrowth(
             f, fib_inv_rose, [(1, 2)], L0=12.0, M=2,
-            filtration=filt, metric=met,
         )
         assert rep.constants["qualifying"] == 0
         assert rep.rows == []
@@ -274,22 +286,19 @@ class TestBackgrowth:
 class TestTrichotomy:
     def test_legal_path_grows(self, fib_setup):
         f, filt, met = fib_setup
-        v = trichotomy_classify(f, (1, 1, 1, 1), M=1, L=3.0,
-                                filtration=filt, metric=met)
+        v = trichotomy_classify(f, (1, 1, 1, 1), M=1, L=3.0)
         assert v.case == "long-legal-segment"
         assert v.witness["segment_length"] > 3.0
 
     def test_cancellation_kills_a_turn(self, fib_setup):
         f, filt, met = fib_setup
-        v = trichotomy_classify(f, (-1, 2), M=1, L=10.0,
-                                filtration=filt, metric=met)
+        v = trichotomy_classify(f, (-1, 2), M=1, L=10.0)
         assert v.case == "fewer-illegal-turns"
         assert v.witness == {"before": 1, "after": 0, "M": 1}
 
     def test_inp_splits(self, fib_setup):
         f, filt, met = fib_setup
-        v = trichotomy_classify(f, INP, M=1, L=4.0,
-                                filtration=filt, metric=met)
+        v = trichotomy_classify(f, INP, M=1, L=4.0)
         assert v.case == "pre-nielsen-splitting"
         assert v.witness["tau1"] == ()
         assert v.witness["tau2"] == ()
@@ -298,8 +307,7 @@ class TestTrichotomy:
     def test_m_validation(self, fib_setup):
         f, filt, met = fib_setup
         with pytest.raises(ValueError):
-            trichotomy_classify(f, (1,), M=0, L=3.0,
-                                filtration=filt, metric=met)
+            trichotomy_classify(f, (1,), M=0, L=3.0)
 
     @pytest.mark.parametrize("name", ["fib", "plas"])
     def test_sampled_paths_always_resolve(self, request, name, rng):
@@ -308,29 +316,28 @@ class TestTrichotomy:
         met = assign_metric(filt)
         for _ in range(40):
             p = random_tight_path(f.graph, 10, rng)
-            v = trichotomy_classify(f, p, M=12, L=12.0,
-                                    filtration=filt, metric=met)
+            v = trichotomy_classify(f, p, M=12, L=12.0)
             assert v.case != "unresolved", p
 
 
 class TestDecomposition:
     def test_legal_circuit(self, fib_setup):
         f, filt, met = fib_setup
-        rep = growth_decomposition((1, 2), 2.0, filt, metric=met)
+        rep = growth_decomposition((1, 2), 2.0, filt)
         assert rep.case == "legal-or-sparse"
         assert rep.fraction == 1.0
         assert rep.details["i"] == 0
 
     def test_sparse_keeps_everything(self, fib_setup):
         f, filt, met = fib_setup
-        rep = growth_decomposition((1, -2) * 4, 2.0, filt, metric=met)
+        rep = growth_decomposition((1, -2) * 4, 2.0, filt)
         assert rep.case == "legal-or-sparse"
         assert rep.fraction == pytest.approx(1.0)
         assert rep.fraction >= rep.details["lower_bound"] - 1e-9
 
     def test_many_illegal_turns(self, fib_setup):
         f, filt, met = fib_setup
-        rep = growth_decomposition((1, -2) * 4, 6.0, filt, metric=met)
+        rep = growth_decomposition((1, -2) * 4, 6.0, filt)
         assert rep.case == "many-illegal-turns"
         assert rep.fraction == pytest.approx(1.0)
         assert rep.details["i"] == 4
@@ -339,7 +346,7 @@ class TestDecomposition:
         # a legal run longer than 6 L0 gets removed, the dense block stays
         f, filt, met = fib_setup
         edges = (1, -2) * 20 + (1,) * 16
-        rep = growth_decomposition(edges, 4.0, filt, metric=met)
+        rep = growth_decomposition(edges, 4.0, filt)
         assert rep.case == "many-illegal-turns"
         assert rep.details["removed"] == 1
         assert 0 < rep.fraction < 1
@@ -347,7 +354,7 @@ class TestDecomposition:
 
     def test_short_circuit(self, fib_setup):
         f, filt, met = fib_setup
-        rep = growth_decomposition((1, -2) * 2, 6.0, filt, metric=met)
+        rep = growth_decomposition((1, -2) * 2, 6.0, filt)
         assert rep.case == "short-circuit"
         assert rep.details["L"] < 3 * 6.0
 
@@ -362,4 +369,4 @@ class TestDecomposition:
     def test_trivial_circuit_rejected(self, fib_setup):
         f, filt, met = fib_setup
         with pytest.raises(ValueError):
-            growth_decomposition((), 2.0, filt, metric=met)
+            growth_decomposition((), 2.0, filt)

@@ -142,7 +142,7 @@ class TestSplitting:
 
     def test_piece_shapes(self, poly_rose, poly_filtration):
         pieces = split_basic_paths(
-            poly_rose, poly_filtration, (2, 1, 1, -2, 1, 2, 1), r=2
+            poly_rose, (2, 1, 1, -2, 1, 2, 1), r=2
         )
         types = [basic_path_type(poly_filtration, p, 2) for p in pieces]
         assert types == ["eue", "u", "eu"]
@@ -151,7 +151,7 @@ class TestSplitting:
         for _ in range(50):
             c = random_circuit(poly_rose.graph, 10, rng)
             pieces = split_basic_paths(
-                poly_rose, poly_filtration, c, r=2, circuit=True
+                poly_rose, c, r=2, circuit=True
             )
             for p in pieces:
                 body = list(p)
@@ -168,7 +168,7 @@ class TestSplitting:
         for _ in range(50):
             c = random_circuit(poly_rose.graph, 10, rng)
             pieces = split_basic_paths(
-                poly_rose, poly_filtration, c, r=2, circuit=True
+                poly_rose, c, r=2, circuit=True
             )
             whole = tuple(d for p in pieces for d in p)
             ok, detail = verify_splitting(
@@ -187,8 +187,15 @@ class TestSplitting:
         self, fib_rose, fib_filtration
     ):
         with pytest.raises(ValueError):
-            split_basic_paths(fib_rose, fib_filtration, (1, 2), r=1)
+            split_basic_paths(fib_rose, (1, 2), r=1)
 
     def test_path_outside_subgraph_rejected(self, poly_rose, poly_filtration):
         with pytest.raises(ValueError):
-            split_basic_paths(poly_rose, poly_filtration, (2,), r=1)
+            split_basic_paths(poly_rose, (2,), r=1)
+
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_missing_stratum(self, poly_rose, poly_filtration, r):
+        with pytest.raises(ValueError, match=f"no stratum {r}"):
+            split_basic_paths(poly_rose, (2, 1), r=r)
+        with pytest.raises(ValueError, match=f"no stratum {r}"):
+            basic_path_type(poly_filtration, (2, 1), r)

@@ -104,6 +104,21 @@ class TestFiltration:
         assert filt.stratum_of(2) == 2
         assert filt.stratum_of(3) == 2
 
+    def test_stratum_lookup(self, rel_rose):
+        filt = compute_filtration(rel_rose)
+        assert [filt.stratum(r) for r in (1, 2)] == list(filt.strata)
+        for r in (0, 3):
+            with pytest.raises(ValueError, match=f"no stratum {r}"):
+                filt.stratum(r)
+
+    def test_map_owns_filtration_and_metric(self, plas):
+        f = rose_of(plas)
+        filt = f.filtration
+        assert filt is f.filtration
+        assert filt == compute_filtration(f)
+        assert filt.metric is filt.metric
+        assert filt.metric == assign_metric(filt)
+
 
 def _two_rose():
     from traintrack.graphs import Graph
@@ -170,16 +185,16 @@ class TestMetric:
 
 class TestVerify:
     def test_fib_passes_rtt(self, fib_rose, fib_filtration):
-        rep = verify_rtt(fib_rose, fib_filtration)
+        rep = verify_rtt(fib_rose)
         assert rep.passed and rep.violations == []
 
     def test_plas_rel_pass(self, plas_rose, rel_rose):
-        assert verify_rtt(plas_rose, compute_filtration(plas_rose)).passed
-        assert verify_rtt(rel_rose, compute_filtration(rel_rose)).passed
+        assert verify_rtt(plas_rose).passed
+        assert verify_rtt(rel_rose).passed
 
     def test_broken_fails_condition_1_on_ea(self, broken):
         filt = compute_filtration(broken)
-        rep = verify_rtt(broken, filt)
+        rep = verify_rtt(broken)
         assert not rep.passed
         assert len(rep.violations) == 1
         v = rep.violations[0]
@@ -188,9 +203,9 @@ class TestVerify:
 
     def test_improved_flags_periodic_nielsen_path(self, fib_rose, fib_filtration):
         # an honest train track map can still fail the stronger conditions
-        rep = verify_improved(fib_rose, fib_filtration)
+        rep = verify_improved(fib_rose)
         assert not rep.passed
         assert any("period 2" in v.get("detail", "") for v in rep.violations)
 
     def test_improved_passes_plas(self, plas_rose):
-        assert verify_improved(plas_rose, compute_filtration(plas_rose)).passed
+        assert verify_improved(plas_rose).passed
