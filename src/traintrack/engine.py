@@ -236,7 +236,7 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
         )
     nkeys = 2 * rank
     flats: list[np.ndarray] = []
-    lens: list[np.ndarray] = []
+    blocks: list[tuple[int, int]] = []  # (classes, norm) per block
     # a canonical word starts with its smallest key, so the outer loop
     # over first keys meets every class once, and a word that uses a key
     # below its first is never grown
@@ -251,9 +251,15 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
                 if not len(words):
                     continue
             flats.append(words.reshape(-1))
-            lens.append(np.full(len(words), n, dtype=np.int64))
-    offsets = np.zeros(sum(map(len, lens)) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(lens), out=offsets[1:])
+            blocks.append((len(words), n))
+    # class lengths filled in place and summed in place: no per-class
+    # temporary beside the offsets themselves
+    offsets = np.zeros(sum(c for c, _ in blocks) + 1, dtype=np.int64)
+    pos = 1
+    for c, n in blocks:
+        offsets[pos : pos + c] = n
+        pos += c
+    np.cumsum(offsets, out=offsets)
     yield WordBatch(np.concatenate(flats), offsets)
 
 

@@ -118,6 +118,18 @@ class Graph:
         """Directions with origin v, in letter order."""
         return self._directions_at[v]
 
+    def successors(self, d: int) -> tuple[int, ...]:
+        """Directions that may follow d in a tight path: those at
+        terminus(d) other than -d, in directions_at order."""
+        return self._successors[d]
+
+    @cached_property
+    def _successors(self) -> dict[int, tuple[int, ...]]:
+        return {
+            d: tuple(e for e in self.directions_at(self.terminus(d)) if e != -d)
+            for d in self.directions()
+        }
+
     @property
     def rank(self) -> int:
         return self.edge_count - len(self.vertices) + 1
@@ -449,9 +461,11 @@ def iter_tight_paths(
     if allowed_edges is None:
         allowed_edges = frozenset(range(1, graph.edge_count + 1))
     dirs = [d for d in graph.directions() if abs(d) in allowed_edges]
-    by_vertex: dict[str, list[int]] = {}
-    for d in dirs:
-        by_vertex.setdefault(graph.origin(d), []).append(d)
+    # successors within the subgraph, reversed so the stack pops them in order
+    after = {
+        d: [e for e in reversed(graph.successors(d)) if abs(e) in allowed_edges]
+        for d in dirs
+    }
     stack = [
         (d,) for d in reversed(dirs)
         if start_vertices is None or graph.origin(d) in start_vertices
@@ -462,10 +476,8 @@ def iter_tight_paths(
             continue
         yield path
         if len(path) < max_len:
-            v = graph.terminus(path[-1])
-            for d in reversed(by_vertex.get(v, ())):
-                if d != -path[-1]:
-                    stack.append(path + (d,))
+            for d in after[path[-1]]:
+                stack.append(path + (d,))
 
 
 def rose_of(phi: Automorphism, label: str | None = None) -> GraphMap:
@@ -604,14 +616,10 @@ def random_tight_path(graph: Graph, max_len: int, rng) -> tuple[int, ...]:
         raise ValueError("max_len must be >= 1")
     v = rng.choice(list(graph.vertices))
     target = rng.randint(1, max_len)
-    path: list[int] = []
-    for _ in range(target):
-        opts = [d for d in graph.directions_at(v) if not (path and d == -path[-1])]
-        if not opts:
-            break
-        d = rng.choice(opts)
-        path.append(d)
-        v = graph.terminus(d)
+    # every vertex has valence >= 2, so every direction has a successor
+    path = [rng.choice(graph.directions_at(v))]
+    for _ in range(target - 1):
+        path.append(rng.choice(graph.successors(path[-1])))
     return tuple(path)
 
 

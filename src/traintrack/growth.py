@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Circuit, GraphMap, iter_tight_paths, preimage_circuit
+from .graphs import Circuit, GraphMap, preimage_circuit
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import Filtration, Metric
 from .words import BudgetExceeded, common_prefix, inverse_keys, key_word, letter_key
@@ -142,9 +142,7 @@ def _iter_path_images(f: GraphMap, window: int):
         path, u = stack.pop()
         yield path[0], path[-1], u
         if len(path) < window:
-            for d in g.directions_at(g.terminus(path[-1])):
-                if d == -path[-1]:
-                    continue
+            for d in g.successors(path[-1]):
                 w = img[d]
                 i, j = len(u), 0
                 while i > 0 and j < len(w) and u[i - 1] == w[j] ^ 1:
@@ -180,10 +178,9 @@ def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
     tag_b = {d: i + ndir for i, d in enumerate(dirs)}
     partners: list[set[int]] = [set() for _ in range(2 * ndir)]
     for d in dirs:
-        for d2 in g.directions_at(g.terminus(d)):
-            if d2 != -d:
-                partners[tag_a[d]].add(tag_b[d2])
-                partners[tag_b[d2]].add(tag_a[d])
+        for d2 in g.successors(d):
+            partners[tag_a[d]].add(tag_b[d2])
+            partners[tag_b[d2]].add(tag_a[d])
     seen: list[set[bytes]] = [set() for _ in range(2 * ndir)]
     for first, last, u in _iter_path_images(f, window):
         if u:
@@ -543,19 +540,28 @@ class DecompositionReport:
 
 def _longest_short_path(graph, metric: Metric, L0: float, budget: int = 2_000_000):
     """Length of the longest tight path of metric length strictly below
-    L0 (endpoints at vertices).  Exhaustive; edge lengths are positive so
-    pruning at L0 keeps the walk finite."""
-    best = 0.0
-    count = 0
-    prune = lambda p: metric.length(p) >= L0 - _SLACK
-    for p in iter_tight_paths(graph, max_len=10 ** 9, prune=prune):
-        count += 1
-        if count > budget:
+    L0 (endpoints at vertices).  Exhaustive.
+
+    A tight path's extensions depend only on its last direction and its
+    cut at L0 only on its length, so a depth-first search over the
+    states (last direction, length so far) reaches every length that
+    listing the paths would, visiting each state once.  Lengths grow by
+    Metric.extend, the step of Metric.length, so the result is the same
+    float.  Positive edge lengths keep the search finite; budget caps
+    the number of states."""
+    cut = L0 - _SLACK
+    seen: set[tuple[int, float]] = set()
+    stack = [(d, metric.extend(0, d)) for d in graph.directions()]
+    while stack:
+        state = stack.pop()
+        d, x = state
+        if x >= cut or state in seen:
+            continue
+        if len(seen) >= budget:
             raise BudgetExceeded("short-path enumeration budget exceeded")
-        length = metric.length(p)
-        if length > best:
-            best = length
-    return best
+        seen.add(state)
+        stack.extend((e, metric.extend(x, e)) for e in graph.successors(d))
+    return float(max((x for _, x in seen), default=0))
 
 
 def growth_decomposition(

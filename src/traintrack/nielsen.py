@@ -85,17 +85,12 @@ def _identity_key(rec: NielsenPathRecord):
 
 
 def _path_universe_size(graph, max_len: int) -> int:
-    dirs = graph.directions()
-    idx = {d: i for i, d in enumerate(dirs)}
-    succ = [
-        [idx[e] for e in graph.directions_at(graph.terminus(d)) if e != -d]
-        for d in dirs
-    ]
-    counts = [1] * len(dirs)
-    total = len(dirs)
+    # counts[d]: tight paths of the current length that start with d
+    counts = dict.fromkeys(graph.directions(), 1)
+    total = len(counts)
     for _ in range(max_len - 1):
-        counts = [sum(counts[j] for j in succ[i]) for i in range(len(dirs))]
-        total += sum(counts)
+        counts = {d: sum(counts[e] for e in graph.successors(d)) for d in counts}
+        total += sum(counts.values())
     return total
 
 
@@ -155,8 +150,8 @@ def _iterated_map(f: GraphMap, k: int) -> GraphMap:
 
 
 def _legal_extensions(f: GraphMap, path):
-    for x in f.graph.directions_at(f.graph.terminus(path[-1])):
-        if x != -path[-1] and f.is_legal((path[-1], x)):
+    for x in f.graph.successors(path[-1]):
+        if f.is_legal((path[-1], x)):
             yield x
 
 

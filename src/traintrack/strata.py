@@ -9,7 +9,7 @@ the stratum type, the eigenvector metric, and the expansion factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -283,12 +283,20 @@ class Metric:
     def edge_length(self, d: int) -> float:
         return self.lengths[abs(d)]
 
+    def extend(self, total, d: int) -> float:
+        """One step of the length fold: total plus the length of d.
+
+        Every path length is this fold, left to right from int 0, so a
+        length is decided by the length before its last edge and that
+        edge.  sum() is not: from Python 3.12 it compensates rounding."""
+        return total + self.lengths[abs(d)]
+
     def length(self, path) -> float:
-        return float(sum(self.lengths[abs(d)] for d in path))
+        return float(reduce(self.extend, path, 0))
 
     def r_length(self, path, hr_edges) -> float:
         return float(
-            sum(self.lengths[abs(d)] for d in path if abs(d) in hr_edges)
+            reduce(self.extend, (d for d in path if abs(d) in hr_edges), 0)
         )
 
 

@@ -5,6 +5,7 @@ import pytest
 from traintrack import (
     Automorphism,
     compute_filtration,
+    iter_tight_paths,
     load_fixture,
     rose_of,
 )
@@ -143,3 +144,13 @@ def random_reduced_word(rank, length, rng):
             continue
         out.append(x)
     return tuple(out)
+
+
+def naive_longest_short_path(graph, metric, L0, slack=1e-9):
+    """Longest tight path shorter than L0 - slack, by listing every path
+    that stays below the cut."""
+    best = 0.0
+    prune = lambda p: metric.length(p) >= L0 - slack
+    for p in iter_tight_paths(graph, max_len=10 ** 9, prune=prune):
+        best = max(best, metric.length(p))
+    return best

@@ -160,6 +160,16 @@ def test_inverse_pair_mask_keeps_one_of_each_pair(rank):
         assert (c in kept) != (c.inverse_class() in kept)
 
 
+@pytest.mark.parametrize(("rank", "max_norm"), [(1, 5), (2, 8), (3, 6), (4, 4)])
+def test_enumerate_classes_offsets(rank, max_norm):
+    (batch,) = enumerate_classes(rank, max_norm)
+    lens = [len(w) for w in batch_to_words(batch)]
+    assert batch.offsets.dtype == np.int64
+    assert batch.offsets[0] == 0
+    assert np.array_equal(batch.offsets[1:], np.cumsum(lens))
+    assert batch.offsets[-1] == len(batch.flat)
+
+
 def test_enumerate_matches_probe_oracle_count():
     # brute-force oracle (stdlib FKM implementation) counted 1,257,526
     # cyclically reduced classes of norm <= 10 at rank 3

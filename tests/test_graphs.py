@@ -175,6 +175,14 @@ def test_iter_tight_paths_prune(fib_rose):
     assert sorted(paths) == [(-2,), (-1,), (1,), (2,)]
 
 
+def test_successors(theta, fib_rose):
+    # directions at the terminus other than the reversal, in directions_at order
+    assert theta.successors(1) == (-2, -3)
+    assert theta.successors(-1) == (2, 3)
+    assert fib_rose.graph.successors(1) == (1, 2, -2)
+    assert fib_rose.graph.successors(-2) == (1, -1, -2)
+
+
 def test_random_samplers_are_valid(theta, rng):
     for _ in range(40):
         c = random_circuit(theta, 8, rng)

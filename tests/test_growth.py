@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traintrack.fixtures import load_fixture
 from traintrack.graphs import (
     Circuit,
     GraphMap,
@@ -11,6 +14,8 @@ from traintrack.graphs import (
     rose_of,
 )
 from traintrack.growth import (
+    _SLACK,
+    _longest_short_path,
     _max_cancellation,
     bcc_estimate,
     growth_decomposition,
@@ -20,9 +25,10 @@ from traintrack.growth import (
     validate_bw1,
     validate_illen,
 )
-from traintrack.strata import assign_metric, compute_filtration
+from traintrack.strata import Metric, assign_metric, compute_filtration
+from traintrack.words import BudgetExceeded
 
-from conftest import PHI
+from conftest import PHI, naive_longest_short_path
 
 INP = (-1, -2, 1, 2)
 
@@ -370,3 +376,60 @@ class TestDecomposition:
         f, filt, met = fib_setup
         with pytest.raises(ValueError):
             growth_decomposition((), 2.0, filt)
+
+
+# the listing oracle takes seconds past these points, so they are left out
+_SLOW_LISTINGS = {
+    ("ident", 12), ("poly", 12), ("plas", 12),
+    ("broken", 10), ("broken", 12), ("rel", 10), ("rel", 12),
+}
+
+
+class TestLongestShortPath:
+    @pytest.mark.parametrize(
+        ("name", "L0"),
+        [
+            (name, L0)
+            for name in ("ident", "fib", "fib_inverse", "plas", "poly", "broken", "rel")
+            for L0 in (4, 6, 8, 10, 12)
+            if (name, L0) not in _SLOW_LISTINGS
+        ],
+    )
+    def test_matches_listing_bitwise(self, request, name, L0):
+        obj = request.getfixturevalue(name)
+        f = obj if isinstance(obj, GraphMap) else rose_of(obj)
+        met = f.filtration.metric
+        got = _longest_short_path(f.graph, met, L0)
+        assert type(got) is float
+        assert got == naive_longest_short_path(f.graph, met, L0, _SLACK)
+
+    @pytest.mark.parametrize("name", ["plas", "broken", "rel"])
+    def test_slow_listings_stay_below_the_cut(self, request, name):
+        # at L0 = 12 the search still reports a path length just below L0
+        obj = request.getfixturevalue(name)
+        f = obj if isinstance(obj, GraphMap) else rose_of(obj)
+        got = _longest_short_path(f.graph, f.filtration.metric, 12)
+        assert 11 < got < 12 - _SLACK
+
+    def test_budget_caps_states(self, fib_setup):
+        f, filt, met = fib_setup
+        with pytest.raises(BudgetExceeded, match="short-path enumeration budget"):
+            _longest_short_path(f.graph, met, 12, budget=100)
+        assert _longest_short_path(f.graph, met, 12, budget=1000) > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(("name", "max_edges"), [("fib", 8), ("plas", 6)])
+    def test_matches_listing_on_drawn_metrics(self, name, max_edges, data):
+        # L0 is capped at max_edges shortest edges so the listing stays small
+        graph = rose_of(load_fixture(name)).graph
+        lengths = {
+            e: data.draw(st.floats(0.5, 3.0), label=f"edge {e}")
+            for e in range(1, graph.edge_count + 1)
+        }
+        cap = min(8.0, max_edges * min(lengths.values()))
+        L0 = data.draw(st.floats(0.5, cap), label="L0")
+        met = Metric(lengths=lengths)
+        assert _longest_short_path(graph, met, L0) == naive_longest_short_path(
+            graph, met, L0, _SLACK
+        )

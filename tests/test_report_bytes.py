@@ -2,9 +2,9 @@
 bundled fixtures, each in json, csv and text, must keep the exit code and
 stdout sha256 recorded in tests/report_bytes.json.
 
-The matrix is every validator at --seed 0 (decomp only where it finishes
-in well under a second), plus analyze, nielsen, a small probe, a small
-certify and one growth series per fixture.  Regenerate the JSON only when
+The matrix is every validator at --seed 0 (decomp at its defaults on
+every fixture, and on fib also at a short L0), plus analyze, nielsen, a
+small probe, a small certify and one growth series per fixture.  Regenerate the JSON only when
 a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -25,8 +25,10 @@ from traintrack.fixtures import FIXTURE_FILES, fixture_text
 PINNED = Path(__file__).resolve().parent / "report_bytes.json"
 FORMATS = ("json", "csv", "text")
 LEMMAS = ("bcc", "bw1", "bw2", "illen", "backgrowth", "tricho")
-# decomp on plas and broken.gm runs for minutes; fib needs a short L0
-DECOMP = {"fib": ["--l0", "8"], "fib_inverse": [], "poly": [], "identity": []}
+DECOMP = [
+    ("fib", ["--l0", "8"]), ("fib_inverse", []), ("poly", []), ("identity", []),
+    ("fib", []), ("plas", []), ("broken", []),
+]
 
 
 def matrix():
@@ -34,7 +36,7 @@ def matrix():
     cases = []
     for fname in FIXTURE_FILES.values():
         cases += [["validate", fname, lemma, "--seed", "0"] for lemma in LEMMAS]
-    for name, extra in DECOMP.items():
+    for name, extra in DECOMP:
         cases.append(["validate", FIXTURE_FILES[name], "decomp", "--seed", "0", *extra])
     for fname in FIXTURE_FILES.values():
         cases += [

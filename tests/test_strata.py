@@ -5,6 +5,7 @@ import pytest
 
 from traintrack.graphs import GraphMap, iter_tight_paths, rose_of
 from traintrack.strata import (
+    Metric,
     assign_metric,
     compute_filtration,
     is_irreducible,
@@ -156,6 +157,13 @@ class TestMetric:
             assert math.isclose(
                 metric.length(img), lam * metric.length(p), rel_tol=1e-9
             )
+
+    def test_lengths_fold_left_to_right(self):
+        # a compensated sum (sum() from Python 3.12) would give 1 + 2e-16
+        met = Metric(lengths={1: 1.0, 2: 1e-16, 3: 5.0})
+        assert met.length((1, 2, -2)) == 1.0
+        assert met.r_length((1, 3, 2, -2), {1, 2}) == 1.0
+        assert met.length(()) == 0.0 and type(met.length(())) is float
 
     def test_metric_values(self, fib_filtration):
         metric = assign_metric(fib_filtration)
