@@ -438,6 +438,7 @@ def cmd_validate(args) -> tuple[int, str]:
         if not vacuous and (not rep.all_pass or not constants.get("found", True)):
             code = EXIT_VIOLATION
     elif lemma == "tricho":
+        _top_exponential(filt)  # refuses a map with no exponential stratum
         rng = random.Random(args.seed)
         unresolved = 0
         for _ in range(args.samples):

@@ -8,11 +8,13 @@ never convert back to letters.  All operations are vectorized passes;
 nothing here allocates per word.
 Used by the class enumeration and the orbit/certificate searches, where
 millions of conjugacy classes are pushed through an automorphism at
-once.
+once.  The classes themselves are grown as prenecklaces, one letter per
+pass, so only least rotations and their prefixes are ever built.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -177,48 +179,6 @@ def is_rotation(words: np.ndarray, of: np.ndarray) -> np.ndarray:
 
 # --- conjugacy class enumeration -------------------------------------
 
-def _grow_reduced(first: int, n: int, nkeys: int) -> np.ndarray:
-    """All linearly reduced key words of length n that start with the
-    given key and use no smaller key, as an (N, n) uint8 array in
-    lexicographic order."""
-    keys = np.arange(first, nkeys, dtype=np.uint8)
-    # follows[k]: which of keys may come after k without cancelling
-    follows = keys != (np.arange(nkeys, dtype=np.uint8) ^ 1)[:, None]
-    cur = np.full((1, 1), first, dtype=np.uint8)
-    for _ in range(n - 1):
-        ok = follows[cur[:, -1]]
-        nxt = np.broadcast_to(keys, ok.shape)[ok]
-        cur = np.concatenate(
-            [np.repeat(cur, ok.sum(axis=1), axis=0), nxt[:, None]], axis=1
-        )
-    return cur
-
-
-def _min_rotation_mask(
-    words: np.ndarray, rotated: np.ndarray | None = None
-) -> np.ndarray:
-    """Rows that no rotation of the matching row of `rotated` (by default
-    the row itself) precedes lexicographically."""
-    n_words, n = words.shape
-    if rotated is None:
-        rotated, shifts = words, range(1, n)  # shift 0 is the row itself
-    else:
-        shifts = range(n)
-    keep = np.ones(n_words, dtype=bool)
-    for s in shifts:
-        eq = np.ones(n_words, dtype=bool)
-        less = np.zeros(n_words, dtype=bool)
-        for j in range(n):
-            a = rotated[:, (j + s) % n]
-            b = words[:, j]
-            less |= eq & (a < b)
-            eq &= a == b
-            if not eq.any():
-                break
-        keep &= ~less
-    return keep
-
-
 def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     """Canonical conjugacy classes with norm <= max_norm, yielded as one
     batch.
@@ -227,6 +187,15 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     least rotation in letter-key order; a class and its inverse are both
     produced.  Letter keys are enumerated as uint8, so rank is at most
     words.MAX_LETTER.
+
+    Words grow one letter per length as linearly reduced prenecklaces
+    (prefixes of least rotations), each with p, the length of its
+    longest Lyndon prefix.  A word w of length t takes each key
+    k >= w[t-p] that does not cancel its last key; p stays if
+    k == w[t-p] and becomes t+1 otherwise.  A word of length n is a
+    class iff p divides n and its last key does not cancel its first
+    (Cattell, Ruskey, Sawada, Serra & Miers, J. Algorithms 2000; Ruskey
+    & Sawada, COCOON 2000).  No word is compared with its rotations.
     """
     if rank < 1 or max_norm < 1:
         raise ValueError("rank and max_norm must be positive")
@@ -235,23 +204,40 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
             f"rank {rank} is above the class sweep's limit of {MAX_LETTER}"
         )
     nkeys = 2 * rank
-    flats: list[np.ndarray] = []
+    # sized by the closed form up front, so blocks are written in place:
+    # no second copy of the letters, and no large late allocation
+    flat = np.empty(
+        sum(n * _classes_of_norm(rank, n) for n in range(1, max_norm + 1)),
+        dtype=np.uint8,
+    )
+    pos = 0
     blocks: list[tuple[int, int]] = []  # (classes, norm) per block
     # a canonical word starts with its smallest key, so the outer loop
     # over first keys meets every class once, and a word that uses a key
     # below its first is never grown
     for first in range(nkeys):
+        keys = np.arange(first, nkeys, dtype=np.uint8)
+        # the prenecklaces of length n in lexicographic order: children
+        # are laid out in key order under their parent row
+        rows = np.full((1, 1), first, dtype=np.uint8)
+        lyndon = np.ones(1, dtype=np.min_scalar_type(max_norm))
         for n in range(1, max_norm + 1):
-            words = _grow_reduced(first, n, nkeys)
             if n > 1:
-                words = words[words[:, -1] != first ^ 1]
-                if not len(words):
-                    continue
-                words = words[_min_rotation_mask(words)]
-                if not len(words):
-                    continue
-            flats.append(words.reshape(-1))
-            blocks.append((len(words), n))
+                ref = rows[np.arange(len(rows)), n - 1 - lyndon]  # w[t-p]
+                ok = (keys >= ref[:, None]) & (keys != rows[:, -1:] ^ 1)
+                counts = ok.sum(axis=1)
+                nxt = np.broadcast_to(keys, ok.shape)[ok]
+                lyndon = np.where(
+                    nxt == np.repeat(ref, counts), np.repeat(lyndon, counts), n
+                )
+                rows = np.concatenate(
+                    [np.repeat(rows, counts, axis=0), nxt[:, None]], axis=1
+                )
+            words = rows[(n % lyndon == 0) & (rows[:, -1] != first ^ 1)]
+            c = len(words)
+            flat[pos : pos + c * n] = words.reshape(-1)
+            blocks.append((c, n))
+            pos += c * n
     # class lengths filled in place and summed in place: no per-class
     # temporary beside the offsets themselves
     offsets = np.zeros(sum(c for c, _ in blocks) + 1, dtype=np.int64)
@@ -260,7 +246,7 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
         offsets[pos : pos + c] = n
         pos += c
     np.cumsum(offsets, out=offsets)
-    yield WordBatch(np.concatenate(flats), offsets)
+    yield WordBatch(flat, offsets)
 
 
 def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
@@ -272,30 +258,43 @@ def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
     of one length is compared as an (N, n) view."""
     flat, offsets = classes
     lens = batch_lengths(classes)
-    keep = np.zeros(len(classes), dtype=bool)
+    keep = np.ones(len(classes), dtype=bool)
     runs = np.flatnonzero(np.diff(lens, prepend=-1))
     for lo, hi in zip(runs, [*runs[1:], len(lens)]):
         n = int(lens[lo])
         words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
-        keep[lo:hi] = _min_rotation_mask(words, inverse_rows(words))
+        inverse = inverse_rows(words)
+        # a class is dropped when some rotation of its inverse precedes it
+        for s in range(n):
+            eq = np.ones(hi - lo, dtype=bool)
+            less = np.zeros(hi - lo, dtype=bool)
+            for j in range(n):
+                a = inverse[:, (j + s) % n]
+                b = words[:, j]
+                less |= eq & (a < b)
+                eq &= a == b
+                if not eq.any():
+                    break
+            keep[lo:hi] &= ~less
     return keep
 
 
 def class_count(rank: int, max_norm: int) -> int:
     """Number of conjugacy classes with norm <= max_norm (necklace count
-    of cyclically reduced words), by Burnside over rotations.
+    of cyclically reduced words), by Burnside over rotations."""
+    return sum(_classes_of_norm(rank, n) for n in range(1, max_norm + 1))
+
+
+def _classes_of_norm(rank: int, n: int) -> int:
+    """Number of conjugacy classes of norm exactly n.
 
     Cyclically reduced words of length n are the closed walks of length n
     in the non-cancellation graph, whose 2r x 2r matrix J - P (P swaps
     each letter with its inverse) has eigenvalues 2r-1 once, +1 r times
     and -1 r-1 times.  Python ints keep the count exact at any norm.
     """
-    from math import gcd
 
-    def reduced_cyclic(n: int) -> int:
-        return (2 * rank - 1) ** n + rank + (rank - 1) * (-1) ** n
+    def reduced_cyclic(d: int) -> int:
+        return (2 * rank - 1) ** d + rank + (rank - 1) * (-1) ** d
 
-    total = 0
-    for n in range(1, max_norm + 1):
-        total += sum(reduced_cyclic(gcd(n, s)) for s in range(n)) // n
-    return total
+    return sum(reduced_cyclic(gcd(n, s)) for s in range(n)) // n

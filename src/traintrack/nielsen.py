@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _ORBIT_CAP = 10_000
+# _develop_turn: image steps per seed, and the ray length that ends it
+_DEVELOP_ITER = 60
+_RAY_LETTERS = 2000
 
 
 @dataclass(frozen=True)
@@ -155,10 +158,7 @@ def _legal_extensions(f: GraphMap, path):
             yield x
 
 
-def _develop_turn(
-    f, fk, k, turn, len_bound, max_iter=60, max_letters=2000,
-    max_states=50_000,
-):
+def _develop_turn(f, fk, k, turn, len_bound, max_states=50_000):
     """Grow a ray pair seeded at an illegal turn of f^k.
 
     Returns a list of ("exact", half1, half2, gamma) and
@@ -179,7 +179,7 @@ def _develop_turn(
         p, q = state
         if len(p) > len_bound or len(q) > len_bound:
             continue
-        for _ in range(max_iter):
+        for _ in range(_DEVELOP_ITER):
             gp, gq = fk.map_letters(p), fk.map_letters(q)
             c = common_prefix(gp, gq)
             if c == 0:
@@ -202,7 +202,7 @@ def _develop_turn(
             if p2 == p and q2 == q:
                 results.append(("exact", p, q, gp[:c]))
                 break
-            if len(p2) > max_letters or len(q2) > max_letters:
+            if len(p2) > _RAY_LETTERS or len(q2) > _RAY_LETTERS:
                 results.append(("grow", p2, q2, gp[:c]))
                 break
             p, q = p2, q2

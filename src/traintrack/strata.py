@@ -466,9 +466,7 @@ def verify_improved(f: GraphMap) -> CheckReport:
                         sorted(g.edge_name(e) for e in contractible),
                     ),
                 })
-            nxt = next(
-                (t for t in filtration.strata if t.index == r + 1), None
-            )
+            nxt = filtration.strata[r] if r < len(filtration.strata) else None
             if nxt is None or nxt.kind != "exponential":
                 report.violations.append({
                     "property": 3,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -144,6 +145,21 @@ def random_reduced_word(rank, length, rng):
             continue
         out.append(x)
     return tuple(out)
+
+
+def naive_classes(rank, max_norm):
+    """Every canonical conjugacy class with norm <= max_norm, as key
+    bytes: each key word that is cyclically reduced (no key next to its
+    inverse, key ^ 1, around the cycle) and is its own least rotation,
+    sorted by first key, length, then bytes."""
+    out = []
+    for n in range(1, max_norm + 1):
+        for w in itertools.product(range(2 * rank), repeat=n):
+            if any(w[i] == w[i - 1] ^ 1 for i in range(n)):
+                continue
+            if w == min(w[i:] + w[:i] for i in range(n)):
+                out.append(bytes(w))
+    return sorted(out, key=lambda b: (b[0], len(b), b))
 
 
 def naive_longest_short_path(graph, metric, L0, slack=1e-9):

@@ -410,6 +410,14 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", "error: --l0 must be positive\n")
 
+    def test_no_exponential_stratum_is_refused(self, capsys, files, tmp_path):
+        # tricho, like illen, bw2 and backgrowth, needs an exponential
+        # stratum; the strata of poly and of the identity are polynomial
+        refused = (2, "", "error: the map has no exponential stratum\n")
+        for path in (files / "poly.aut", identity_file(tmp_path, 2)):
+            for lemma in ("tricho", "illen", "bw2", "backgrowth"):
+                assert run(capsys, "validate", path, lemma) == refused
+
     def test_tol_must_be_positive(self, capsys, files):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "analyze", files / "fib.aut", "--tol", "0")

@@ -21,7 +21,13 @@ from traintrack.engine import (
 )
 from traintrack.words import CyclicWord, Word, key_word
 
-from conftest import image_dict, naive_apply, naive_cyclic_reduce, naive_reduce
+from conftest import (
+    image_dict,
+    naive_apply,
+    naive_classes,
+    naive_cyclic_reduce,
+    naive_reduce,
+)
 
 
 def test_round_trip_words():
@@ -123,24 +129,15 @@ def test_class_count_matches_burnside_formula():
             assert class_count(rank, max_norm) == expect
 
 
-def test_enumerate_classes_exhaustive_and_canonical():
-    seen = set()
-    for batch in enumerate_classes(2, 5):
-        assert batch.flat.dtype == np.uint8
-        for w in batch_to_words(batch):
-            assert naive_cyclic_reduce(w) == w  # cyclically reduced
-            assert w not in seen
-            seen.add(w)
-    assert len(seen) == class_count(2, 5)
-    # every class has exactly one canonical representative present
-    reps = {min(w[i:] + w[:i] for i in range(len(w))) for w in seen}
-    assert len(reps) == len(seen)
-    # inverse classes are kept separate: the commutator and its inverse
-    comm = CyclicWord((1, 2, -1, -2))
-    inv = comm.inverse_class()
-    hits = [w for w in seen if CyclicWord(w) == comm]
-    inv_hits = [w for w in seen if CyclicWord(w) == inv]
-    assert len(hits) == 1 and len(inv_hits) == 1 and hits != inv_hits
+@pytest.mark.parametrize(("rank", "max_norm"), [(1, 8), (2, 6), (3, 4), (4, 3)])
+def test_enumerate_classes_exhaustive_and_canonical(rank, max_norm):
+    (batch,) = enumerate_classes(rank, max_norm)
+    assert batch.flat.dtype == np.uint8
+    words = batch_to_words(batch)
+    # the oracle's classes in the oracle's order, so also each class and
+    # its inverse class (the commutator's, say) exactly once
+    assert [key_word(w) for w in words] == naive_classes(rank, max_norm)
+    assert len(words) == class_count(rank, max_norm)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -174,6 +171,8 @@ def test_enumerate_matches_probe_oracle_count():
     # brute-force oracle (stdlib FKM implementation) counted 1,257,526
     # cyclically reduced classes of norm <= 10 at rank 3
     assert class_count(3, 10) == 1257526
+    (batch,) = enumerate_classes(3, 10)
+    assert len(batch) == 1257526
 
 
 def test_image_table_handles_inverses():

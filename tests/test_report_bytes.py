@@ -4,7 +4,8 @@ stdout sha256 recorded in tests/report_bytes.json.
 
 The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
-small probe, a small certify and one growth series per fixture.  Regenerate the JSON only when
+small probe, a small certify and one growth series per fixture, and two
+deeper class sweeps on fib.  Regenerate the JSON only when
 a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -29,6 +30,11 @@ DECOMP = [
     ("fib", ["--l0", "8"]), ("fib_inverse", []), ("poly", []), ("identity", []),
     ("fib", []), ("plas", []), ("broken", []),
 ]
+# class sweeps past the small per-fixture ones (69,996 and 9,518 classes)
+SWEEPS = [
+    ["probe", "fib.aut", "-L", "12", "-P", "6"],
+    ["certify", "fib.aut", "-M", "6", "-L", "10"],
+]
 
 
 def matrix():
@@ -46,7 +52,7 @@ def matrix():
             ["certify", fname, "-M", "5", "-L", "4"],
             ["growth", fname, "a"],
         ]
-    return cases
+    return SWEEPS + cases
 
 
 def replay(case, inputs: Path) -> dict:
