@@ -11,7 +11,9 @@ Six subcommands over the two input formats (.aut automorphism files,
     validate  run one of the named inequality validators
 
 Exit codes: 0 completed, 1 a validator found a violation, 2 input error,
-3 a bounded search ran out of its budget.
+3 a bounded search ran out of its budget, 4 an internal arithmetic error
+(a power iteration that did not converge, or a class that a length
+computation reduced to the trivial class).
 Reports are deterministic byte-for-byte for a fixed config; floats are
 printed at 12 significant digits.
 """
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -600,6 +603,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(out)
     return code
 

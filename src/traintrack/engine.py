@@ -35,6 +35,7 @@ __all__ = [
     "inverse_rows",
     "is_rotation",
     "inverse_pair_mask",
+    "inverse_partners",
     "enumerate_classes",
     "class_count",
 ]
@@ -277,6 +278,52 @@ def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
                     break
             keep[lo:hi] &= ~less
     return keep
+
+
+def _key_words(rows: np.ndarray) -> np.ndarray:
+    """An (N, n) array of keys as (N, ceil(n/8)) uint64 words, 8 keys to a
+    big-endian word and zero-padded, so word order is key-byte order."""
+    n = rows.shape[1]
+    padded = np.zeros((len(rows), -(-n // 8) * 8), dtype=np.uint8)
+    padded[:, :n] = rows
+    return padded.view(">u8").astype(np.uint64)
+
+
+def _rows_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of a that precede the matching row of b, word by word."""
+    less = np.zeros(len(a), dtype=bool)
+    eq = np.ones(len(a), dtype=bool)
+    for j in range(a.shape[1]):
+        less |= eq & (a[:, j] < b[:, j])
+        eq &= a[:, j] == b[:, j]
+    return less
+
+
+def inverse_partners(classes: WordBatch) -> np.ndarray:
+    """The index of each canonical class's inverse class.
+
+    The inverse class is the least rotation of the inverse word.  The
+    classes of one length, taken block by block in first-key order, are
+    sorted by key bytes, and inversion permutes them; so sorting the
+    inverses' least rotations lists them in the classes' own order."""
+    flat, offsets = classes
+    lens = batch_lengths(classes)
+    partner = np.empty(len(classes), dtype=np.int64)
+    runs = np.flatnonzero(np.diff(lens, prepend=-1))
+    spans = list(zip(runs, [*runs[1:], len(lens)]))
+    for n in np.unique(lens[runs]).tolist():
+        same = [(lo, hi) for lo, hi in spans if lens[lo] == n]
+        idx = np.concatenate([np.arange(lo, hi) for lo, hi in same])
+        rows = np.concatenate(
+            [flat[offsets[lo] : offsets[hi]].reshape(-1, n) for lo, hi in same]
+        )
+        twice = np.tile(inverse_rows(rows), 2)  # rotation s is twice[:, s:s+n]
+        least = _key_words(twice[:, :n])
+        for s in range(1, n):
+            rot = _key_words(twice[:, s : s + n])
+            least = np.where(_rows_less(rot, least)[:, None], rot, least)
+        partner[idx[np.lexsort(least.T[::-1])]] = idx
+    return partner
 
 
 def class_count(rank: int, max_norm: int) -> int:

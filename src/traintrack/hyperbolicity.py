@@ -115,14 +115,15 @@ def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch
     )
 
 
-# A batch step costs numpy passes over every letter of phi^M(w); a stack
-# costs a fixed amount of Python per letter of w but never builds
-# phi^M(w).  Each direction of certificate_search leaves the batch once
-# its next step could hold more letters per class than this.
+# A batch step costs numpy passes over every letter of phi^M(w); the
+# stack walk costs a fixed amount of Python per letter of w past the
+# prefix w shares with the class before it, but never builds phi^M(w).
+# Each direction of certificate_search leaves the batch once its next
+# step could hold more letters per class than this.
 # certificate_search at the CLI defaults (M = 20, L = 8), in process on
-# 2 CPUs: 128 and 256 were within 0.03 s of each other on fib (0.66 s),
-# plas (0.47 s) and poly (0.11 s); 64 made poly take 0.30 s, 16 made plas
-# take 1.81 s, and 4096 made fib take 1.52 s against 0.52 s at 128.
+# 2 CPUs, two runs each: at 128, fib 0.12-0.20 s, plas 0.08-0.14 s, poly
+# 0.03-0.05 s and broken.gm 3.7-5.6 s; 64 and 256 were within that
+# spread; 32 and 1024 took broken.gm 5.1-6.8 s.
 _STACK_AT = 128
 
 
@@ -153,75 +154,99 @@ class _Powers:
         self.letters = int(off[-1])
 
 
-def _stack_length(keys: bytes, words: list[bytes], lens: list[int]) -> int:
-    """Conjugacy length of phi^M(w) for w = x_1...x_n given by its letter
-    keys, from the pieces words[k] = phi^M(x) without building phi^M(w).
+def _resume_points(keys: list[bytes]) -> list[tuple[int, bytes]]:
+    """Each class's letter keys as (c, suffix): c keys shared with the
+    class before it in the list, and the keys after them."""
+    out, prev = [], b""
+    for k in keys:
+        c = common_prefix(prev, k)
+        out.append((c, k[c:]))
+        prev = k
+    return out
+
+
+def _stack_lengths(
+    classes: list[tuple[int, bytes]], words: list[bytes], lens: list[int]
+) -> np.ndarray:
+    """Conjugacy length of phi^M(w) for each class w, given as
+    _resume_points, from the pieces words[k] = phi^M(x) without building
+    phi^M(w).
 
     The reduced word is a stack of intervals (key, lo, hi) into the
     pieces.  The inverse of words[k][lo:hi] is words[k ^ 1][n-hi:n-lo]
     (n = lens[k]), so the letters a new piece cancels against the top of
-    the stack are the common prefix of that inverse and the piece.
+    the stack are the common prefix of that inverse and the piece.  The
+    stack and its letter count after each prefix are kept, so a class
+    pushes only the keys after the prefix it shares with the class
+    before it; the cyclic trim works on its own copy.
     """
-    stack: list[tuple[int, int, int]] = []
-    total = 0
-    for b in keys:
-        piece = words[b]
-        blo, bhi = 0, lens[b]
-        while stack:
+    out = np.empty(len(classes), dtype=np.int64)
+    snaps: list[tuple[list[tuple[int, int, int]], int]] = [([], 0)]
+    for i, (shared, suffix) in enumerate(classes):
+        del snaps[shared + 1 :]
+        stack, total = snaps[shared]
+        stack = stack.copy()
+        for b in suffix:
+            piece = words[b]
+            blo, bhi = 0, lens[b]
+            while stack:
+                a, alo, ahi = stack[-1]
+                inv, at = words[a ^ 1], lens[a] - ahi
+                if inv[at] != piece[blo]:  # the common case: nothing cancels
+                    break
+                n = min(ahi - alo, bhi - blo)
+                c = common_prefix(inv, piece, at, blo, n)
+                total -= c
+                blo += c
+                if c < ahi - alo:
+                    stack[-1] = (a, alo, ahi - c)
+                else:
+                    stack.pop()
+                if c < n or blo == bhi:
+                    break
+            if blo < bhi:
+                stack.append((b, blo, bhi))
+                total += bhi - blo
+            snaps.append((stack.copy(), total))
+        # cyclic trim: the same query between the two ends of the stack
+        first = 0
+        while len(stack) - first >= 2:
             a, alo, ahi = stack[-1]
+            b, blo, bhi = stack[first]
             inv, at = words[a ^ 1], lens[a] - ahi
-            if inv[at] != piece[blo]:  # the common case: nothing cancels
+            if inv[at] != words[b][blo]:  # the common case: nothing cancels
                 break
             n = min(ahi - alo, bhi - blo)
-            c = common_prefix(inv, piece, at, blo, n)
-            total -= c
-            blo += c
+            c = common_prefix(inv, words[b], at, blo, n)
+            total -= 2 * c
             if c < ahi - alo:
                 stack[-1] = (a, alo, ahi - c)
             else:
                 stack.pop()
-            if c < n or blo == bhi:
+            if c < bhi - blo:
+                stack[first] = (b, blo + c, bhi)
+            else:
+                first += 1
+            if c < n:
                 break
-        if blo < bhi:
-            stack.append((b, blo, bhi))
-            total += bhi - blo
-    # cyclic trim: the same query between the two ends of the stack
-    first = 0
-    while len(stack) - first >= 2:
-        a, alo, ahi = stack[-1]
-        b, blo, bhi = stack[first]
-        n = min(ahi - alo, bhi - blo)
-        c = common_prefix(words[a ^ 1], words[b], lens[a] - ahi, blo, n)
-        if not c:
-            break
-        total -= 2 * c
-        if c < ahi - alo:
-            stack[-1] = (a, alo, ahi - c)
-        else:
-            stack.pop()
-        if c < bhi - blo:
-            stack[first] = (b, blo + c, bhi)
-        else:
-            first += 1
-        if c < n:
-            break
-    if len(stack) - first == 1:
-        # a reduced word cancels against its own inverse for less than half
-        a, alo, ahi = stack[first]
-        inv, at = words[a ^ 1], lens[a] - ahi
-        total -= 2 * common_prefix(inv, words[a], at, alo, total // 2)
-    if total <= 0:
-        raise ArithmeticError("a nontrivial class reduced to the trivial class")
-    return total
+        if len(stack) - first == 1:
+            # a reduced word cancels against its own inverse for less than half
+            a, alo, ahi = stack[first]
+            inv, at = words[a ^ 1], lens[a] - ahi
+            total -= 2 * common_prefix(inv, words[a], at, alo, total // 2)
+        if total <= 0:
+            raise ArithmeticError("a nontrivial class reduced to the trivial class")
+        out[i] = total
+    return out
 
 
 # Classes per block of the probe's sweep.  Each block goes through all P
 # steps before the next starts, so memory follows the block's letters at
-# step P rather than the whole sweep's.  probe plas.aut -L 10 -P 6, one
-# process on 2 CPUs, wall and peak RSS by block: 1,024: 6.5 s, 90 MB;
-# 4,096 and 8,192: 4.6-5.1 s, 90 MB (the enumeration's own peak);
-# 16,384: 4.2-4.6 s, 100 MB; 65,536: 5.5 s, 197 MB; 262,144: 6.8 s,
-# 551 MB.  One block of every class took 17.8 s and 2,193 MB.
+# step P rather than the whole sweep's.  probe plas.aut -L 10 -P 6 in a
+# child process on 2 CPUs, three runs per block, wall and peak RSS:
+# 4,096: 3.7-3.9 s, 83 MB; 8,192: 3.4-3.5 s, 83 MB; 16,384: 3.9-4.0 s,
+# 93 MB; 32,768: 4.5-4.8 s, 126 MB.  From 16,384 up the blocks, not the
+# class enumeration, set the peak.
 _PROBE_BLOCK = 8192
 
 
@@ -309,13 +334,14 @@ def certificate_search(
     decisive one land in the history, and the per-class table is taken
     at the decisive M (or at M_max when no certificate exists).
 
-    Only conjugacy lengths are computed.  While the batch's words are short
-    they are pushed through phi in batch steps; after that each class's
-    length comes from the powers phi^M(x) through _stack_length, so
-    memory is bounded by the powers.  When the powers phi^M(x) and
-    phi^-M(x) of the generators x would hold more than letter_budget
-    letters in all, the search stops with verdict "budget-exceeded" and
-    the history and table of the last M completed.
+    Only conjugacy lengths are computed, and only for one class of each
+    inverse pair.  While the batch's words are short they are pushed
+    through phi in batch steps; after that the lengths come from the
+    powers phi^M(x) through one _stack_lengths walk over the classes in
+    enumeration order, so memory is bounded by the powers.  When the
+    powers phi^M(x) and phi^-M(x) of the generators x would hold more
+    than letter_budget letters in all, the search stops with verdict
+    "budget-exceeded" and the history and table of the last M completed.
     """
     if M_max < 1 or L < 1:
         raise ValueError("M_max and L must be positive")
@@ -329,11 +355,17 @@ def certificate_search(
     widest = tuple(int(t.lens.max()) for t in tables)
     flat, off = classes
     norms = engine.batch_lengths(classes)
-    # per direction: phi^+-M of every class while that direction is on
-    # batch steps, None once it has moved to stacks
-    batches = [classes, classes]
-    lengths = [norms, norms]
-    class_bytes: list[bytes] | None = None
+    # only one class of each inverse pair is stepped: |phi^M(w^-1)| =
+    # |phi^M(w)|, so half[i] indexes the kept class whose lengths are i's
+    partner = engine.inverse_partners(classes)
+    kept = np.flatnonzero(partner > np.arange(len(classes)))
+    half = np.empty(len(classes), dtype=np.int64)
+    half[kept] = half[partner[kept]] = np.arange(len(kept))
+    # per direction: phi^+-M of every kept class while that direction is
+    # on batch steps, None once it has moved to stacks
+    batches = [engine.batch_take(classes, kept)] * 2
+    lengths = [norms[kept]] * 2
+    resume: list[tuple[int, bytes]] | None = None
     history: list[tuple[int, int, int, str]] = []
     verdict = "no-certificate-within-bounds"
     for M in range(1, M_max + 1):
@@ -350,16 +382,11 @@ def certificate_search(
                     lengths[d] = engine.batch_lengths(batch)
                     continue
                 batches[d] = None
-            if class_bytes is None:
+            if resume is None:
                 kb = flat.tobytes()
-                class_bytes = [kb[off[i] : off[i + 1]] for i in range(len(classes))]
-            pw = powers[d]
-            lengths[d] = np.fromiter(
-                (_stack_length(k, pw.words, pw.lens) for k in class_bytes),
-                dtype=np.int64,
-                count=len(classes),
-            )
-        mx = np.maximum(lengths[0], lengths[1])
+                resume = _resume_points([kb[off[i] : off[i + 1]] for i in kept])
+            lengths[d] = _stack_lengths(resume, powers[d].words, powers[d].lens)
+        mx = np.maximum(lengths[0], lengths[1])[half]
         i = int(np.argmin(mx / norms))
         num, den = int(mx[i]), int(norms[i])
         arg = spell(key_letters(flat[off[i] : off[i + 1]]), phi.rank)
@@ -367,7 +394,7 @@ def certificate_search(
         if num > den:
             verdict = "empirical-certificate"
             break
-    sweep = (phi.rank, classes, norms, lengths[0], lengths[1])
+    sweep = (phi.rank, classes, norms, lengths[0][half], lengths[1][half])
     lam = None
     if verdict == "empirical-certificate":
         lam = Fraction(history[-1][1], history[-1][2])

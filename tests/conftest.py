@@ -10,6 +10,7 @@ from traintrack import (
     load_fixture,
     rose_of,
 )
+from traintrack.words import common_prefix
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -170,3 +171,59 @@ def naive_longest_short_path(graph, metric, L0, slack=1e-9):
     for p in iter_tight_paths(graph, max_len=10 ** 9, prune=prune):
         best = max(best, metric.length(p))
     return best
+
+
+def stack_length(keys, words, lens):
+    """Conjugacy length of phi^M(w) for one class w given by its letter
+    keys, from the pieces words[k] = phi^M(x): each class's own interval
+    stack, pushed from its first key, with no state shared between
+    classes."""
+    stack = []
+    total = 0
+    for b in keys:
+        piece = words[b]
+        blo, bhi = 0, lens[b]
+        while stack:
+            a, alo, ahi = stack[-1]
+            inv, at = words[a ^ 1], lens[a] - ahi
+            n = min(ahi - alo, bhi - blo)
+            c = common_prefix(inv, piece, at, blo, n)
+            if not c:
+                break
+            total -= c
+            blo += c
+            if c < ahi - alo:
+                stack[-1] = (a, alo, ahi - c)
+            else:
+                stack.pop()
+            if c < n or blo == bhi:
+                break
+        if blo < bhi:
+            stack.append((b, blo, bhi))
+            total += bhi - blo
+    # cyclic trim: the same query between the two ends of the stack
+    first = 0
+    while len(stack) - first >= 2:
+        a, alo, ahi = stack[-1]
+        b, blo, bhi = stack[first]
+        n = min(ahi - alo, bhi - blo)
+        c = common_prefix(words[a ^ 1], words[b], lens[a] - ahi, blo, n)
+        if not c:
+            break
+        total -= 2 * c
+        if c < ahi - alo:
+            stack[-1] = (a, alo, ahi - c)
+        else:
+            stack.pop()
+        if c < bhi - blo:
+            stack[first] = (b, blo + c, bhi)
+        else:
+            first += 1
+        if c < n:
+            break
+    if len(stack) - first == 1:
+        # a reduced word cancels against its own inverse for less than half
+        a, alo, ahi = stack[first]
+        inv, at = words[a ^ 1], lens[a] - ahi
+        total -= 2 * common_prefix(inv, words[a], at, alo, total // 2)
+    return total

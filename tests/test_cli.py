@@ -418,6 +418,17 @@ class TestInputErrors:
             for lemma in ("tricho", "illen", "bw2", "backgrowth"):
                 assert run(capsys, "validate", path, lemma) == refused
 
+    def test_internal_arithmetic_error_exits_4(self, capsys, files, monkeypatch):
+        # neither bad input (2) nor a spent budget (3): one error line, no report
+        def stalled(*args, **kwargs):
+            raise ArithmeticError("power iteration did not converge")
+
+        monkeypatch.setattr(strata, "pf_eigen", stalled)
+        code, out, err = run(capsys, "analyze", files / "fib.aut")
+        assert (code, out, err) == (
+            4, "", "error: power iteration did not converge\n"
+        )
+
     def test_tol_must_be_positive(self, capsys, files):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "analyze", files / "fib.aut", "--tol", "0")

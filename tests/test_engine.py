@@ -16,6 +16,7 @@ from traintrack.engine import (
     enumerate_classes,
     image_table,
     inverse_pair_mask,
+    inverse_partners,
     inverse_rows,
     is_rotation,
 )
@@ -155,6 +156,21 @@ def test_inverse_pair_mask_keeps_one_of_each_pair(rank):
     kept = {c for c, k in zip(classes, inverse_pair_mask(batch)) if k}
     for c in classes:
         assert (c in kept) != (c.inverse_class() in kept)
+
+
+@pytest.mark.parametrize(
+    ("rank", "max_norm"), [(1, 20), (2, 8), (3, 6), (4, 4), (2, 12)]
+)
+def test_inverse_partners(rank, max_norm):
+    # rows longer than 8 keys take more than one packed word
+    (batch,) = enumerate_classes(rank, max_norm)
+    classes = [CyclicWord(w) for w in batch_to_words(batch)]
+    partner = inverse_partners(batch)
+    for i, c in enumerate(classes):
+        assert classes[partner[i]] == c.inverse_class()
+    every = np.arange(len(classes))
+    assert np.array_equal(partner[partner], every)
+    assert np.array_equal(partner > every, inverse_pair_mask(batch))
 
 
 @pytest.mark.parametrize(("rank", "max_norm"), [(1, 5), (2, 8), (3, 6), (4, 4)])

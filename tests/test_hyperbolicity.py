@@ -1,14 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traintrack import engine, hyperbolicity, load_fixture
 from traintrack.engine import class_count
-from traintrack.graphs import Graph, rose_of
+from traintrack.graphs import Graph, induced_automorphism, rose_of
 from traintrack.hyperbolicity import (
     atoroidality_probe,
     certificate_search,
@@ -25,9 +27,10 @@ from traintrack.words import (
     conjugate_automorphism,
     invert_verify,
     iterate,
+    nielsen_inverse_search,
 )
 
-from conftest import PHI, random_reduced_word
+from conftest import PHI, random_reduced_word, stack_length
 
 FIB_SERIES = [(0, 1), (1, 2), (2, 3), (3, 5), (4, 8), (5, 13), (6, 21)]
 
@@ -289,6 +292,9 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
     L = _FIXTURES[name]
     classes, ref = _engine_lengths(phi, L, 8)
     words = engine.batch_to_words(classes)
+    # the stack walk resumes classes from shared prefixes of 3 keys or more
+    resume = hyperbolicity._resume_points(_kept_keys(phi.rank, L))
+    assert max(c for c, _ in resume) >= 3
     with mock.patch.object(hyperbolicity, "_STACK_AT", stack_at):
         for M in range(1, 9):
             cert = certificate_search(phi, M_max=M, L=L)
@@ -301,6 +307,49 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
             CyclicWord(iterate(phi, w, reached).letters).norm,
             CyclicWord(iterate(phi, w, -reached).letters).norm,
         )
+
+
+def _kept_keys(rank, L):
+    """Key bytes of one class of each inverse pair, in enumeration order:
+    the classes that certificate_search walks."""
+    (classes,) = engine.enumerate_classes(rank, L)
+    kept = np.flatnonzero(engine.inverse_partners(classes) > np.arange(len(classes)))
+    kb, off = classes.flat.tobytes(), classes.offsets
+    return [kb[off[i] : off[i + 1]] for i in kept]
+
+
+def _with_inverse(name):
+    phi = load_fixture(name)
+    if isinstance(phi, Automorphism):
+        return phi
+    return nielsen_inverse_search(induced_automorphism(phi))
+
+
+@pytest.mark.parametrize(
+    ("name", "Ms"),
+    [("fib", (1, 5, 20)), ("plas", (1, 3, 6)), ("broken", (2, 6))],
+)
+def test_stack_walk_matches_per_class_stacks(name, Ms):
+    """The stack walk, which resumes each class from the prefix it shares
+    with the class before it, gives every class the length of its own
+    stack, in enumeration order and in a seeded shuffle: the order
+    changes only what is shared."""
+    phi = _with_inverse(name)
+    keys = _kept_keys(phi.rank, 8)
+    order = list(range(len(keys)))
+    random.Random(13).shuffle(order)
+    shuffled = [keys[i] for i in order]
+    for images in (phi.images, phi.inverse_images):
+        pw = hyperbolicity._Powers(engine.image_table(images), phi.rank)
+        for M in range(1, max(Ms) + 1):
+            pw.advance()
+            if M not in Ms:
+                continue
+            want = [stack_length(k, pw.words, pw.lens) for k in keys]
+            for ks, ref in ((keys, want), (shuffled, [want[i] for i in order])):
+                resume = hyperbolicity._resume_points(ks)
+                got = hyperbolicity._stack_lengths(resume, pw.words, pw.lens)
+                assert got.tolist() == ref
 
 
 def _all_classes(rank, L):

@@ -4,8 +4,8 @@ stdout sha256 recorded in tests/report_bytes.json.
 
 The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
-small probe, a small certify and one growth series per fixture, and two
-deeper class sweeps on fib.  Regenerate the JSON only when
+small probe, a small certify and one growth series per fixture, and
+three deeper class sweeps on fib.  Regenerate the JSON only when
 a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -30,10 +30,12 @@ DECOMP = [
     ("fib", ["--l0", "8"]), ("fib_inverse", []), ("poly", []), ("identity", []),
     ("fib", []), ("plas", []), ("broken", []),
 ]
-# class sweeps past the small per-fixture ones (69,996 and 9,518 classes)
+# class sweeps past the small per-fixture ones (69,996, 9,518 and 1,386
+# classes); certify at its defaults (M=20, L=8) reaches the interval stacks
 SWEEPS = [
     ["probe", "fib.aut", "-L", "12", "-P", "6"],
     ["certify", "fib.aut", "-M", "6", "-L", "10"],
+    ["certify", "fib.aut"],
 ]
 
 
