@@ -43,7 +43,7 @@ from .graphs import (
 )
 from .hyperbolicity import atoroidality_probe, certificate_search, growth_table
 from .nielsen import find_nielsen_paths
-from .strata import verify_improved, verify_rtt
+from .strata import InternalError, verify_improved, verify_rtt
 from .words import (
     Automorphism,
     BudgetExceeded,
@@ -603,7 +603,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ArithmeticError as exc:
+    except (ArithmeticError, InternalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     sys.stdout.write(out)

@@ -27,6 +27,7 @@ __all__ = [
     "batch_from_words",
     "batch_to_words",
     "batch_lengths",
+    "length_runs",
     "image_table",
     "batch_apply",
     "batch_reduce",
@@ -74,6 +75,13 @@ def batch_to_words(batch: WordBatch) -> list[tuple[int, ...]]:
 
 def batch_lengths(batch: WordBatch) -> np.ndarray:
     return np.diff(batch.offsets)
+
+
+def length_runs(batch: WordBatch) -> list[tuple[int, int, int]]:
+    """(lo, hi, n) for each maximal run batch[lo:hi] of words of length n."""
+    lens = batch_lengths(batch)
+    cut = [0, *(np.flatnonzero(lens[1:] != lens[:-1]) + 1).tolist(), len(lens)]
+    return [(lo, hi, int(lens[lo])) for lo, hi in zip(cut, cut[1:]) if lo < hi]
 
 
 def image_table(images: Sequence[Sequence[int]]) -> ImageTable:
@@ -258,11 +266,8 @@ def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
     classes of one length contiguously within each first key, so each run
     of one length is compared as an (N, n) view."""
     flat, offsets = classes
-    lens = batch_lengths(classes)
     keep = np.ones(len(classes), dtype=bool)
-    runs = np.flatnonzero(np.diff(lens, prepend=-1))
-    for lo, hi in zip(runs, [*runs[1:], len(lens)]):
-        n = int(lens[lo])
+    for lo, hi, n in length_runs(classes):
         words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
         inverse = inverse_rows(words)
         # a class is dropped when some rotation of its inverse precedes it
@@ -307,12 +312,10 @@ def inverse_partners(classes: WordBatch) -> np.ndarray:
     sorted by key bytes, and inversion permutes them; so sorting the
     inverses' least rotations lists them in the classes' own order."""
     flat, offsets = classes
-    lens = batch_lengths(classes)
     partner = np.empty(len(classes), dtype=np.int64)
-    runs = np.flatnonzero(np.diff(lens, prepend=-1))
-    spans = list(zip(runs, [*runs[1:], len(lens)]))
-    for n in np.unique(lens[runs]).tolist():
-        same = [(lo, hi) for lo, hi in spans if lens[lo] == n]
+    runs = length_runs(classes)
+    for n in sorted({n for _, _, n in runs}):
+        same = [(lo, hi) for lo, hi, m in runs if m == n]
         idx = np.concatenate([np.arange(lo, hi) for lo, hi in same])
         rows = np.concatenate(
             [flat[offsets[lo] : offsets[hi]].reshape(-1, n) for lo, hi in same]

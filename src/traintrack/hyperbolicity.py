@@ -11,6 +11,7 @@ leave the implication to the theorems.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -242,12 +243,75 @@ def _stack_lengths(
 
 # Classes per block of the probe's sweep.  Each block goes through all P
 # steps before the next starts, so memory follows the block's letters at
-# step P rather than the whole sweep's.  probe plas.aut -L 10 -P 6 in a
-# child process on 2 CPUs, three runs per block, wall and peak RSS:
-# 4,096: 3.7-3.9 s, 83 MB; 8,192: 3.4-3.5 s, 83 MB; 16,384: 3.9-4.0 s,
-# 93 MB; 32,768: 4.5-4.8 s, 126 MB.  From 16,384 up the blocks, not the
-# class enumeration, set the peak.
-_PROBE_BLOCK = 8192
+# step P rather than the whole sweep's.  Measured on inputs that
+# _may_return does not thin, in a child process on 2 CPUs, four runs per
+# block, wall and peak RSS.  probe -L 9 -P 6 of the rank 3 map a -> a,
+# b -> b, c -> c a b a^-1 b^-1 (140,318 classes stepped, 3,686
+# witnesses): 1,024: 1.0-1.5 s, 51 MB; 2,048: 1.3-1.6 s, 57 MB; 4,096:
+# 1.6-1.9 s, 66 MB; 8,192: 1.6-2.1 s, 85 MB.  probe identity.aut -L 12
+# -P 6 (34,998 classes, each a witness): 1.5-2.1 s and 101-102 MB at
+# every size.
+_PROBE_BLOCK = 1024
+
+
+# A prime below 2^27: a sum of 128 products of two residues stays in int64.
+_PRIME = 134_217_689
+# Rows times rank per chunk of exponent-sum vectors.
+_SUMS_CHUNK = 1 << 18
+
+
+def _abelianization(phi: Automorphism) -> np.ndarray:
+    """The integer matrix A of phi on Z^rank: A[i, j] is the exponent sum
+    of x_(i+1) in phi(x_(j+1)), so v(phi(w)) = A v(w)."""
+    a = np.zeros((phi.rank, phi.rank), dtype=np.int64)
+    for j, img in enumerate(phi.images):
+        x = np.array(img.letters)
+        np.add.at(a[:, j], np.abs(x) - 1, np.sign(x))
+    return a
+
+
+def _exponent_sums(words: np.ndarray, rank: int) -> np.ndarray:
+    """v(w) for each row w of an (N, n) array of key words: key 2i is
+    x_(i+1) and 2i + 1 its inverse, so count both and subtract."""
+    at = np.arange(len(words))[:, None] * (2 * rank) + words
+    counts = np.bincount(at.ravel(), minlength=len(words) * 2 * rank)
+    counts = counts.reshape(-1, rank, 2)
+    return counts[..., 0] - counts[..., 1]
+
+
+def _may_return(phi: Automorphism, classes: engine.WordBatch, P: int) -> np.ndarray:
+    """Classes whose exponent-sum vector v can come back within P steps.
+
+    A class that returns at step k has (A^k - I) v = 0, A the
+    abelianization of phi.  Then u_k . v = 0 mod _PRIME for u_k = c (A^k
+    - I) and any fixed row c, so a class with u_k . v != 0 mod _PRIME for
+    every k <= P cannot return, and is dropped.  Only k > P/2 are tested:
+    the kernel of A^k - I lies in that of A^jk - I.  If some A^k is the
+    identity mod _PRIME, u_k = 0 and every class passes.  c comes from a
+    seeded generator: a class with (A^k - I) v != 0 mod _PRIME passes u_k
+    for about one c in _PRIME, which costs only its stepping."""
+    r = phi.rank
+    a = _abelianization(phi) % _PRIME
+    rng = random.Random(0)  # numpy.random would cost its import, 15 ms
+    c = np.array([rng.randrange(1, _PRIME) for _ in range(r)])
+    y, tests = c, []
+    for k in range(1, P + 1):
+        y = y @ a % _PRIME  # c A^k
+        u = (y - c) % _PRIME
+        if not u.any():
+            return np.ones(len(classes), dtype=bool)
+        if 2 * k > P:
+            tests.append(u)
+    tests = np.array(tests).T
+    flat, offsets = classes
+    ok = np.zeros(len(classes), dtype=bool)
+    for lo, hi, n in engine.length_runs(classes):
+        words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
+        size = max(1, _SUMS_CHUNK // (n * r))
+        for s in range(0, hi - lo, size):
+            v = _exponent_sums(words[s : s + size], r)
+            ok[lo + s : lo + s + len(v)] = (v @ tests % _PRIME == 0).any(axis=1)
+    return ok
 
 
 def _rows(batch: engine.WordBatch, idx: np.ndarray, n: int) -> np.ndarray:
@@ -301,14 +365,22 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     Only one class of each inverse pair is followed, in blocks of
     _PROBE_BLOCK classes.  phi^k(w^-1) is phi^k(w)^-1, so w^-1 returns,
     and meets the class of w, at the same steps as w returns and meets
-    the class of w^-1: both are reported from the one orbit.
+    the class of w^-1: both are reported from the one orbit.  Classes
+    whose exponent sums cannot return within P steps (_may_return) are
+    not followed at all.
     """
     if L < 1 or P < 1:
         raise ValueError("L and P must be positive")
     _require_inverse(phi)
     # the enumeration checks the rank before the table encodes the images
     (classes,) = engine.enumerate_classes(phi.rank, L)
+    enumerated = len(classes)
     table = engine.image_table(phi.images)
+    # the exponent-sum test is the cheaper one, so the inverse-pair test
+    # sees only its survivors, taken apart so that the full set can go
+    ok = _may_return(phi, classes, P)
+    if not ok.all():
+        classes = engine.batch_take(classes, np.flatnonzero(ok))
     kept = np.flatnonzero(engine.inverse_pair_mask(classes))
     witnesses: list[Witness] = []
     for lo in range(0, len(kept), _PROBE_BLOCK):
@@ -317,7 +389,7 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
             witnesses += [w, replace(w, cls=w.cls.inverse_class())]
     witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
     verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
-    return AtoroidalityReport(witnesses, (L, P), len(classes), verdict)
+    return AtoroidalityReport(witnesses, (L, P), enumerated, verdict)
 
 
 def certificate_search(

@@ -27,7 +27,13 @@ __all__ = [
     "verify_rtt",
     "verify_improved",
     "CheckReport",
+    "InternalError",
 ]
+
+
+class InternalError(RuntimeError):
+    """A result broke an invariant that its construction guarantees: a
+    bug in this package, not bad input."""
 
 
 def _strongly_connected_components(adj: dict[int, set[int]]) -> list[list[int]]:
@@ -242,7 +248,7 @@ def compute_filtration(f: GraphMap) -> Filtration:
     while remaining:
         ready = [ci for ci in remaining if deps[ci] <= placed]
         if not ready:
-            raise AssertionError("dependency cycle across components")
+            raise InternalError("dependency cycle across components")
         ready.sort(key=lambda ci: comps[ci][0])
         ci = ready[0]
         order.append(ci)
@@ -269,7 +275,7 @@ def compute_filtration(f: GraphMap) -> Filtration:
         below = filtration.edges_through(s.index)
         for e in s.edges:
             if not all(abs(d) in below for d in f.edge_image(e)):
-                raise AssertionError(f"filtration is not invariant at edge {e}")
+                raise InternalError(f"filtration is not invariant at edge {e}")
     return filtration
 
 

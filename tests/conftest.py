@@ -1,11 +1,15 @@
 import itertools
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from traintrack import (
     Automorphism,
     compute_filtration,
+    engine,
+    hyperbolicity,
     iter_tight_paths,
     load_fixture,
     rose_of,
@@ -45,14 +49,18 @@ def broken():
     return load_fixture("broken")
 
 
-@pytest.fixture(scope="session")
-def rel():
+def make_rel():
     # relative map: an invariant polynomial edge under an exponential top
     return Automorphism.from_letter_lists(
         [(1,), (3,), (3, 1, 2)],
         inverse_images=[(1,), (-1, -2, 3), (2,)],
         label="rel",
     )
+
+
+@pytest.fixture(scope="session")
+def rel():
+    return make_rel()
 
 
 @pytest.fixture(scope="session")
@@ -227,3 +235,18 @@ def stack_length(keys, words, lens):
         inv, at = words[a ^ 1], lens[a] - ahi
         total -= 2 * common_prefix(inv, words[a], at, alo, total // 2)
     return total
+
+
+def unfiltered_probe(phi, L, P):
+    """atoroidality_probe's witnesses from stepping one class of every
+    inverse pair through P steps, with no exponent-sum filter in front."""
+    (classes,) = engine.enumerate_classes(phi.rank, L)
+    table = engine.image_table(phi.images)
+    kept = np.flatnonzero(engine.inverse_pair_mask(classes))
+    witnesses = []
+    for lo in range(0, len(kept), hyperbolicity._PROBE_BLOCK):
+        block = engine.batch_take(classes, kept[lo : lo + hyperbolicity._PROBE_BLOCK])
+        for w in hyperbolicity._probe_block(block, table, P):
+            witnesses += [w, replace(w, cls=w.cls.inverse_class())]
+    witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
+    return witnesses

@@ -429,6 +429,16 @@ class TestInputErrors:
             4, "", "error: power iteration did not converge\n"
         )
 
+    def test_filtration_invariant_error_exits_4(self, capsys, files, monkeypatch):
+        # fib's two edges form one component; split, each needs the other
+        monkeypatch.setattr(
+            strata, "_strongly_connected_components", lambda adj: [[e] for e in adj]
+        )
+        code, out, err = run(capsys, "analyze", files / "fib.aut")
+        assert (code, out, err) == (
+            4, "", "error: dependency cycle across components\n"
+        )
+
     def test_tol_must_be_positive(self, capsys, files):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "analyze", files / "fib.aut", "--tol", "0")

@@ -27,10 +27,19 @@ from traintrack.words import (
     conjugate_automorphism,
     invert_verify,
     iterate,
+    key_word,
     nielsen_inverse_search,
 )
 
-from conftest import PHI, random_reduced_word, stack_length
+from conftest import (
+    PHI,
+    image_dict,
+    make_rel,
+    naive_apply,
+    random_reduced_word,
+    stack_length,
+    unfiltered_probe,
+)
 
 FIB_SERIES = [(0, 1), (1, 2), (2, 3), (3, 5), (4, 8), (5, 13), (6, 21)]
 
@@ -381,10 +390,36 @@ def _orbit_witnesses(phi, L, P):
     return sorted(out, key=lambda w: (len(w[0]), w[0]))
 
 
-_PROBE_L = {"fib": 5, "plas": 4, "poly": 5, "identity": 5}  # name -> max L
+# a finite-order map: A^3 = I, so from P = 3 on every class may return
+CYCLE = Automorphism.from_letter_lists(
+    [(2,), (3,), (1,)], inverse_images=[(3,), (1,), (2,)], label="cycle"
+)
+# a swap beside a fib block: A - I is singular, A^2 - I more so
+MIXED = Automorphism.from_letter_lists(
+    [(2,), (1,), (3, 4), (3,)],
+    inverse_images=[(2,), (1,), (4,), (-4, 3)],
+    label="mixed",
+)
 
 
-@settings(max_examples=12, deadline=None)
+def _signed_sums(letters, rank):
+    v = [0] * rank
+    for x in letters:
+        v[abs(x) - 1] += 1 if x > 0 else -1
+    return v
+
+
+def _probe_map(name):
+    built = {"rel": make_rel(), "cycle": CYCLE, "mixed": MIXED}
+    return built[name] if name in built else load_fixture(name)
+
+
+_PROBE_L = {  # name -> max L
+    "fib": 5, "plas": 4, "poly": 5, "identity": 5, "rel": 4, "cycle": 4, "mixed": 3,
+}
+
+
+@settings(max_examples=20, deadline=None)
 @given(
     name=st.sampled_from(sorted(_PROBE_L)),
     picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=2),
@@ -397,7 +432,7 @@ def test_probe_matches_orbit_oracle(name, picks, L, P):
     """atoroidality_probe, with blocks of three classes so that classes of
     one length straddle blocks, reports exactly the witnesses that
     following every class's own orbit finds."""
-    phi = _conjugate(load_fixture(name), picks)
+    phi = _conjugate(_probe_map(name), picks)
     L = min(L, _PROBE_L[name])
     with mock.patch.object(hyperbolicity, "_PROBE_BLOCK", 3):
         rep = atoroidality_probe(phi, L=L, P=P)
@@ -405,3 +440,64 @@ def test_probe_matches_orbit_oracle(name, picks, L, P):
            for w in rep.witnesses]
     assert got == _orbit_witnesses(phi, L, P)
     assert rep.classes_enumerated == len(_all_classes(phi.rank, L))
+
+
+@pytest.mark.parametrize(
+    ("name", "L", "P"),
+    [
+        ("fib", 10, 6),
+        ("plas", 7, 6),
+        ("poly", 9, 6),
+        ("fib_inverse", 10, 6),
+        ("rel", 6, 6),
+        ("cycle", 6, 2),
+        ("cycle", 5, 6),
+        ("mixed", 5, 6),
+    ],
+)
+def test_exponent_sum_filter_loses_no_witness(name, L, P):
+    """The probe, which steps only the classes _may_return keeps, reports
+    the same witnesses as stepping every class of each inverse pair, on
+    the map and on two seeded conjugates.  The classes it steps are
+    exactly those with A^k v = v over the integers for some k <= P."""
+    base = _probe_map(name)
+    rng = random.Random(f"{name} {L} {P}")
+    for picks in ([], [rng.randrange(10 ** 6)], [rng.randrange(10 ** 6) for _ in range(2)]):
+        phi = _conjugate(base, picks)
+        rep = atoroidality_probe(phi, L=L, P=P)
+        assert rep.witnesses == unfiltered_probe(phi, L, P)
+        (classes,) = engine.enumerate_classes(phi.rank, L)
+        kept = np.flatnonzero(engine.inverse_pair_mask(classes))
+        stepped = kept[hyperbolicity._may_return(phi, classes, P)[kept]]
+        a = hyperbolicity._abelianization(phi)
+        v = np.array([_signed_sums(w, phi.rank)
+                      for w in engine.batch_to_words(classes)])[kept].T
+        back = np.zeros(len(kept), dtype=bool)
+        ak = np.eye(phi.rank, dtype=np.int64)
+        for _ in range(P):
+            ak = ak @ a
+            back |= (ak @ v == v).all(axis=0)
+        assert stepped.tolist() == kept[back].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PROBE_L) + ["fib_inverse"]),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=2),
+    word=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4), st.sampled_from((1, -1))),
+        max_size=12,
+    ),
+)
+def test_exponent_sums_follow_abelianization(name, picks, word):
+    """v(phi(w)) = A v(w) on random words, A = _abelianization(phi), and
+    _exponent_sums reads v off key words."""
+    phi = _conjugate(_probe_map(name), picks)
+    letters = [s * (1 + (i - 1) % phi.rank) for i, s in word]
+    image = naive_apply(image_dict(phi), letters)
+    a = hyperbolicity._abelianization(phi)
+    v, fv = _signed_sums(letters, phi.rank), _signed_sums(image, phi.rank)
+    assert (a @ v).tolist() == fv
+    for w, want in ((letters, v), (image, fv)):
+        keys = np.frombuffer(key_word(w), dtype=np.uint8)[None, :]
+        assert hyperbolicity._exponent_sums(keys, phi.rank).tolist() == [want]
