@@ -11,7 +11,8 @@ Six subcommands over the two input formats (.aut automorphism files,
     validate  run one of the named inequality validators
 
 Exit codes: 0 completed, 1 a validator found a violation, 2 input error,
-3 a bounded search ran out of its budget, 4 an internal arithmetic error
+3 a bounded search ran out of its budget or memory (a class sweep too
+large to allocate), 4 an internal arithmetic error
 (a power iteration that did not converge, or a class that a length
 computation reduced to the trivial class).
 Reports are deterministic byte-for-byte for a fixed config; floats are
@@ -602,6 +603,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (ArithmeticError, InternalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

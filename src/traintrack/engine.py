@@ -10,6 +10,11 @@ Used by the class enumeration and the orbit/certificate searches, where
 millions of conjugacy classes are pushed through an automorphism at
 once.  The classes themselves are grown as prenecklaces, one letter per
 pass, so only least rotations and their prefixes are ever built.
+
+Rotation order is decided only by comparing codes: row_codes reads a
+key row as one uint64 base-2r number (r the rank), and
+least_rotation_codes takes the least over its rotations.  Codes are
+exact while (2r)^n <= 2^64, so enumerate_classes refuses longer classes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ __all__ = [
     "batch_cyclic_reduce",
     "batch_take",
     "inverse_rows",
-    "is_rotation",
+    "row_codes",
+    "least_rotation_codes",
     "inverse_pair_mask",
     "inverse_partners",
     "enumerate_classes",
@@ -175,15 +181,30 @@ def inverse_rows(words: np.ndarray) -> np.ndarray:
     return words[:, ::-1] ^ 1
 
 
-def is_rotation(words: np.ndarray, of: np.ndarray) -> np.ndarray:
-    """Rows of an (N, n) array of key words that are a rotation of the
-    matching row of `of`."""
-    if words.shape != of.shape:
-        raise ValueError(f"rows of shape {words.shape} against {of.shape}")
-    hit = np.zeros(len(words), dtype=bool)
-    for s in range(words.shape[1]):
-        hit |= (words == np.roll(of, -s, axis=1)).all(axis=1)
-    return hit
+def row_codes(words: np.ndarray, base: int) -> np.ndarray:
+    """Each row of an (N, n) array of keys below base as one base-`base`
+    number, first key most significant, so rows of one length sort as
+    their codes do.  Exact while base**n <= 2**64."""
+    b = np.uint64(base)
+    code = np.zeros(len(words), dtype=np.uint64)
+    for j in range(words.shape[1]):
+        code = code * b + words[:, j].astype(np.uint64)
+    return code
+
+
+def least_rotation_codes(words: np.ndarray, base: int) -> np.ndarray:
+    """The code of each row's least rotation in key order: the least of
+    its n rotations' codes, each reached from the one before by moving
+    the leading key d to the end."""
+    n = words.shape[1]
+    b, top = np.uint64(base), np.uint64(base ** (n - 1))
+    code = row_codes(words, base)
+    least = code.copy()
+    for s in range(n - 1):
+        d = words[:, s].astype(np.uint64)
+        code = (code - d * top) * b + d
+        np.minimum(least, code, out=least)
+    return least
 
 
 # --- conjugacy class enumeration -------------------------------------
@@ -195,7 +216,8 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     A class is a cyclically reduced word taken at its lexicographically
     least rotation in letter-key order; a class and its inverse are both
     produced.  Letter keys are enumerated as uint8, so rank is at most
-    words.MAX_LETTER.
+    words.MAX_LETTER, and max_norm is at most the largest L with
+    (2 rank)^L <= 2^64: 64 at rank 1, 32 at rank 2, 24 at rank 3.
 
     Words grow one letter per length as linearly reduced prenecklaces
     (prefixes of least rotations), each with p, the length of its
@@ -213,6 +235,12 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
             f"rank {rank} is above the class sweep's limit of {MAX_LETTER}"
         )
     nkeys = 2 * rank
+    limit = max(n for n in range(1, 65) if nkeys**n <= 2**64)
+    if max_norm > limit:
+        raise ValueError(
+            f"norm {max_norm} is above the class sweep's limit of {limit} "
+            f"at rank {rank}"
+        )
     # sized by the closed form up front, so blocks are written in place:
     # no second copy of the letters, and no large late allocation
     flat = np.empty(
@@ -258,7 +286,7 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     yield WordBatch(flat, offsets)
 
 
-def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
+def inverse_pair_mask(classes: WordBatch, rank: int) -> np.ndarray:
     """Canonical classes that precede their inverse class in key order.
 
     No nontrivial class of a free group is its own inverse, so this keeps
@@ -266,51 +294,22 @@ def inverse_pair_mask(classes: WordBatch) -> np.ndarray:
     classes of one length contiguously within each first key, so each run
     of one length is compared as an (N, n) view."""
     flat, offsets = classes
-    keep = np.ones(len(classes), dtype=bool)
+    keep = np.empty(len(classes), dtype=bool)
     for lo, hi, n in length_runs(classes):
         words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
-        inverse = inverse_rows(words)
-        # a class is dropped when some rotation of its inverse precedes it
-        for s in range(n):
-            eq = np.ones(hi - lo, dtype=bool)
-            less = np.zeros(hi - lo, dtype=bool)
-            for j in range(n):
-                a = inverse[:, (j + s) % n]
-                b = words[:, j]
-                less |= eq & (a < b)
-                eq &= a == b
-                if not eq.any():
-                    break
-            keep[lo:hi] &= ~less
+        keep[lo:hi] = row_codes(words, 2 * rank) < least_rotation_codes(
+            inverse_rows(words), 2 * rank
+        )
     return keep
 
 
-def _key_words(rows: np.ndarray) -> np.ndarray:
-    """An (N, n) array of keys as (N, ceil(n/8)) uint64 words, 8 keys to a
-    big-endian word and zero-padded, so word order is key-byte order."""
-    n = rows.shape[1]
-    padded = np.zeros((len(rows), -(-n // 8) * 8), dtype=np.uint8)
-    padded[:, :n] = rows
-    return padded.view(">u8").astype(np.uint64)
-
-
-def _rows_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows of a that precede the matching row of b, word by word."""
-    less = np.zeros(len(a), dtype=bool)
-    eq = np.ones(len(a), dtype=bool)
-    for j in range(a.shape[1]):
-        less |= eq & (a[:, j] < b[:, j])
-        eq &= a[:, j] == b[:, j]
-    return less
-
-
-def inverse_partners(classes: WordBatch) -> np.ndarray:
+def inverse_partners(classes: WordBatch, rank: int) -> np.ndarray:
     """The index of each canonical class's inverse class.
 
     The inverse class is the least rotation of the inverse word.  The
     classes of one length, taken block by block in first-key order, are
-    sorted by key bytes, and inversion permutes them; so sorting the
-    inverses' least rotations lists them in the classes' own order."""
+    already in code order, so each inverse's least-rotation code is looked
+    up among them."""
     flat, offsets = classes
     partner = np.empty(len(classes), dtype=np.int64)
     runs = length_runs(classes)
@@ -320,12 +319,9 @@ def inverse_partners(classes: WordBatch) -> np.ndarray:
         rows = np.concatenate(
             [flat[offsets[lo] : offsets[hi]].reshape(-1, n) for lo, hi in same]
         )
-        twice = np.tile(inverse_rows(rows), 2)  # rotation s is twice[:, s:s+n]
-        least = _key_words(twice[:, :n])
-        for s in range(1, n):
-            rot = _key_words(twice[:, s : s + n])
-            least = np.where(_rows_less(rot, least)[:, None], rot, least)
-        partner[idx[np.lexsort(least.T[::-1])]] = idx
+        codes = row_codes(rows, 2 * rank)
+        inverse = least_rotation_codes(inverse_rows(rows), 2 * rank)
+        partner[idx] = idx[np.searchsorted(codes, inverse)]
     return partner
 
 

@@ -342,17 +342,6 @@ class GraphMap:
         """Tightened image of an edge sequence."""
         return substitute(self._images, edges)
 
-    def map_circuit(self, c: Circuit) -> Circuit:
-        return Circuit(self.graph, self.map_letters(c.edges))
-
-    def iterate_circuit(self, c: Circuit, k: int) -> Circuit:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        out = c
-        for _ in range(k):
-            out = self.map_circuit(out)
-        return out
-
     def iterate_letters(self, edges: Sequence[int], k: int) -> tuple[int, ...]:
         out = tuple(edges)
         for _ in range(k):
@@ -600,8 +589,11 @@ def preimage_circuit(f: GraphMap, f_inv: GraphMap, c: Circuit, k: int) -> Circui
         raise ValueError("k must be >= 0")
     out = c
     for _ in range(k):
-        out = f_inv.map_circuit(out)
-    if f.iterate_circuit(out, k) != c:
+        out = Circuit(f_inv.graph, f_inv.map_letters(out.edges))
+    back = out
+    for _ in range(k):
+        back = Circuit(f.graph, f.map_letters(back.edges))
+    if back != c:
         raise ValueError(
             "preimage verification failed: the supplied maps are not inverse "
             "on this circuit"

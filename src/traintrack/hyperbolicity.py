@@ -326,6 +326,7 @@ def _probe_block(
     within P steps, and the first step before it that met the inverse
     class."""
     norms = engine.batch_lengths(block)
+    base = len(table.lens)  # one image per key
     period = np.zeros(len(block), dtype=np.int64)
     inv_at = np.zeros(len(block), dtype=np.int64)
     cur = block
@@ -334,12 +335,14 @@ def _probe_block(
         cand = np.flatnonzero((period == 0) & (engine.batch_lengths(cur) == norms))
         for n in np.unique(norms[cand]):
             idx = cand[norms[cand] == n]
-            now, was = _rows(cur, idx, n), _rows(block, idx, n)
-            back = engine.is_rotation(now, was)
+            now = _rows(cur, idx, n)
+            was = engine.row_codes(_rows(block, idx, n), base)
+            back = engine.least_rotation_codes(now, base) == was
             period[idx[back]] = k
             # the inverse class counts only where there is no return yet
             look = ~back & (inv_at[idx] == 0)
-            hit = engine.is_rotation(now[look], engine.inverse_rows(was[look]))
+            inverse = engine.inverse_rows(now[look])
+            hit = engine.least_rotation_codes(inverse, base) == was[look]
             inv_at[idx[look][hit]] = k
     flat, off = block
     return [
@@ -381,7 +384,7 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     ok = _may_return(phi, classes, P)
     if not ok.all():
         classes = engine.batch_take(classes, np.flatnonzero(ok))
-    kept = np.flatnonzero(engine.inverse_pair_mask(classes))
+    kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
     witnesses: list[Witness] = []
     for lo in range(0, len(kept), _PROBE_BLOCK):
         block = engine.batch_take(classes, kept[lo : lo + _PROBE_BLOCK])
@@ -429,7 +432,7 @@ def certificate_search(
     norms = engine.batch_lengths(classes)
     # only one class of each inverse pair is stepped: |phi^M(w^-1)| =
     # |phi^M(w)|, so half[i] indexes the kept class whose lengths are i's
-    partner = engine.inverse_partners(classes)
+    partner = engine.inverse_partners(classes, phi.rank)
     kept = np.flatnonzero(partner > np.arange(len(classes)))
     half = np.empty(len(classes), dtype=np.int64)
     half[kept] = half[partner[kept]] = np.arange(len(kept))

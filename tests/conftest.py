@@ -242,7 +242,7 @@ def unfiltered_probe(phi, L, P):
     inverse pair through P steps, with no exponent-sum filter in front."""
     (classes,) = engine.enumerate_classes(phi.rank, L)
     table = engine.image_table(phi.images)
-    kept = np.flatnonzero(engine.inverse_pair_mask(classes))
+    kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
     witnesses = []
     for lo in range(0, len(kept), hyperbolicity._PROBE_BLOCK):
         block = engine.batch_take(classes, kept[lo : lo + hyperbolicity._PROBE_BLOCK])

@@ -323,7 +323,8 @@ def test_derived_data_computed_once(capsys, files, monkeypatch, argv):
 
 
 class TestBudgetErrors:
-    """A search that runs out of its budget exits 3 with one error line."""
+    """A search that runs out of its budget, or of memory, exits 3 with one
+    error line."""
 
     def test_short_path_budget(self, capsys, files, monkeypatch):
         from traintrack import growth
@@ -384,6 +385,15 @@ class TestBudgetErrors:
                 "error: Nielsen orbit search budget exceeded: 664300 tight "
                 "paths of up to 6 edges, budget 200000\n"
             )
+
+    def test_sweep_too_large_to_allocate(self, capsys, files):
+        # L=24 passes the rank-3 norm limit, and numpy refuses the 66 PiB
+        # of class letters before touching any of it
+        code, out, err = run(capsys, "probe", files / "plas.aut", "-L", "24")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
 
 
 class TestInputErrors:
@@ -468,6 +478,22 @@ class TestInputErrors:
         code, out, _ = run(capsys, "certify", identity_file(tmp_path, 128), "-M", "1", "-L", "1")
         assert code == 0
         assert json.loads(out)["table_size"] == 256
+
+    def test_class_sweeps_limit_norm(self, capsys, tmp_path):
+        # a class is one uint64 code of base 2 rank: (2 rank)^L <= 2^64
+        for sub in ("probe", "certify"):
+            code, out, err = run(capsys, sub, identity_file(tmp_path, 1), "-L", "65")
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: norm 65 is above the class sweep's limit of 64 at rank 1\n"
+            )
+        code, out, _ = run(capsys, "probe", identity_file(tmp_path, 1), "-L", "64", "-P", "1")
+        assert code == 0
+        assert json.loads(out)["classes_enumerated"] == 128
+        code, out, _ = run(capsys, "certify", identity_file(tmp_path, 1), "-M", "1", "-L", "64")
+        assert code == 0
+        assert json.loads(out)["table_size"] == 128
 
     def test_cancellation_search_limits_edges(self, capsys, tmp_path):
         # bcc stores path images as key bytes, one per letter, so a map

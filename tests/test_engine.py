@@ -18,9 +18,10 @@ from traintrack.engine import (
     inverse_pair_mask,
     inverse_partners,
     inverse_rows,
-    is_rotation,
+    least_rotation_codes,
+    row_codes,
 )
-from traintrack.words import CyclicWord, Word, key_word
+from traintrack.words import CyclicWord, Word, key_word, least_rotation
 
 from conftest import (
     image_dict,
@@ -102,13 +103,76 @@ def test_key_bytes_cyclic_equality():
     def rows(*words):
         return np.array([list(key_word(w)) for w in words], dtype=np.uint8)
 
+    def same_class(a, b):
+        # keys of letters up to +-2 are below 4
+        return least_rotation_codes(a, 4) == least_rotation_codes(b, 4)
+
     a = rows((1, 2, -1), (1, 2, -1))
-    assert is_rotation(a, rows((2, -1, 1), (1, -2, 1))).tolist() == [True, False]
+    assert same_class(a, rows((2, -1, 1), (1, -2, 1))).tolist() == [True, False]
     # (-1, 1, -2) is the inverse of (2, -1, 1)
     inv = inverse_rows(rows((-1, 1, -2), (2, -1, 1)))
-    assert is_rotation(a, inv).tolist() == [True, False]
-    with pytest.raises(ValueError):
-        is_rotation(a[:1], rows((1, 2)))
+    assert same_class(a, inv).tolist() == [True, False]
+
+
+@st.composite
+def _cyclic_row(draw, rank, n, letters=None):
+    """A cyclically reduced word of length n over the given letters (all
+    of rank `rank` by default)."""
+    pool = letters or [x for g in range(1, rank + 1) for x in (g, -g)]
+    w = [draw(st.sampled_from(pool))]
+    while len(w) < n - 1:
+        w.append(draw(st.sampled_from([x for x in pool if x != -w[-1]])))
+    if n > 1:
+        last = [x for x in pool if x not in (-w[-1], -w[0])]
+        w.append(draw(st.sampled_from(last)))
+    return tuple(w)
+
+
+@st.composite
+def _code_rows(draw):
+    """(rank, rows): rows of one length, plain, periodic w^k, or at the
+    2^64 edge of the codes, where (2 rank)^n = 2^64 or just below."""
+    kind = draw(st.sampled_from(["plain", "periodic", "edge"]))
+    if kind == "edge":
+        rank, n = draw(st.sampled_from([(1, 64), (2, 32), (3, 24), (128, 8)]))
+        # the top keys, 2 rank - 2 and 2 rank - 1, and their neighbours
+        top = [rank, -rank, max(1, rank - 1), -max(1, rank - 1)]
+        letters = draw(st.sampled_from([top, top[:2], None]))
+        row = _cyclic_row(rank, n, letters)
+    elif kind == "periodic":
+        rank = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 6))
+        k = draw(st.integers(2, 12 // m))
+        row = _cyclic_row(rank, m).map(lambda w: w * k)
+    else:
+        rank = draw(st.integers(1, 4))
+        row = _cyclic_row(rank, draw(st.integers(1, 12)))
+    return rank, draw(st.lists(row, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_rows())
+def test_least_rotation_codes_match_booth(case):
+    # Booth's algorithm (words.least_rotation) on Python ints is the
+    # reference; codes are compared as exact base-2r numbers
+    rank, words = case
+    base = 2 * rank
+    rows = np.array([list(key_word(w)) for w in words], dtype=np.uint8)
+
+    def code(w):
+        x = 0
+        for k in key_word(w):
+            x = x * base + k
+        return x
+
+    codes = row_codes(rows, base)
+    assert codes.dtype == np.uint64
+    assert codes.tolist() == [code(w) for w in words]
+    # rows of one length sort as their codes do
+    by_code = [words[i] for i in np.argsort(codes, kind="stable")]
+    assert by_code == sorted(words, key=key_word)
+    least = [w[r:] + w[:r] for w in words for r in [least_rotation(w)]]
+    assert least_rotation_codes(rows, base).tolist() == [code(w) for w in least]
 
 
 def _burnside(rank: int, n: int) -> int:
@@ -153,24 +217,24 @@ def test_enumerate_classes_order(rank):
 def test_inverse_pair_mask_keeps_one_of_each_pair(rank):
     (batch,) = enumerate_classes(rank, 6)
     classes = [CyclicWord(w) for w in batch_to_words(batch)]
-    kept = {c for c, k in zip(classes, inverse_pair_mask(batch)) if k}
+    kept = {c for c, k in zip(classes, inverse_pair_mask(batch, rank)) if k}
     for c in classes:
         assert (c in kept) != (c.inverse_class() in kept)
 
 
 @pytest.mark.parametrize(
-    ("rank", "max_norm"), [(1, 20), (2, 8), (3, 6), (4, 4), (2, 12)]
+    ("rank", "max_norm"), [(1, 20), (2, 8), (3, 6), (4, 4), (2, 12), (1, 64)]
 )
 def test_inverse_partners(rank, max_norm):
-    # rows longer than 8 keys take more than one packed word
+    # (1, 64): a^-64 has the largest code, 2^64 - 1
     (batch,) = enumerate_classes(rank, max_norm)
     classes = [CyclicWord(w) for w in batch_to_words(batch)]
-    partner = inverse_partners(batch)
+    partner = inverse_partners(batch, rank)
     for i, c in enumerate(classes):
         assert classes[partner[i]] == c.inverse_class()
     every = np.arange(len(classes))
     assert np.array_equal(partner[partner], every)
-    assert np.array_equal(partner > every, inverse_pair_mask(batch))
+    assert np.array_equal(partner > every, inverse_pair_mask(batch, rank))
 
 
 @pytest.mark.parametrize(("rank", "max_norm"), [(1, 5), (2, 8), (3, 6), (4, 4)])

@@ -322,7 +322,7 @@ def _kept_keys(rank, L):
     """Key bytes of one class of each inverse pair, in enumeration order:
     the classes that certificate_search walks."""
     (classes,) = engine.enumerate_classes(rank, L)
-    kept = np.flatnonzero(engine.inverse_partners(classes) > np.arange(len(classes)))
+    kept = np.flatnonzero(engine.inverse_partners(classes, rank) > np.arange(len(classes)))
     kb, off = classes.flat.tobytes(), classes.offsets
     return [kb[off[i] : off[i + 1]] for i in kept]
 
@@ -467,7 +467,7 @@ def test_exponent_sum_filter_loses_no_witness(name, L, P):
         rep = atoroidality_probe(phi, L=L, P=P)
         assert rep.witnesses == unfiltered_probe(phi, L, P)
         (classes,) = engine.enumerate_classes(phi.rank, L)
-        kept = np.flatnonzero(engine.inverse_pair_mask(classes))
+        kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
         stepped = kept[hyperbolicity._may_return(phi, classes, P)[kept]]
         a = hyperbolicity._abelianization(phi)
         v = np.array([_signed_sums(w, phi.rank)
