@@ -9,7 +9,10 @@ nothing here allocates per word.
 Used by the class enumeration and the orbit/certificate searches, where
 millions of conjugacy classes are pushed through an automorphism at
 once.  The classes themselves are grown as prenecklaces, one letter per
-pass, so only least rotations and their prefixes are ever built.
+pass, so only least rotations and their prefixes are ever built.  A
+sweep that wants only the classes with exponent-sum vector 0 (the probe,
+when no other vector can come back) grows only the prefixes that can
+still reach 0 within the norm limit.
 
 Rotation order is decided only by comparing codes: row_codes reads a
 key row as one uint64 base-2r number (r the rank), and
@@ -41,6 +44,7 @@ __all__ = [
     "inverse_rows",
     "row_codes",
     "least_rotation_codes",
+    "exponent_sums",
     "inverse_pair_mask",
     "inverse_partners",
     "enumerate_classes",
@@ -209,9 +213,20 @@ def least_rotation_codes(words: np.ndarray, base: int) -> np.ndarray:
 
 # --- conjugacy class enumeration -------------------------------------
 
-def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
+def exponent_sums(words: np.ndarray, rank: int) -> np.ndarray:
+    """v(w) for each row w of an (N, n) array of key words: key 2i is
+    x_(i+1) and 2i + 1 its inverse, so count both and subtract."""
+    at = np.arange(len(words))[:, None] * (2 * rank) + words
+    counts = np.bincount(at.ravel(), minlength=len(words) * 2 * rank)
+    counts = counts.reshape(-1, rank, 2)
+    return counts[..., 0] - counts[..., 1]
+
+
+def enumerate_classes(
+    rank: int, max_norm: int, zero_sum: bool = False
+) -> Iterator[WordBatch]:
     """Canonical conjugacy classes with norm <= max_norm, yielded as one
-    batch.
+    batch; with zero_sum, only those whose exponent-sum vector is 0.
 
     A class is a cyclically reduced word taken at its lexicographically
     least rotation in letter-key order; a class and its inverse are both
@@ -227,6 +242,12 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
     class iff p divides n and its last key does not cancel its first
     (Cattell, Ruskey, Sawada, Serra & Miers, J. Algorithms 2000; Ruskey
     & Sawada, COCOON 2000).  No word is compared with its rotations.
+
+    With zero_sum, each word also carries its exponent sums s.  Every
+    class through a word of length t has v = s + u with |u|_1 <= max_norm
+    - t, so the words with |s|_1 > max_norm - t are not grown, and a
+    class is kept only if s = 0 (Sawada, TCS 2003, prunes necklaces by
+    content the same way).  The kept classes keep their order.
     """
     if rank < 1 or max_norm < 1:
         raise ValueError("rank and max_norm must be positive")
@@ -242,13 +263,20 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
             f"at rank {rank}"
         )
     # sized by the closed form up front, so blocks are written in place:
-    # no second copy of the letters, and no large late allocation
+    # no second copy of the letters, and no large late allocation.  With
+    # zero_sum the kept blocks fill only its start, and the pages past it
+    # are never touched; the allocation still refuses a sweep whose
+    # unpruned frontier (nothing is pruned up to length max_norm / 2)
+    # could not fit
     flat = np.empty(
         sum(n * _classes_of_norm(rank, n) for n in range(1, max_norm + 1)),
         dtype=np.uint8,
     )
     pos = 0
     blocks: list[tuple[int, int]] = []  # (classes, norm) per block
+    # the exponent sums of each one-letter word, by key
+    unit = exponent_sums(np.arange(nkeys, dtype=np.uint8)[:, None], rank)
+    unit = unit.astype(np.int8)  # |s_i| <= max_norm <= 64
     # a canonical word starts with its smallest key, so the outer loop
     # over first keys meets every class once, and a word that uses a key
     # below its first is never grown
@@ -258,6 +286,7 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
         # are laid out in key order under their parent row
         rows = np.full((1, 1), first, dtype=np.uint8)
         lyndon = np.ones(1, dtype=np.min_scalar_type(max_norm))
+        sums = unit[first : first + 1]
         for n in range(1, max_norm + 1):
             if n > 1:
                 ref = rows[np.arange(len(rows)), n - 1 - lyndon]  # w[t-p]
@@ -270,7 +299,14 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
                 rows = np.concatenate(
                     [np.repeat(rows, counts, axis=0), nxt[:, None]], axis=1
                 )
-            words = rows[(n % lyndon == 0) & (rows[:, -1] != first ^ 1)]
+                if zero_sum:
+                    sums = np.repeat(sums, counts, axis=0) + unit[nxt]
+                    near = np.abs(sums).sum(axis=1) <= max_norm - n
+                    rows, lyndon, sums = rows[near], lyndon[near], sums[near]
+            last = (n % lyndon == 0) & (rows[:, -1] != first ^ 1)
+            if zero_sum:
+                last &= ~sums.any(axis=1)
+            words = rows[last]
             c = len(words)
             flat[pos : pos + c * n] = words.reshape(-1)
             blocks.append((c, n))
@@ -283,7 +319,7 @@ def enumerate_classes(rank: int, max_norm: int) -> Iterator[WordBatch]:
         offsets[pos : pos + c] = n
         pos += c
     np.cumsum(offsets, out=offsets)
-    yield WordBatch(flat, offsets)
+    yield WordBatch(flat[: offsets[-1]], offsets)
 
 
 def inverse_pair_mask(classes: WordBatch, rank: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from . import engine
 from .strata import Metric
 from .graphs import GraphMap
 from .words import (
+    MAX_LETTER,
     Automorphism,
     BudgetExceeded,
     CyclicWord,
@@ -270,13 +271,52 @@ def _abelianization(phi: Automorphism) -> np.ndarray:
     return a
 
 
-def _exponent_sums(words: np.ndarray, rank: int) -> np.ndarray:
-    """v(w) for each row w of an (N, n) array of key words: key 2i is
-    x_(i+1) and 2i + 1 its inverse, so count both and subtract."""
-    at = np.arange(len(words))[:, None] * (2 * rank) + words
-    counts = np.bincount(at.ravel(), minlength=len(words) * 2 * rank)
-    counts = counts.reshape(-1, rank, 2)
-    return counts[..., 0] - counts[..., 1]
+def _mulmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y mod _PRIME for square matrices of residues, on float64
+    products: y is split into 14-bit halves, so every partial sum is an
+    integer below 2^53 and exact up to rank 2^12."""
+    lo, hi = (y & 0x3FFF).astype(float), (y >> 14).astype(float)
+    x = x.astype(float)
+    high = (x @ hi).astype(np.int64) % _PRIME
+    return (high * (1 << 14) + (x @ lo).astype(np.int64)) % _PRIME
+
+
+def _invertible_mod(m: np.ndarray) -> bool:
+    """Whether det m != 0 mod _PRIME, by Gaussian elimination."""
+    m = m % _PRIME
+    for j in range(len(m)):
+        nz = np.flatnonzero(m[j:, j])
+        if not len(nz):
+            return False
+        i = j + int(nz[0])
+        m[[j, i]] = m[[i, j]]
+        f = m[j + 1 :, j] * pow(int(m[j, j]), -1, _PRIME) % _PRIME
+        m[j + 1 :, j:] = (m[j + 1 :, j:] - f[:, None] * m[j, j:]) % _PRIME
+    return True
+
+
+def _returns_only_zero(phi: Automorphism, P: int) -> bool:
+    """Whether A^k - I is invertible for every k <= P, A the
+    abelianization of phi, so that only v = 0 can come back within P
+    steps.
+
+    Decided by determinants mod _PRIME: one that is nonzero mod _PRIME is
+    nonzero over the integers.  A zero one (A^k - I singular, or _PRIME
+    dividing the determinant) answers False, which costs only the
+    pruning.  The kernel of A^k - I lies in that of A^jk - I, so A - I is
+    tested first, which settles every A with eigenvalue 1 at once, and
+    then the product of the A^k - I over k in (P/2, P], which covers
+    every k <= P."""
+    a = _abelianization(phi) % _PRIME
+    eye = np.eye(phi.rank, dtype=np.int64)
+    if not _invertible_mod(a - eye):
+        return False
+    ak = prod = eye
+    for k in range(1, P + 1):
+        ak = _mulmod(ak, a)
+        if 2 * k > P:
+            prod = _mulmod(prod, (ak - eye) % _PRIME)
+    return _invertible_mod(prod)
 
 
 def _may_return(phi: Automorphism, classes: engine.WordBatch, P: int) -> np.ndarray:
@@ -309,7 +349,7 @@ def _may_return(phi: Automorphism, classes: engine.WordBatch, P: int) -> np.ndar
         words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
         size = max(1, _SUMS_CHUNK // (n * r))
         for s in range(0, hi - lo, size):
-            v = _exponent_sums(words[s : s + size], r)
+            v = engine.exponent_sums(words[s : s + size], r)
             ok[lo + s : lo + s + len(v)] = (v @ tests % _PRIME == 0).any(axis=1)
     return ok
 
@@ -370,14 +410,16 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     and meets the class of w, at the same steps as w returns and meets
     the class of w^-1: both are reported from the one orbit.  Classes
     whose exponent sums cannot return within P steps (_may_return) are
-    not followed at all.
+    not followed at all, and when only v = 0 can return
+    (_returns_only_zero), only the classes with v = 0 are grown.
     """
     if L < 1 or P < 1:
         raise ValueError("L and P must be positive")
     _require_inverse(phi)
-    # the enumeration checks the rank before the table encodes the images
-    (classes,) = engine.enumerate_classes(phi.rank, L)
-    enumerated = len(classes)
+    # the enumeration checks the rank before the table encodes the images,
+    # and a rank it refuses is not worth a decision
+    zero_sum = phi.rank <= MAX_LETTER and _returns_only_zero(phi, P)
+    (classes,) = engine.enumerate_classes(phi.rank, L, zero_sum=zero_sum)
     table = engine.image_table(phi.images)
     # the exponent-sum test is the cheaper one, so the inverse-pair test
     # sees only its survivors, taken apart so that the full set can go
@@ -392,7 +434,9 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
             witnesses += [w, replace(w, cls=w.cls.inverse_class())]
     witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
     verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
-    return AtoroidalityReport(witnesses, (L, P), enumerated, verdict)
+    return AtoroidalityReport(
+        witnesses, (L, P), engine.class_count(phi.rank, L), verdict
+    )
 
 
 def certificate_search(

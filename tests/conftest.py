@@ -250,3 +250,34 @@ def unfiltered_probe(phi, L, P):
             witnesses += [w, replace(w, cls=w.cls.inverse_class())]
     witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
     return witnesses
+
+
+def int_det(rows):
+    """Determinant of an integer matrix by Bareiss's fraction-free
+    elimination, exact in Python ints."""
+    m = [[int(x) for x in row] for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def only_zero_returns(a, P):
+    """Whether det(A^k - I) != 0 over the integers for every k <= P."""
+    a = np.array(a, dtype=object)
+    eye = np.eye(len(a), dtype=int).astype(object)
+    ak = eye
+    for _ in range(P):
+        ak = ak @ a
+        if int_det(ak - eye) == 0:
+            return False
+    return True

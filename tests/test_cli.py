@@ -395,6 +395,15 @@ class TestBudgetErrors:
         assert err.startswith("error: Unable to allocate ")
         assert err.count("\n") == 1
 
+    def test_unpruned_sweep_too_large_to_allocate(self, capsys, tmp_path):
+        # every class of the identity returns, so all of them are grown,
+        # and the 395 GiB of class letters are refused the same way
+        code, out, err = run(capsys, "probe", identity_file(tmp_path, 2), "-L", "24")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys, files):

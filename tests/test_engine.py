@@ -11,6 +11,7 @@ from traintrack.engine import (
     batch_from_words,
     batch_lengths,
     batch_reduce,
+    batch_take,
     batch_to_words,
     class_count,
     enumerate_classes,
@@ -245,6 +246,27 @@ def test_enumerate_classes_offsets(rank, max_norm):
     assert batch.offsets[0] == 0
     assert np.array_equal(batch.offsets[1:], np.cumsum(lens))
     assert batch.offsets[-1] == len(batch.flat)
+
+
+@pytest.mark.parametrize(("rank", "max_norm"), [(1, 8), (2, 12), (3, 8), (4, 5)])
+def test_zero_sum_classes_are_the_filtered_enumeration(rank, max_norm):
+    """zero_sum grows exactly the classes of the full enumeration whose
+    exponent sums are all 0, in its order: flat and offsets, dtypes and
+    bytes.  Rank 1 has none."""
+    (full,) = enumerate_classes(rank, max_norm)
+    zero = []
+    for i, w in enumerate(batch_to_words(full)):
+        v = [0] * rank
+        for x in w:
+            v[abs(x) - 1] += 1 if x > 0 else -1
+        if not any(v):
+            zero.append(i)
+    want = batch_take(full, np.array(zero, dtype=np.int64))
+    (got,) = enumerate_classes(rank, max_norm, zero_sum=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert (len(got) > 0) == (rank > 1)
 
 
 def test_enumerate_matches_probe_oracle_count():

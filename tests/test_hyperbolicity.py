@@ -34,8 +34,10 @@ from traintrack.words import (
 from conftest import (
     PHI,
     image_dict,
+    int_det,
     make_rel,
     naive_apply,
+    only_zero_returns,
     random_reduced_word,
     stack_length,
     unfiltered_probe,
@@ -402,6 +404,12 @@ MIXED = Automorphism.from_letter_lists(
 )
 
 
+# a quarter turn: A has order 4, so A^k - I is invertible for k <= 3 only
+QUARTER = Automorphism.from_letter_lists(
+    [(2,), (-1,)], inverse_images=[(-2,), (1,)], label="quarter"
+)
+
+
 def _signed_sums(letters, rank):
     v = [0] * rank
     for x in letters:
@@ -410,12 +418,13 @@ def _signed_sums(letters, rank):
 
 
 def _probe_map(name):
-    built = {"rel": make_rel(), "cycle": CYCLE, "mixed": MIXED}
+    built = {"rel": make_rel(), "cycle": CYCLE, "mixed": MIXED, "quarter": QUARTER}
     return built[name] if name in built else load_fixture(name)
 
 
 _PROBE_L = {  # name -> max L
     "fib": 5, "plas": 4, "poly": 5, "identity": 5, "rel": 4, "cycle": 4, "mixed": 3,
+    "quarter": 5,
 }
 
 
@@ -453,13 +462,16 @@ def test_probe_matches_orbit_oracle(name, picks, L, P):
         ("cycle", 6, 2),
         ("cycle", 5, 6),
         ("mixed", 5, 6),
+        ("quarter", 6, 3),
+        ("quarter", 6, 4),
     ],
 )
 def test_exponent_sum_filter_loses_no_witness(name, L, P):
-    """The probe, which steps only the classes _may_return keeps, reports
-    the same witnesses as stepping every class of each inverse pair, on
-    the map and on two seeded conjugates.  The classes it steps are
-    exactly those with A^k v = v over the integers for some k <= P."""
+    """The probe, which steps only the classes _may_return keeps, and
+    grows only the classes with v = 0 when no other v can return,
+    reports the same witnesses as stepping every class of each inverse
+    pair, on the map and on two seeded conjugates.  The classes it steps
+    are exactly those with A^k v = v over the integers for some k <= P."""
     base = _probe_map(name)
     rng = random.Random(f"{name} {L} {P}")
     for picks in ([], [rng.randrange(10 ** 6)], [rng.randrange(10 ** 6) for _ in range(2)]):
@@ -480,6 +492,68 @@ def test_exponent_sum_filter_loses_no_witness(name, L, P):
         assert stepped.tolist() == kept[back].tolist()
 
 
+@pytest.mark.parametrize("name", sorted(_PROBE_L) + ["fib_inverse"])
+def test_returns_only_zero_matches_integer_determinants(name):
+    """The probe grows only the classes with v = 0 exactly when det(A^k -
+    I) != 0 over the integers for every k <= P, at P = 1..8, on the map
+    and on two seeded conjugates."""
+    base = _probe_map(name)
+    rng = random.Random(f"{name} det")
+    for picks in ([], [rng.randrange(10 ** 6)], [rng.randrange(10 ** 6) for _ in range(2)]):
+        phi = _conjugate(base, picks)
+        a = hyperbolicity._abelianization(phi)
+        for P in range(1, 9):
+            assert hyperbolicity._returns_only_zero(phi, P) == only_zero_returns(a, P)
+    if name == "quarter":
+        assert hyperbolicity._returns_only_zero(base, 3)
+        assert not hyperbolicity._returns_only_zero(base, 4)
+
+
+def test_modular_matrix_helpers_match_python_ints():
+    """_mulmod equals the Python-int product mod _PRIME at rank 128 with
+    residues up to _PRIME - 1, where float64 would round a plain product,
+    and _invertible_mod agrees with the integer determinant mod _PRIME on
+    seeded small matrices, a third of them made singular."""
+    p = hyperbolicity._PRIME
+    rng = random.Random(128)
+    x, y = ([[rng.choice([p - 1, rng.randrange(p)]) for _ in range(128)]
+             for _ in range(128)] for _ in range(2))
+    want = (np.array(x, dtype=object) @ np.array(y, dtype=object)) % p
+    got = hyperbolicity._mulmod(np.array(x), np.array(y))
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    for i in range(60):
+        m = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
+        if i % 3 == 0:
+            m[5] = [a + 2 * b for a, b in zip(m[0], m[1])]
+        want = int_det(m) % p != 0
+        assert hyperbolicity._invertible_mod(np.array(m, dtype=np.int64)) == want
+
+
+def test_rank_past_the_sweep_limit_skips_the_decision():
+    """A rank the enumeration refuses is refused before the invertibility
+    decision, which multiplies rank x rank matrices up to P times, is paid
+    for."""
+    gens = [(x,) for x in range(1, 130)]
+    phi = Automorphism.from_letter_lists(gens, inverse_images=gens)
+    with mock.patch.object(hyperbolicity, "_returns_only_zero", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="rank 129 is above"):
+            atoroidality_probe(phi, L=1, P=1)
+
+
+def test_determinant_zero_mod_prime_keeps_every_class():
+    """fib has det(A^4 - I) = -5.  With 5 as the prime, the decision at
+    P = 4 cannot tell it from a singular one and keeps the full
+    enumeration, and the probe reports the same witnesses."""
+    fib = load_fixture("fib")
+    assert only_zero_returns(hyperbolicity._abelianization(fib), 4)
+    with mock.patch.object(hyperbolicity, "_PRIME", 5):
+        assert hyperbolicity._returns_only_zero(fib, 3)
+        assert not hyperbolicity._returns_only_zero(fib, 4)
+        rep = atoroidality_probe(fib, L=8, P=4)
+    assert rep.witnesses == unfiltered_probe(fib, 8, 4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(_PROBE_L) + ["fib_inverse"]),
@@ -491,7 +565,7 @@ def test_exponent_sum_filter_loses_no_witness(name, L, P):
 )
 def test_exponent_sums_follow_abelianization(name, picks, word):
     """v(phi(w)) = A v(w) on random words, A = _abelianization(phi), and
-    _exponent_sums reads v off key words."""
+    engine.exponent_sums reads v off key words."""
     phi = _conjugate(_probe_map(name), picks)
     letters = [s * (1 + (i - 1) % phi.rank) for i, s in word]
     image = naive_apply(image_dict(phi), letters)
@@ -500,4 +574,4 @@ def test_exponent_sums_follow_abelianization(name, picks, word):
     assert (a @ v).tolist() == fv
     for w, want in ((letters, v), (image, fv)):
         keys = np.frombuffer(key_word(w), dtype=np.uint8)[None, :]
-        assert hyperbolicity._exponent_sums(keys, phi.rank).tolist() == [want]
+        assert engine.exponent_sums(keys, phi.rank).tolist() == [want]

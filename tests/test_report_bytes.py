@@ -5,7 +5,7 @@ stdout sha256 recorded in tests/report_bytes.json.
 The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
 small probe, a small certify and one growth series per fixture, and
-five deeper class sweeps: three on fib, one on plas and one on poly.
+seven deeper class sweeps: four on fib, two on plas and one on poly.
 Regenerate the JSON only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -31,14 +31,19 @@ DECOMP = [
     ("fib", []), ("plas", []), ("broken", []),
 ]
 # class sweeps past the small per-fixture ones (69,996, 63,590, 3,582,
-# 9,518 and 1,386 classes); certify at its defaults (M=20, L=8) reaches
-# the interval stacks.  The plas and poly probes reach the exponent-sum
-# filter's two cases: A^k - I invertible for every k <= 12 (313 of 31,795
-# kept classes stepped) and A - I singular (234 of 1,791).
+# 4,181,926, 5,696,452, 9,518 and 1,386 classes); certify at its
+# defaults (M=20, L=8) reaches the interval stacks.  The plas and poly
+# probes reach the exponent-sum filter's two cases: A^k - I invertible
+# for every k <= 12 (313 of 31,795 kept classes stepped) and A - I
+# singular (234 of 1,791).  The probes of fib and plas grow only the
+# classes with exponent sums 0; the two deepest were recorded before
+# that pruning, when every class was grown.
 SWEEPS = [
     ["probe", "fib.aut", "-L", "12", "-P", "6"],
     ["probe", "plas.aut", "-L", "8", "-P", "12"],
     ["probe", "poly.aut", "-L", "9", "-P", "6"],
+    ["probe", "fib.aut", "-L", "16", "-P", "6"],
+    ["probe", "plas.aut", "-L", "11", "-P", "6"],
     ["certify", "fib.aut", "-M", "6", "-L", "10"],
     ["certify", "fib.aut"],
 ]
