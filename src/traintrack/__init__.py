@@ -75,7 +75,6 @@ from .hyperbolicity import (
     Witness,
     atoroidality_probe,
     certificate_search,
-    distortion_constant,
     growth_table,
 )
 from .formats import (

@@ -1,6 +1,5 @@
-"""Empirical top-level verdicts: atoroidality probing, certificate
-search for the growth inequality, and the distortion constant that
-compares circuit lengths with marking norms.
+"""Empirical top-level verdicts: atoroidality probing and certificate
+search for the growth inequality.
 
 Both searches are bounded: they sweep every conjugacy class up to a
 norm cap and report what happened inside the cap.  Neither verdict
@@ -19,8 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from . import engine
-from .strata import Metric
-from .graphs import GraphMap
 from .words import (
     MAX_LETTER,
     Automorphism,
@@ -40,7 +37,6 @@ __all__ = [
     "HyperbolicityCertificate",
     "atoroidality_probe",
     "certificate_search",
-    "distortion_constant",
     "growth_table",
 ]
 
@@ -80,14 +76,25 @@ class HyperbolicityCertificate:
     # "empirical-certificate" | "no-certificate-within-bounds" | "budget-exceeded"
     verdict: str
     table_size: int
-    # (rank, classes, norms, fwd lengths, bwd lengths) behind `table`
+    # (rank, classes, norms, kept, half, (fwd, bwd)) behind `table`: each
+    # direction at the decisive M as the kept classes' lengths, or as the
+    # powers (words, lens) to walk them from
     sweep: tuple = field(repr=False, compare=False)
 
     @cached_property
     def table(self) -> list[ClassRatio]:
         """Per-class lengths at the decisive M (or the last M reached),
-        spelled on first access: only the CSV report reads them."""
-        rank, (flat, off), nn, lf, lb = self.sweep
+        walked and spelled on first access: only the CSV report reads
+        them."""
+        rank, classes, nn, kept, half, final = self.sweep
+        if any(isinstance(f, tuple) for f in final):
+            resume = _resume_points(_class_keys(classes, kept))
+            final = [
+                _stack_lengths(resume, *f) if isinstance(f, tuple) else f
+                for f in final
+            ]
+        lf, lb = (f[half] for f in final)
+        flat, off = classes
         kb = flat.tobytes()
         out = []
         for i in range(len(nn)):
@@ -117,16 +124,20 @@ def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch
     )
 
 
-# A batch step costs numpy passes over every letter of phi^M(w); the
-# stack walk costs a fixed amount of Python per letter of w past the
-# prefix w shares with the class before it, but never builds phi^M(w).
-# Each direction of certificate_search leaves the batch once its next
-# step could hold more letters per class than this.
-# certificate_search at the CLI defaults (M = 20, L = 8), in process on
-# 2 CPUs, two runs each: at 128, fib 0.12-0.20 s, plas 0.08-0.14 s, poly
-# 0.03-0.05 s and broken.gm 3.7-5.6 s; 64 and 256 were within that
-# spread; 32 and 1024 took broken.gm 5.1-6.8 s.
-_STACK_AT = 128
+# A batch step costs numpy passes over every letter of phi^M(w); a stack
+# walk costs a fixed amount of Python per letter of w past the prefix w
+# shares with the class before it, but never builds phi^M(w), and from
+# the second M on stacks it walks only the classes the exponent-sum bound
+# keeps.  Each direction of certificate_search leaves the batch once its
+# next step could hold more letters per class than this.
+# certificate_search in process on 2 CPUs, two runs each, at the CLI
+# defaults (M = 20, L = 8) and at L = 12 on fib: at 64, fib 0.018 s, plas
+# 0.08-0.09 s, poly 0.023-0.024 s, broken.gm 0.36-0.51 s, fib -L 12
+# 0.45-0.65 s; at 128, 0.031-0.032, 0.10-0.12, 0.039-0.045, 0.66-0.70 and
+# 0.69-0.94 s; at 256, 0.043-0.044, 0.12-0.13, 0.043-0.045, 1.02-1.10
+# and 1.67-1.88 s.  32 took broken.gm 0.47-0.73 s, and 16 took plas -L 10
+# 7.6-8.4 s against 3.6-4.5 s at 64.
+_STACK_AT = 64
 
 
 class _Powers:
@@ -154,6 +165,12 @@ class _Powers:
             self.words += [b, inverse_keys(b)]
         self.lens = [len(b) for b in self.words]
         self.letters = int(off[-1])
+
+
+def _class_keys(classes: engine.WordBatch, idx: np.ndarray) -> list[bytes]:
+    """The key bytes of the classes at idx."""
+    kb, off = classes.flat.tobytes(), classes.offsets
+    return [kb[off[i] : off[i + 1]] for i in idx]
 
 
 def _resume_points(keys: list[bytes]) -> list[tuple[int, bytes]]:
@@ -261,11 +278,23 @@ _PRIME = 134_217_689
 _SUMS_CHUNK = 1 << 18
 
 
-def _abelianization(phi: Automorphism) -> np.ndarray:
-    """The integer matrix A of phi on Z^rank: A[i, j] is the exponent sum
-    of x_(i+1) in phi(x_(j+1)), so v(phi(w)) = A v(w)."""
-    a = np.zeros((phi.rank, phi.rank), dtype=np.int64)
-    for j, img in enumerate(phi.images):
+def _sum_blocks(batch: engine.WordBatch, rank: int):
+    """(lo, v) in batch order: v holds the exponent-sum vectors of the
+    words lo, lo + 1, ... of the batch, at most _SUMS_CHUNK entries."""
+    flat, offsets = batch
+    for lo, hi, n in engine.length_runs(batch):
+        words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
+        size = max(1, _SUMS_CHUNK // (n * rank))
+        for s in range(0, hi - lo, size):
+            yield lo + s, engine.exponent_sums(words[s : s + size], rank)
+
+
+def _abelianization(images: tuple[Word, ...]) -> np.ndarray:
+    """The integer matrix A on Z^rank of the map with these images of the
+    generators: A[i, j] is the exponent sum of x_(i+1) in the image of
+    x_(j+1), so v(phi(w)) = A v(w)."""
+    a = np.zeros((len(images), len(images)), dtype=np.int64)
+    for j, img in enumerate(images):
         x = np.array(img.letters)
         np.add.at(a[:, j], np.abs(x) - 1, np.sign(x))
     return a
@@ -307,7 +336,7 @@ def _returns_only_zero(phi: Automorphism, P: int) -> bool:
     tested first, which settles every A with eigenvalue 1 at once, and
     then the product of the A^k - I over k in (P/2, P], which covers
     every k <= P."""
-    a = _abelianization(phi) % _PRIME
+    a = _abelianization(phi.images) % _PRIME
     eye = np.eye(phi.rank, dtype=np.int64)
     if not _invertible_mod(a - eye):
         return False
@@ -331,7 +360,7 @@ def _may_return(phi: Automorphism, classes: engine.WordBatch, P: int) -> np.ndar
     seeded generator: a class with (A^k - I) v != 0 mod _PRIME passes u_k
     for about one c in _PRIME, which costs only its stepping."""
     r = phi.rank
-    a = _abelianization(phi) % _PRIME
+    a = _abelianization(phi.images) % _PRIME
     rng = random.Random(0)  # numpy.random would cost its import, 15 ms
     c = np.array([rng.randrange(1, _PRIME) for _ in range(r)])
     y, tests = c, []
@@ -343,14 +372,9 @@ def _may_return(phi: Automorphism, classes: engine.WordBatch, P: int) -> np.ndar
         if 2 * k > P:
             tests.append(u)
     tests = np.array(tests).T
-    flat, offsets = classes
     ok = np.zeros(len(classes), dtype=bool)
-    for lo, hi, n in engine.length_runs(classes):
-        words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
-        size = max(1, _SUMS_CHUNK // (n * r))
-        for s in range(0, hi - lo, size):
-            v = engine.exponent_sums(words[s : s + size], r)
-            ok[lo + s : lo + s + len(v)] = (v @ tests % _PRIME == 0).any(axis=1)
+    for lo, v in _sum_blocks(classes, r):
+        ok[lo : lo + len(v)] = (v @ tests % _PRIME == 0).any(axis=1)
     return ok
 
 
@@ -439,6 +463,26 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     )
 
 
+def _walk(
+    lengths: list[np.ndarray],
+    powers: tuple[_Powers, _Powers],
+    stacked: list[int],
+    keys: list[bytes],
+    idx,
+) -> None:
+    """Replace the lower bounds in lengths[d], for each direction d in
+    stacked, by the exact lengths of the kept classes at idx, walked from
+    powers[d].  A length below its bound means broken arithmetic."""
+    resume = _resume_points([keys[j] for j in idx])
+    for d in stacked:
+        exact = _stack_lengths(resume, powers[d].words, powers[d].lens)
+        if (exact < lengths[d][idx]).any():
+            raise ArithmeticError(
+                "a conjugacy length fell below its exponent-sum bound"
+            )
+        lengths[d][idx] = exact
+
+
 def certificate_search(
     phi: Automorphism,
     M_max: int,
@@ -456,23 +500,32 @@ def certificate_search(
     Only conjugacy lengths are computed, and only for one class of each
     inverse pair.  While the batch's words are short they are pushed
     through phi in batch steps; after that the lengths come from the
-    powers phi^M(x) through one _stack_lengths walk over the classes in
-    enumeration order, so memory is bounded by the powers.  When the
-    powers phi^M(x) and phi^-M(x) of the generators x would hold more
-    than letter_budget letters in all, the search stops with verdict
-    "budget-exceeded" and the history and table of the last M completed.
+    powers phi^M(x) through _stack_lengths walks, so memory is bounded by
+    the powers.  When the powers phi^M(x) and phi^-M(x) of the generators
+    x would hold more than letter_budget letters in all, the search stops
+    with verdict "budget-exceeded" and the history and table of the last
+    M completed.
+
+    A walk covers only the classes that can be the argmin at M.  A word
+    is no shorter than the 1-norm of its exponent-sum vector, and cyclic
+    reduction keeps that vector, so |phi^+-M(w)| >= |A^+-M v(w)|_1 for A
+    the abelianization of phi (_abelianization).  The class of the last
+    argmin is walked first, and its exact ratio U at M bounds r(M) from
+    above; a class whose bound ratio is above U has a larger exact ratio
+    and is not walked.  A direction still on batch steps gives its exact
+    lengths in place of the bound.
     """
     if M_max < 1 or L < 1:
         raise ValueError("M_max and L must be positive")
     _require_inverse(phi)
     # the enumeration checks the rank before the tables encode the images
     (classes,) = engine.enumerate_classes(phi.rank, L)
-    tables = tuple(map(engine.image_table, (phi.images, phi.inverse_images)))
+    images = (phi.images, phi.inverse_images)
+    tables = tuple(map(engine.image_table, images))
     powers = tuple(_Powers(t, phi.rank) for t in tables)
     # a batch step multiplies the batch's letters by at most the longest
     # image, which bounds the next batch without a per-letter temporary
     widest = tuple(int(t.lens.max()) for t in tables)
-    flat, off = classes
     norms = engine.batch_lengths(classes)
     # only one class of each inverse pair is stepped: |phi^M(w^-1)| =
     # |phi^M(w)|, so half[i] indexes the kept class whose lengths are i's
@@ -480,11 +533,23 @@ def certificate_search(
     kept = np.flatnonzero(partner > np.arange(len(classes)))
     half = np.empty(len(classes), dtype=np.int64)
     half[kept] = half[partner[kept]] = np.arange(len(kept))
+    nk = norms[kept]
     # per direction: phi^+-M of every kept class while that direction is
     # on batch steps, None once it has moved to stacks
     batches = [engine.batch_take(classes, kept)] * 2
-    lengths = [norms[kept]] * 2
-    resume: list[tuple[int, bytes]] | None = None
+    lengths = [nk] * 2
+    # per direction on stacks, the powers' (words, lens) at the last M
+    # completed, which the table walks every kept class from
+    pieces = [None, None]
+    # A^M and A^-M.  Their entries are exponent sums of the words phi^+-M(x),
+    # so they are bounded by the letters the powers hold, which the letter
+    # budget caps (10^7 by default): |A^+-M v|_1 <= L 10^7 and its products
+    # with a norm stay far inside int64.
+    abel = [_abelianization(im) for im in images]
+    apow = [np.eye(phi.rank, dtype=np.int64)] * 2
+    keys: list[bytes] | None = None
+    sums = None
+    argmin = None
     history: list[tuple[int, int, int, str]] = []
     verdict = "no-certificate-within-bounds"
     for M in range(1, M_max + 1):
@@ -493,6 +558,8 @@ def certificate_search(
         if powers[0].letters + powers[1].letters > letter_budget:
             verdict = "budget-exceeded"
             break
+        apow = [p @ a for p, a in zip(apow, abel)]
+        stacked = []
         for d in (0, 1):
             batch = batches[d]
             if batch is not None:
@@ -501,19 +568,44 @@ def certificate_search(
                     lengths[d] = engine.batch_lengths(batch)
                     continue
                 batches[d] = None
-            if resume is None:
-                kb = flat.tobytes()
-                resume = _resume_points([kb[off[i] : off[i + 1]] for i in kept])
-            lengths[d] = _stack_lengths(resume, powers[d].words, powers[d].lens)
-        mx = np.maximum(lengths[0], lengths[1])[half]
-        i = int(np.argmin(mx / norms))
-        num, den = int(mx[i]), int(norms[i])
-        arg = spell(key_letters(flat[off[i] : off[i + 1]]), phi.rank)
+            stacked.append(d)
+        walk = None
+        if stacked:
+            if keys is None:
+                keys = _class_keys(classes, kept)
+                blocks = _sum_blocks(engine.batch_take(classes, kept), phi.rank)
+                sums = np.concatenate([v for _, v in blocks])
+            for d in stacked:
+                lengths[d] = np.abs(sums @ apow[d].T).sum(axis=1)
+            bound = np.maximum(*lengths)
+            walk = np.arange(len(kept))
+            if argmin is not None:
+                k = half[argmin]
+                _walk(lengths, powers, stacked, keys, [k])
+                u = max(lengths[0][k], lengths[1][k])
+                walk = np.flatnonzero(bound * nk[k] <= u * nk)
+            _walk(lengths, powers, stacked, keys, walk)
+        for d in stacked:
+            pieces[d] = (powers[d].words, powers[d].lens)
+        ratio = np.maximum(*lengths) / nk
+        if walk is not None:
+            # a class left unwalked has an exact ratio above U >= r(M), so
+            # it is neither the argmin nor tied with it (distinct ratios of
+            # norms <= 64 differ by far more than their floats' rounding)
+            walked = np.full(len(kept), np.inf)
+            walked[walk] = ratio[walk]
+            ratio = walked
+        argmin = int(np.argmin(ratio[half]))
+        k = half[argmin]
+        num, den = int(max(lengths[0][k], lengths[1][k])), int(nk[k])
+        lo, hi = classes.offsets[argmin : argmin + 2]
+        arg = spell(key_letters(classes.flat[lo:hi]), phi.rank)
         history.append((M, num, den, arg))
         if num > den:
             verdict = "empirical-certificate"
             break
-    sweep = (phi.rank, classes, norms, lengths[0][half], lengths[1][half])
+    final = [p or n for p, n in zip(pieces, lengths)]
+    sweep = (phi.rank, classes, norms, kept, half, final)
     lam = None
     if verdict == "empirical-certificate":
         lam = Fraction(history[-1][1], history[-1][2])
@@ -527,21 +619,6 @@ def certificate_search(
         table_size=len(classes),
         sweep=sweep,
     )
-
-
-def distortion_constant(f: GraphMap, metric: Metric) -> float:
-    """Bound C with L(circuit)/C <= marking norm <= C * L(circuit),
-    valid edgewise: the worst stretch between an edge's metric length
-    and the word length of its marking image."""
-    g = f.graph if isinstance(f, GraphMap) else f
-    if g.marking is None:
-        raise ValueError("graph has no marking")
-    c = 0.0
-    for e in range(1, g.edge_count + 1):
-        le = metric.edge_length(e)
-        word = Word(g.marking_word(e))
-        c = max(c, le, len(word) / le)
-    return c
 
 
 def growth_table(

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import traintrack
-from traintrack import strata
+from traintrack import hyperbolicity, strata
 from traintrack.cli import LEMMAS, main
 from traintrack.formats import dump_automorphism
 from traintrack.words import Automorphism
@@ -456,6 +456,18 @@ class TestInputErrors:
         code, out, err = run(capsys, "analyze", files / "fib.aut")
         assert (code, out, err) == (
             4, "", "error: dependency cycle across components\n"
+        )
+
+    def test_length_below_its_bound_exits_4(self, capsys, files, monkeypatch):
+        # certify checks each walked length against its exponent-sum bound
+        # with a raise, not an assert, so the check holds under python -O
+        abel = hyperbolicity._abelianization
+        monkeypatch.setattr(
+            hyperbolicity, "_abelianization", lambda images: 10 * abel(images)
+        )
+        code, out, err = run(capsys, "certify", files / "fib.aut")
+        assert (code, out, err) == (
+            4, "", "error: a conjugacy length fell below its exponent-sum bound\n"
         )
 
     def test_tol_must_be_positive(self, capsys, files):

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from traintrack import engine, hyperbolicity, load_fixture
 from traintrack.engine import class_count
-from traintrack.graphs import Graph, induced_automorphism, rose_of
+from traintrack.graphs import induced_automorphism
 from traintrack.hyperbolicity import (
     atoroidality_probe,
     certificate_search,
-    distortion_constant,
     growth_table,
 )
-from traintrack.strata import assign_metric, compute_filtration
 from traintrack.words import (
     Automorphism,
     BudgetExceeded,
@@ -29,10 +27,10 @@ from traintrack.words import (
     iterate,
     key_word,
     nielsen_inverse_search,
+    spell,
 )
 
 from conftest import (
-    PHI,
     image_dict,
     int_det,
     make_rel,
@@ -189,19 +187,6 @@ class TestGrowthTable:
             growth_table(fib, Word((1,)), [12], letter_budget=376)
 
 
-class TestDistortion:
-    def test_fib_rose(self, fib_rose, fib_filtration):
-        metric = assign_metric(fib_filtration)
-        # single-letter markings: the stretch is just the longest edge
-        assert distortion_constant(fib_rose, metric) == pytest.approx(PHI)
-
-    def test_needs_marking(self, fib_filtration):
-        g = Graph(["v"], [("a", "v", "v")])
-        metric = assign_metric(fib_filtration)
-        with pytest.raises(ValueError):
-            distortion_constant(g, metric)
-
-
 class TestOuterInvariance:
     def _conjugators(self, rng, rank, count=10):
         return [
@@ -285,7 +270,19 @@ def _engine_lengths(phi, L, M_max):
     return classes, out
 
 
-_FIXTURES = {"fib": 5, "plas": 4, "poly": 5}  # name -> L
+_FIXTURES = {"fib": 5, "plas": 4, "poly": 5, "broken": 4}  # name -> L
+
+
+def _engine_history(phi, classes, ref):
+    """(M, num, den, argmin) at each M from the unpruned lengths: the
+    least max(fwd, bwd)/norm over every class, the first in enumeration
+    order among equals."""
+    words = engine.batch_to_words(classes)
+    out = []
+    for M, row in enumerate(ref, 1):
+        i = min(range(len(row)), key=lambda i: Fraction(max(row[i]), len(words[i])))
+        out.append((M, max(row[i]), len(words[i]), spell(words[i], phi.rank)))
+    return out
 
 
 @pytest.mark.parametrize("stack_at", [hyperbolicity._STACK_AT, 0],
@@ -295,13 +292,18 @@ _FIXTURES = {"fib": 5, "plas": 4, "poly": 5}  # name -> L
     name=st.sampled_from(sorted(_FIXTURES)),
     picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=2),
 )
+@example(name="broken", picks=[])
+@example(name="fib", picks=[3, 7])
 def test_certify_lengths_match_engine(stack_at, name, picks):
-    """certificate_search's table equals the _step engine's lengths at
-    every M <= 8, whether it stays on batch steps or moves to interval
-    stacks, and agrees with iterate on a few classes."""
-    phi = _conjugate(load_fixture(name), picks)
+    """certificate_search's history and table equal those of the _step
+    engine's lengths of every class at every M <= 8, whether it stays on
+    batch steps or moves to interval stacks, where it walks only the
+    classes its exponent-sum bound cannot rule out; the table agrees with
+    iterate on a few classes."""
+    phi = _conjugate(_with_inverse(name), picks)
     L = _FIXTURES[name]
     classes, ref = _engine_lengths(phi, L, 8)
+    history = _engine_history(phi, classes, ref)
     words = engine.batch_to_words(classes)
     # the stack walk resumes classes from shared prefixes of 3 keys or more
     resume = hyperbolicity._resume_points(_kept_keys(phi.rank, L))
@@ -310,6 +312,9 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
         for M in range(1, 9):
             cert = certificate_search(phi, M_max=M, L=L)
             reached = len(cert.history)  # less than M after a certificate
+            assert cert.history == history[:reached]
+            certified = [m for m, num, den, _ in history if num > den]
+            assert reached == min([M, *certified])
             got = [(r.fwd, r.bwd) for r in cert.table]
             assert got == ref[reached - 1]
     for i in (0, len(words) // 2, len(words) - 1):
@@ -318,6 +323,61 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
             CyclicWord(iterate(phi, w, reached).letters).norm,
             CyclicWord(iterate(phi, w, -reached).letters).norm,
         )
+
+
+@pytest.mark.parametrize("stack_at", [hyperbolicity._STACK_AT, 0],
+                         ids=["default", "stacks-from-M1"])
+def test_certify_walks_only_what_the_bound_keeps(stack_at):
+    """On fib at M = 20, L = 8, every stack walk from M = 6 on covers at
+    most 17 of the 693 kept classes: the argmin's class, then those whose
+    exponent-sum bound does not exceed its ratio.  Stacks are reached
+    by M = 7 at the default switch, and from M = 1 every class is walked
+    once."""
+    fib = load_fixture("fib")
+    advance, stack_lengths = hyperbolicity._Powers.advance, hyperbolicity._stack_lengths
+    advances, walks = [], []
+
+    def counted_advance(self):
+        advances.append(1)
+        advance(self)
+
+    def counted_walk(classes, words, lens):
+        walks.append((len(advances) // 2, len(classes)))  # two powers per M
+        return stack_lengths(classes, words, lens)
+
+    with mock.patch.object(hyperbolicity, "_STACK_AT", stack_at), \
+            mock.patch.object(hyperbolicity._Powers, "advance", counted_advance), \
+            mock.patch.object(hyperbolicity, "_stack_lengths", counted_walk):
+        cert = certificate_search(fib, M_max=20, L=8)
+    assert len(cert.history) == 20
+    assert {M for M, _ in walks} >= set(range(7, 21))
+    assert all(rows <= 17 for M, rows in walks if M > 5)
+    if stack_at == 0:
+        assert (1, 693) in walks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FIXTURES)),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=2),
+    word=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=8,
+    ),
+    M=st.integers(min_value=1, max_value=8),
+)
+def test_conjugacy_length_is_at_least_the_abelianization_bound(name, picks, word, M):
+    """|phi^M(w)| >= |A^M v(w)|_1 and |phi^-M(w)| >= |B^M v(w)|_1, A and
+    B the abelianizations of phi and phi^-1: the bound certificate_search
+    prunes its stack walks with."""
+    phi = _conjugate(_with_inverse(name), picks)
+    letters = [s * (1 + (i - 1) % phi.rank) for i, s in word]
+    v = np.array(_signed_sums(letters, phi.rank))
+    for images, k in ((phi.images, M), (phi.inverse_images, -M)):
+        a = np.linalg.matrix_power(hyperbolicity._abelianization(images), M)
+        norm = CyclicWord(iterate(phi, Word(letters), k).letters).norm
+        assert norm >= np.abs(a @ v).sum()
 
 
 def _kept_keys(rank, L):
@@ -481,7 +541,7 @@ def test_exponent_sum_filter_loses_no_witness(name, L, P):
         (classes,) = engine.enumerate_classes(phi.rank, L)
         kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
         stepped = kept[hyperbolicity._may_return(phi, classes, P)[kept]]
-        a = hyperbolicity._abelianization(phi)
+        a = hyperbolicity._abelianization(phi.images)
         v = np.array([_signed_sums(w, phi.rank)
                       for w in engine.batch_to_words(classes)])[kept].T
         back = np.zeros(len(kept), dtype=bool)
@@ -501,7 +561,7 @@ def test_returns_only_zero_matches_integer_determinants(name):
     rng = random.Random(f"{name} det")
     for picks in ([], [rng.randrange(10 ** 6)], [rng.randrange(10 ** 6) for _ in range(2)]):
         phi = _conjugate(base, picks)
-        a = hyperbolicity._abelianization(phi)
+        a = hyperbolicity._abelianization(phi.images)
         for P in range(1, 9):
             assert hyperbolicity._returns_only_zero(phi, P) == only_zero_returns(a, P)
     if name == "quarter":
@@ -546,7 +606,7 @@ def test_determinant_zero_mod_prime_keeps_every_class():
     P = 4 cannot tell it from a singular one and keeps the full
     enumeration, and the probe reports the same witnesses."""
     fib = load_fixture("fib")
-    assert only_zero_returns(hyperbolicity._abelianization(fib), 4)
+    assert only_zero_returns(hyperbolicity._abelianization(fib.images), 4)
     with mock.patch.object(hyperbolicity, "_PRIME", 5):
         assert hyperbolicity._returns_only_zero(fib, 3)
         assert not hyperbolicity._returns_only_zero(fib, 4)
@@ -564,12 +624,12 @@ def test_determinant_zero_mod_prime_keeps_every_class():
     ),
 )
 def test_exponent_sums_follow_abelianization(name, picks, word):
-    """v(phi(w)) = A v(w) on random words, A = _abelianization(phi), and
+    """v(phi(w)) = A v(w) on random words, A = _abelianization(phi.images), and
     engine.exponent_sums reads v off key words."""
     phi = _conjugate(_probe_map(name), picks)
     letters = [s * (1 + (i - 1) % phi.rank) for i, s in word]
     image = naive_apply(image_dict(phi), letters)
-    a = hyperbolicity._abelianization(phi)
+    a = hyperbolicity._abelianization(phi.images)
     v, fv = _signed_sums(letters, phi.rank), _signed_sums(image, phi.rank)
     assert (a @ v).tolist() == fv
     for w, want in ((letters, v), (image, fv)):

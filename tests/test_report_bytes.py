@@ -5,7 +5,8 @@ stdout sha256 recorded in tests/report_bytes.json.
 The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
 small probe, a small certify and one growth series per fixture, and
-seven deeper class sweeps: four on fib, two on plas and one on poly.
+eleven deeper class sweeps: five on fib, two each on plas, poly and
+broken.
 Regenerate the JSON only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -31,8 +32,11 @@ DECOMP = [
     ("fib", []), ("plas", []), ("broken", []),
 ]
 # class sweeps past the small per-fixture ones (69,996, 63,590, 3,582,
-# 4,181,926, 5,696,452, 9,518 and 1,386 classes); certify at its
-# defaults (M=20, L=8) reaches the interval stacks.  The plas and poly
+# 4,181,926, 5,696,452, 9,518, 1,386, 63,590, 1,386, 69,996 and 70
+# classes); certify at its defaults (M=20, L=8) reaches the interval
+# stacks on fib and broken but not on poly, and broken at -M 30 -L 3
+# stops on the letter budget after M=29, so its csv is the table of the
+# last M completed.  The plas and poly
 # probes reach the exponent-sum filter's two cases: A^k - I invertible
 # for every k <= 12 (313 of 31,795 kept classes stepped) and A - I
 # singular (234 of 1,791).  The probes of fib and plas grow only the
@@ -46,6 +50,10 @@ SWEEPS = [
     ["probe", "plas.aut", "-L", "11", "-P", "6"],
     ["certify", "fib.aut", "-M", "6", "-L", "10"],
     ["certify", "fib.aut"],
+    ["certify", "broken.gm"],
+    ["certify", "poly.aut"],
+    ["certify", "fib.aut", "-L", "12"],
+    ["certify", "broken.gm", "-M", "30", "-L", "3"],
 ]
 
 
