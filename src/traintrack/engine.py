@@ -27,13 +27,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .words import MAX_LETTER, inverse_keys, key_letters, key_word
+from .words import MAX_LETTER, inverse_keys, key_word
 
 __all__ = [
     "WordBatch",
     "ImageTable",
     "batch_from_words",
-    "batch_to_words",
     "batch_lengths",
     "length_runs",
     "image_table",
@@ -45,7 +44,6 @@ __all__ = [
     "row_codes",
     "least_rotation_codes",
     "exponent_sums",
-    "inverse_pair_mask",
     "inverse_partners",
     "enumerate_classes",
     "class_count",
@@ -75,12 +73,6 @@ def _packed(chunks: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_from_words(words: Sequence[Sequence[int]]) -> WordBatch:
     return WordBatch(*_packed([key_word(w) for w in words]))
-
-
-def batch_to_words(batch: WordBatch) -> list[tuple[int, ...]]:
-    flat, offsets = batch
-    kb = flat.tobytes()
-    return [key_letters(kb[offsets[i] : offsets[i + 1]]) for i in range(len(batch))]
 
 
 def batch_lengths(batch: WordBatch) -> np.ndarray:
@@ -322,30 +314,17 @@ def enumerate_classes(
     yield WordBatch(flat[: offsets[-1]], offsets)
 
 
-def inverse_pair_mask(classes: WordBatch, rank: int) -> np.ndarray:
-    """Canonical classes that precede their inverse class in key order.
-
-    No nontrivial class of a free group is its own inverse, so this keeps
-    exactly one class of each {w, w^-1} pair.  The enumeration lays out
-    classes of one length contiguously within each first key, so each run
-    of one length is compared as an (N, n) view."""
-    flat, offsets = classes
-    keep = np.empty(len(classes), dtype=bool)
-    for lo, hi, n in length_runs(classes):
-        words = flat[offsets[lo] : offsets[hi]].reshape(-1, n)
-        keep[lo:hi] = row_codes(words, 2 * rank) < least_rotation_codes(
-            inverse_rows(words), 2 * rank
-        )
-    return keep
-
-
 def inverse_partners(classes: WordBatch, rank: int) -> np.ndarray:
     """The index of each canonical class's inverse class.
 
     The inverse class is the least rotation of the inverse word.  The
     classes of one length, taken block by block in first-key order, are
     already in code order, so each inverse's least-rotation code is looked
-    up among them."""
+    up among them.  No nontrivial class is its own inverse, so partner[i]
+    > i keeps exactly one class of each {w, w^-1} pair.  The batch must
+    be closed under inversion, as the enumeration and any filter on
+    exponent sums (v(w^-1) = -v(w)) are; a missing inverse class raises
+    ArithmeticError."""
     flat, offsets = classes
     partner = np.empty(len(classes), dtype=np.int64)
     runs = length_runs(classes)
@@ -357,7 +336,10 @@ def inverse_partners(classes: WordBatch, rank: int) -> np.ndarray:
         )
         codes = row_codes(rows, 2 * rank)
         inverse = least_rotation_codes(inverse_rows(rows), 2 * rank)
-        partner[idx] = idx[np.searchsorted(codes, inverse)]
+        at = np.minimum(np.searchsorted(codes, inverse), len(codes) - 1)
+        if (codes[at] != inverse).any():
+            raise ArithmeticError("an inverse class is missing from the batch")
+        partner[idx] = idx[at]
     return partner
 
 

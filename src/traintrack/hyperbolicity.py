@@ -11,7 +11,7 @@ leave the implication to the theorems.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -300,16 +300,6 @@ def _abelianization(images: tuple[Word, ...]) -> np.ndarray:
     return a
 
 
-def _mulmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y mod _PRIME for square matrices of residues, on float64
-    products: y is split into 14-bit halves, so every partial sum is an
-    integer below 2^53 and exact up to rank 2^12."""
-    lo, hi = (y & 0x3FFF).astype(float), (y >> 14).astype(float)
-    x = x.astype(float)
-    high = (x @ hi).astype(np.int64) % _PRIME
-    return (high * (1 << 14) + (x @ lo).astype(np.int64)) % _PRIME
-
-
 def _invertible_mod(m: np.ndarray) -> bool:
     """Whether det m != 0 mod _PRIME, by Gaussian elimination."""
     m = m % _PRIME
@@ -342,9 +332,9 @@ def _returns_only_zero(phi: Automorphism, P: int) -> bool:
         return False
     ak = prod = eye
     for k in range(1, P + 1):
-        ak = _mulmod(ak, a)
+        ak = ak @ a % _PRIME
         if 2 * k > P:
-            prod = _mulmod(prod, (ak - eye) % _PRIME)
+            prod = prod @ (ak - eye) % _PRIME
     return _invertible_mod(prod)
 
 
@@ -385,10 +375,10 @@ def _rows(batch: engine.WordBatch, idx: np.ndarray, n: int) -> np.ndarray:
 
 def _probe_block(
     block: engine.WordBatch, table: engine.ImageTable, P: int
-) -> list[Witness]:
-    """The witnesses among the block's classes: each class's first return
-    within P steps, and the first step before it that met the inverse
-    class."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(period, inv_at) for the block's classes: each class's first
+    return within P steps (0 for none), and the first step before it
+    that met the inverse class (0 for none)."""
     norms = engine.batch_lengths(block)
     base = len(table.lens)  # one image per key
     period = np.zeros(len(block), dtype=np.int64)
@@ -408,16 +398,7 @@ def _probe_block(
             inverse = engine.inverse_rows(now[look])
             hit = engine.least_rotation_codes(inverse, base) == was[look]
             inv_at[idx[look][hit]] = k
-    flat, off = block
-    return [
-        Witness(
-            cls=CyclicWord(key_letters(flat[off[i] : off[i + 1]])),
-            period=int(period[i]),
-            inverted=bool(inv_at[i]),
-            inversion_step=int(inv_at[i]),
-        )
-        for i in np.flatnonzero(period)
-    ]
+    return period, inv_at
 
 
 def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
@@ -429,13 +410,14 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     the inversion flag (the two readings of "periodic class" differ
     exactly there).
 
-    Only one class of each inverse pair is followed, in blocks of
-    _PROBE_BLOCK classes.  phi^k(w^-1) is phi^k(w)^-1, so w^-1 returns,
-    and meets the class of w, at the same steps as w returns and meets
-    the class of w^-1: both are reported from the one orbit.  Classes
-    whose exponent sums cannot return within P steps (_may_return) are
-    not followed at all, and when only v = 0 can return
-    (_returns_only_zero), only the classes with v = 0 are grown.
+    Only one class of each inverse pair (engine.inverse_partners) is
+    followed, in blocks of _PROBE_BLOCK classes.  phi^k(w^-1) is
+    phi^k(w)^-1, so w^-1 returns, and meets the class of w, at the same
+    steps as w returns and meets the class of w^-1: both are reported
+    from the one orbit, each with its own enumerated row.  Classes whose
+    exponent sums cannot return within P steps (_may_return) are not
+    followed at all, and when only v = 0 can return (_returns_only_zero),
+    only the classes with v = 0 are grown.
     """
     if L < 1 or P < 1:
         raise ValueError("L and P must be positive")
@@ -445,17 +427,26 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     zero_sum = phi.rank <= MAX_LETTER and _returns_only_zero(phi, P)
     (classes,) = engine.enumerate_classes(phi.rank, L, zero_sum=zero_sum)
     table = engine.image_table(phi.images)
-    # the exponent-sum test is the cheaper one, so the inverse-pair test
-    # sees only its survivors, taken apart so that the full set can go
-    ok = _may_return(phi, classes, P)
-    if not ok.all():
-        classes = engine.batch_take(classes, np.flatnonzero(ok))
-    kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
+    if not zero_sum:
+        # every class grown with zero_sum has v = 0, which always passes;
+        # otherwise the exponent-sum test is the cheaper one, so the
+        # partner lookup sees only its survivors, taken apart so that the
+        # full set can go.  v(w^-1) = -v(w), so they keep whole pairs.
+        ok = _may_return(phi, classes, P)
+        if not ok.all():
+            classes = engine.batch_take(classes, np.flatnonzero(ok))
+    partner = engine.inverse_partners(classes, phi.rank)
+    kept = np.flatnonzero(partner > np.arange(len(classes)))
+    flat, off = classes
     witnesses: list[Witness] = []
     for lo in range(0, len(kept), _PROBE_BLOCK):
-        block = engine.batch_take(classes, kept[lo : lo + _PROBE_BLOCK])
-        for w in _probe_block(block, table, P):
-            witnesses += [w, replace(w, cls=w.cls.inverse_class())]
+        idx = kept[lo : lo + _PROBE_BLOCK]
+        period, inv_at = _probe_block(engine.batch_take(classes, idx), table, P)
+        for j in np.flatnonzero(period):
+            p, s = int(period[j]), int(inv_at[j])
+            for i in (idx[j], partner[idx[j]]):
+                cls = CyclicWord._raw(key_letters(flat[off[i] : off[i + 1]]))
+                witnesses.append(Witness(cls, p, bool(s), s))
     witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
     verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
     return AtoroidalityReport(

@@ -14,7 +14,7 @@ from traintrack import (
     load_fixture,
     rose_of,
 )
-from traintrack.words import common_prefix
+from traintrack.words import CyclicWord, common_prefix, key_letters, key_word
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -237,16 +237,35 @@ def stack_length(keys, words, lens):
     return total
 
 
+def batch_to_words(batch):
+    """The letters of each word of an engine batch, as tuples."""
+    flat, offsets = batch
+    kb = flat.tobytes()
+    return [key_letters(kb[offsets[i] : offsets[i + 1]]) for i in range(len(batch))]
+
+
 def unfiltered_probe(phi, L, P):
     """atoroidality_probe's witnesses from stepping one class of every
-    inverse pair through P steps, with no exponent-sum filter in front."""
+    inverse pair through P steps, with no exponent-sum filter in front.
+    The pairs and the inverse classes come from CyclicWord.inverse_class,
+    not from the engine's partner lookup."""
     (classes,) = engine.enumerate_classes(phi.rank, L)
     table = engine.image_table(phi.images)
-    kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
+    words = [CyclicWord(w) for w in batch_to_words(classes)]
+    kept = np.array(
+        [i for i, c in enumerate(words)
+         if key_word(c.letters) < key_word(c.inverse_class().letters)],
+        dtype=np.int64,
+    )
     witnesses = []
     for lo in range(0, len(kept), hyperbolicity._PROBE_BLOCK):
-        block = engine.batch_take(classes, kept[lo : lo + hyperbolicity._PROBE_BLOCK])
-        for w in hyperbolicity._probe_block(block, table, P):
+        idx = kept[lo : lo + hyperbolicity._PROBE_BLOCK]
+        block = engine.batch_take(classes, idx)
+        period, inv_at = hyperbolicity._probe_block(block, table, P)
+        for j in np.flatnonzero(period):
+            w = hyperbolicity.Witness(
+                words[idx[j]], int(period[j]), bool(inv_at[j]), int(inv_at[j])
+            )
             witnesses += [w, replace(w, cls=w.cls.inverse_class())]
     witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
     return witnesses

@@ -470,6 +470,22 @@ class TestInputErrors:
             4, "", "error: a conjugacy length fell below its exponent-sum bound\n"
         )
 
+    def test_missing_inverse_class_exits_4(self, capsys, files, monkeypatch):
+        # the probe reads each witness's inverse class off the partner
+        # lookup, which refuses a batch that lost one class of a pair
+        may_return = hyperbolicity._may_return
+
+        def drop_first(phi, classes, P):
+            ok = may_return(phi, classes, P)
+            ok[0] = False
+            return ok
+
+        monkeypatch.setattr(hyperbolicity, "_may_return", drop_first)
+        code, out, err = run(capsys, "probe", files / "poly.aut", "-L", "6")
+        assert (code, out, err) == (
+            4, "", "error: an inverse class is missing from the batch\n"
+        )
+
     def test_tol_must_be_positive(self, capsys, files):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "analyze", files / "fib.aut", "--tol", "0")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traintrack import hyperbolicity
 from traintrack.engine import (
     batch_apply,
     batch_cyclic_reduce,
@@ -12,11 +13,9 @@ from traintrack.engine import (
     batch_lengths,
     batch_reduce,
     batch_take,
-    batch_to_words,
     class_count,
     enumerate_classes,
     image_table,
-    inverse_pair_mask,
     inverse_partners,
     inverse_rows,
     least_rotation_codes,
@@ -25,6 +24,7 @@ from traintrack.engine import (
 from traintrack.words import CyclicWord, Word, key_word, least_rotation
 
 from conftest import (
+    batch_to_words,
     image_dict,
     naive_apply,
     naive_classes,
@@ -215,27 +215,57 @@ def test_enumerate_classes_order(rank):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_inverse_pair_mask_keeps_one_of_each_pair(rank):
+def test_partner_order_keeps_one_of_each_pair(rank):
     (batch,) = enumerate_classes(rank, 6)
     classes = [CyclicWord(w) for w in batch_to_words(batch)]
-    kept = {c for c, k in zip(classes, inverse_pair_mask(batch, rank)) if k}
+    first = inverse_partners(batch, rank) > np.arange(len(classes))
+    kept = {c for c, k in zip(classes, first) if k}
     for c in classes:
         assert (c in kept) != (c.inverse_class() in kept)
 
 
-@pytest.mark.parametrize(
-    ("rank", "max_norm"), [(1, 20), (2, 8), (3, 6), (4, 4), (2, 12), (1, 64)]
-)
-def test_inverse_partners(rank, max_norm):
-    # (1, 64): a^-64 has the largest code, 2^64 - 1
-    (batch,) = enumerate_classes(rank, max_norm)
+def _check_partners(batch, rank):
     classes = [CyclicWord(w) for w in batch_to_words(batch)]
     partner = inverse_partners(batch, rank)
     for i, c in enumerate(classes):
         assert classes[partner[i]] == c.inverse_class()
     every = np.arange(len(classes))
     assert np.array_equal(partner[partner], every)
-    assert np.array_equal(partner > every, inverse_pair_mask(batch, rank))
+
+
+@pytest.mark.parametrize(
+    ("rank", "max_norm"), [(1, 20), (2, 8), (3, 6), (4, 4), (2, 12), (1, 64)]
+)
+def test_inverse_partners(rank, max_norm):
+    # (1, 64): a^-64 has the largest code, 2^64 - 1.  The zero-sum
+    # enumeration is closed under inversion too (v(w^-1) = -v(w)); at
+    # rank 1 it is empty
+    for zero_sum in (False, True):
+        (batch,) = enumerate_classes(rank, max_norm, zero_sum=zero_sum)
+        _check_partners(batch, rank)
+
+
+def test_inverse_partners_of_may_return_survivors(poly):
+    """The classes the probe's exponent-sum test keeps on poly (A - I
+    singular, so every class is grown) are a batch with gaps inside each
+    length, closed under inversion."""
+    (classes,) = enumerate_classes(poly.rank, 9)
+    ok = hyperbolicity._may_return(poly, classes, 6)
+    assert 0 < ok.sum() < len(classes)
+    _check_partners(batch_take(classes, np.flatnonzero(ok)), poly.rank)
+
+
+def test_inverse_partners_refuses_a_missing_inverse():
+    (batch,) = enumerate_classes(2, 6)
+    partner = inverse_partners(batch, 2)
+    # drop either class of two pairs; with the last class (b^-6, the
+    # largest code of its length) gone, searchsorted would place its
+    # partner's inverse past the end
+    last = len(batch) - 1
+    for drop in (0, int(partner[0]), last, int(partner[last])):
+        keep = np.flatnonzero(np.arange(len(batch)) != drop)
+        with pytest.raises(ArithmeticError, match="inverse class is missing"):
+            inverse_partners(batch_take(batch, keep), 2)
 
 
 @pytest.mark.parametrize(("rank", "max_norm"), [(1, 5), (2, 8), (3, 6), (4, 4)])

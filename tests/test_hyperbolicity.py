@@ -31,6 +31,7 @@ from traintrack.words import (
 )
 
 from conftest import (
+    batch_to_words,
     image_dict,
     int_det,
     make_rel,
@@ -277,7 +278,7 @@ def _engine_history(phi, classes, ref):
     """(M, num, den, argmin) at each M from the unpruned lengths: the
     least max(fwd, bwd)/norm over every class, the first in enumeration
     order among equals."""
-    words = engine.batch_to_words(classes)
+    words = batch_to_words(classes)
     out = []
     for M, row in enumerate(ref, 1):
         i = min(range(len(row)), key=lambda i: Fraction(max(row[i]), len(words[i])))
@@ -304,7 +305,7 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
     L = _FIXTURES[name]
     classes, ref = _engine_lengths(phi, L, 8)
     history = _engine_history(phi, classes, ref)
-    words = engine.batch_to_words(classes)
+    words = batch_to_words(classes)
     # the stack walk resumes classes from shared prefixes of 3 keys or more
     resume = hyperbolicity._resume_points(_kept_keys(phi.rank, L))
     assert max(c for c, _ in resume) >= 3
@@ -539,11 +540,12 @@ def test_exponent_sum_filter_loses_no_witness(name, L, P):
         rep = atoroidality_probe(phi, L=L, P=P)
         assert rep.witnesses == unfiltered_probe(phi, L, P)
         (classes,) = engine.enumerate_classes(phi.rank, L)
-        kept = np.flatnonzero(engine.inverse_pair_mask(classes, phi.rank))
+        partner = engine.inverse_partners(classes, phi.rank)
+        kept = np.flatnonzero(partner > np.arange(len(classes)))
         stepped = kept[hyperbolicity._may_return(phi, classes, P)[kept]]
         a = hyperbolicity._abelianization(phi.images)
         v = np.array([_signed_sums(w, phi.rank)
-                      for w in engine.batch_to_words(classes)])[kept].T
+                      for w in batch_to_words(classes)])[kept].T
         back = np.zeros(len(kept), dtype=bool)
         ak = np.eye(phi.rank, dtype=np.int64)
         for _ in range(P):
@@ -570,18 +572,23 @@ def test_returns_only_zero_matches_integer_determinants(name):
 
 
 def test_modular_matrix_helpers_match_python_ints():
-    """_mulmod equals the Python-int product mod _PRIME at rank 128 with
-    residues up to _PRIME - 1, where float64 would round a plain product,
-    and _invertible_mod agrees with the integer determinant mod _PRIME on
+    """The int64 product x @ y % _PRIME that _returns_only_zero and
+    _may_return use equals the Python-int product mod _PRIME at rank 128
+    with residues up to _PRIME - 1, the largest sums it can meet, and
+    _invertible_mod agrees with the integer determinant mod _PRIME on
     seeded small matrices, a third of them made singular."""
     p = hyperbolicity._PRIME
     rng = random.Random(128)
     x, y = ([[rng.choice([p - 1, rng.randrange(p)]) for _ in range(128)]
              for _ in range(128)] for _ in range(2))
     want = (np.array(x, dtype=object) @ np.array(y, dtype=object)) % p
-    got = hyperbolicity._mulmod(np.array(x), np.array(y))
+    got = np.array(x, dtype=np.int64) @ np.array(y, dtype=np.int64) % p
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
+    # the right factor A^k - I of _returns_only_zero's product can hold -1
+    y = np.array(y, dtype=np.int64) - np.eye(128, dtype=np.int64)
+    want = (np.array(x, dtype=object) @ y.astype(object)) % p
+    assert (np.array(x, dtype=np.int64) @ y % p).tolist() == want.tolist()
     for i in range(60):
         m = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
         if i % 3 == 0:

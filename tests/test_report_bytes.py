@@ -5,8 +5,8 @@ stdout sha256 recorded in tests/report_bytes.json.
 The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
 small probe, a small certify and one growth series per fixture, and
-eleven deeper class sweeps: five on fib, two each on plas, poly and
-broken.
+twelve deeper class sweeps: five on fib, two each on plas, poly and
+broken, and one on identity.
 Regenerate the JSON only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -32,8 +32,8 @@ DECOMP = [
     ("fib", []), ("plas", []), ("broken", []),
 ]
 # class sweeps past the small per-fixture ones (69,996, 63,590, 3,582,
-# 4,181,926, 5,696,452, 9,518, 1,386, 63,590, 1,386, 69,996 and 70
-# classes); certify at its defaults (M=20, L=8) reaches the interval
+# 4,181,926, 5,696,452, 9,518, 9,518, 1,386, 63,590, 1,386, 69,996 and
+# 70 classes); certify at its defaults (M=20, L=8) reaches the interval
 # stacks on fib and broken but not on poly, and broken at -M 30 -L 3
 # stops on the letter budget after M=29, so its csv is the table of the
 # last M completed.  The plas and poly
@@ -41,13 +41,15 @@ DECOMP = [
 # for every k <= 12 (313 of 31,795 kept classes stepped) and A - I
 # singular (234 of 1,791).  The probes of fib and plas grow only the
 # classes with exponent sums 0; the two deepest were recorded before
-# that pruning, when every class was grown.
+# that pruning, when every class was grown.  On identity (A = I) neither
+# exponent-sum test thins anything and every class is a witness.
 SWEEPS = [
     ["probe", "fib.aut", "-L", "12", "-P", "6"],
     ["probe", "plas.aut", "-L", "8", "-P", "12"],
     ["probe", "poly.aut", "-L", "9", "-P", "6"],
     ["probe", "fib.aut", "-L", "16", "-P", "6"],
     ["probe", "plas.aut", "-L", "11", "-P", "6"],
+    ["probe", "identity.aut", "-L", "10", "-P", "6"],
     ["certify", "fib.aut", "-M", "6", "-L", "10"],
     ["certify", "fib.aut"],
     ["certify", "broken.gm"],
