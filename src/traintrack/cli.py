@@ -12,9 +12,10 @@ Six subcommands over the two input formats (.aut automorphism files,
 
 Exit codes: 0 completed, 1 a validator found a violation, 2 input error,
 3 a bounded search ran out of its budget or memory (a class sweep too
-large to allocate), 4 an internal arithmetic error
-(a power iteration that did not converge, or a class that a length
-computation reduced to the trivial class).
+large to allocate), 4 an internal arithmetic error (a power iteration
+that did not converge, a class that a length computation reduced to the
+trivial class, a walked length below its exponent-sum bound, or an
+inverse class missing from the batch).
 Reports are deterministic byte-for-byte for a fixed config; floats are
 printed at 12 significant digits.
 """
@@ -28,14 +29,14 @@ import sys
 from . import growth as growth_mod
 from .formats import (
     ParseError,
-    canonical_json,
+    Report,
     format_float,
+    format_value,
     load_automorphism,
     load_graph_map,
-    render_csv,
+    render_report,
 )
 from .graphs import (
-    Circuit,
     GraphMap,
     induced_automorphism,
     random_circuit,
@@ -120,22 +121,11 @@ def _parse_class_word(text: str, rank: int) -> Word:
     return Word(letters, rank)
 
 
-def _dict_csv(header, rows) -> str:
-    """CSV of the header's keys from each row dict; a missing or None
-    value is an empty cell."""
-
-    def cell(row, key):
-        v = row.get(key)
-        return "" if v is None else v
-
-    return render_csv(header, [[cell(r, h) for h in header] for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def cmd_analyze(args) -> tuple[int, str]:
+def cmd_analyze(args) -> Report:
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
     g = f.graph
@@ -167,17 +157,7 @@ def cmd_analyze(args) -> tuple[int, str]:
     # the stronger conditions fail on honest train track maps whenever a
     # Nielsen path has period > 1, so they gate the exit code only on demand
     failed = not rtt.passed or (args.strict and not improved.passed)
-    code = EXIT_VIOLATION if failed else EXIT_OK
 
-    if args.format == "json":
-        return code, canonical_json(report)
-    if args.format == "csv":
-        rows = [
-            [r["index"], " ".join(r["edges"]), r["kind"],
-             "" if r["lambda"] is None else r["lambda"]]
-            for r in strata_rows
-        ]
-        return code, render_csv(["index", "edges", "kind", "lambda"], rows)
     lines = [
         f"input: {report['input']}",
         f"kind: {report['kind']}",
@@ -197,14 +177,17 @@ def cmd_analyze(args) -> tuple[int, str]:
         lines.append(f"{label}: {'pass' if rep.passed else 'FAIL'}")
         for v in rep.violations:
             lines.append("  violation: " + " ".join(f"{k}={v[k]}" for k in sorted(v)))
-    return code, "\n".join(lines) + "\n"
+    return Report(
+        report, EXIT_VIOLATION if failed else EXIT_OK, table="strata",
+        columns=["index", "edges", "kind", "lambda"], head=lines,
+    )
 
 
 # ---------------------------------------------------------------------------
 # probe / certify / growth
 
 
-def cmd_probe(args) -> tuple[int, str]:
+def cmd_probe(args) -> Report:
     _positive(args, ["max_class_len", "max_period"])
     kind, obj = _load_input(args.file)
     phi = _with_inverse(_as_automorphism(kind, obj))
@@ -227,27 +210,21 @@ def cmd_probe(args) -> tuple[int, str]:
         "classes_enumerated": rep.classes_enumerated,
         "witnesses": wit_rows,
     }
-    if args.format == "json":
-        return EXIT_OK, canonical_json(report)
-    if args.format == "csv":
-        return EXIT_OK, _dict_csv(
-            ["class", "norm", "period", "inverted", "inversion_step"], wit_rows
-        )
-    lines = [
-        f"input: {phi.label}",
-        f"verdict: {rep.verdict}",
-        f"classes: {rep.classes_enumerated} (norm <= {rep.exhausted[0]}, "
-        f"period <= {rep.exhausted[1]})",
-    ]
-    for w in wit_rows:
-        lines.append(
-            f"witness: {w['class']} norm={w['norm']} period={w['period']} "
-            f"inverted={'true' if w['inverted'] else 'false'} step={w['inversion_step']}"
-        )
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return Report(
+        report, table="witnesses",
+        columns=["class", "norm", "period", "inverted", "inversion_step"],
+        head=[
+            f"input: {phi.label}",
+            f"verdict: {rep.verdict}",
+            f"classes: {rep.classes_enumerated} (norm <= {rep.exhausted[0]}, "
+            f"period <= {rep.exhausted[1]})",
+        ],
+        row="witness: {class} norm={norm} period={period} "
+            "inverted={inverted} step={inversion_step}",
+    )
 
 
-def cmd_certify(args) -> tuple[int, str]:
+def cmd_certify(args) -> Report:
     _positive(args, ["m_max", "max_class_len"])
     kind, obj = _load_input(args.file)
     phi = _with_inverse(_as_automorphism(kind, obj))
@@ -267,11 +244,6 @@ def cmd_certify(args) -> tuple[int, str]:
         "history": history,
         "table_size": cert.table_size,
     }
-    if args.format == "json":
-        return EXIT_OK, canonical_json(report)
-    if args.format == "csv":
-        rows = [[t.cls, t.norm, t.fwd, t.bwd, t.ratio] for t in cert.table]
-        return EXIT_OK, render_csv(["class", "norm", "fwd", "bwd", "ratio"], rows)
     lines = [f"input: {phi.label}", f"verdict: {cert.verdict}"]
     if cert.M is not None:
         lines.append(f"M: {cert.M}")
@@ -279,14 +251,16 @@ def cmd_certify(args) -> tuple[int, str]:
             f"lambda: {format_float(cert.lam)} "
             f"({cert.lam_exact[0]}/{cert.lam_exact[1]})"
         )
-    for h in history:
-        lines.append(
-            f"history: M={h['M']} ratio={format_float(h['ratio'])} argmin={h['argmin']}"
-        )
-    return EXIT_OK, "\n".join(lines) + "\n"
+    # the CSV is the per-class table, which the JSON and text leave out
+    return Report(
+        report, table="history", columns=["class", "norm", "fwd", "bwd", "ratio"],
+        head=lines,
+        row="history: M={M} ratio={ratio} argmin={argmin}",
+        csv_rows=lambda: zip(*cert.table.values()),
+    )
 
 
-def cmd_growth(args) -> tuple[int, str]:
+def cmd_growth(args) -> Report:
     kind, obj = _load_input(args.file)
     phi = _as_automorphism(kind, obj)
     if args.k_min < 0:
@@ -295,25 +269,23 @@ def cmd_growth(args) -> tuple[int, str]:
         raise CliError("--k-max must be >= --k-min")
     g = _parse_class_word(args.word, phi.rank)
     rows = growth_table(phi, g, range(args.k_min, args.k_max + 1))
-    if args.format == "json":
-        report = {
-            "input": phi.label,
-            "word": spell(g.letters, phi.rank),
-            "rows": [{"k": k, "norm": n} for k, n in rows],
-        }
-        return EXIT_OK, canonical_json(report)
-    if args.format == "csv":
-        return EXIT_OK, render_csv(["k", "norm"], rows)
-    lines = [f"input: {phi.label}", f"word: {spell(g.letters, phi.rank)}"]
-    lines += [f"k={k} norm={n}" for k, n in rows]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    word = spell(g.letters, phi.rank)
+    report = {
+        "input": phi.label,
+        "word": word,
+        "rows": [{"k": k, "norm": n} for k, n in rows],
+    }
+    return Report(
+        report, table="rows", columns=["k", "norm"],
+        head=[f"input: {phi.label}", f"word: {word}"], row="k={k} norm={norm}",
+    )
 
 
 # ---------------------------------------------------------------------------
 # nielsen
 
 
-def cmd_nielsen(args) -> tuple[int, str]:
+def cmd_nielsen(args) -> Report:
     _positive(args, ["len_bound", "period_bound"])
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
@@ -335,27 +307,20 @@ def cmd_nielsen(args) -> tuple[int, str]:
         }
         for r in recs
     ]
-    if args.format == "json":
-        report = {
-            "input": f.label,
-            "len_bound": args.len_bound,
-            "period_bound": args.period_bound,
-            "count": len(rows),
-            "paths": rows,
-        }
-        return EXIT_OK, canonical_json(report)
-    if args.format == "csv":
-        header = ["path", "period", "indivisible", "illegal", "height", "exact"]
-        return EXIT_OK, _dict_csv(header, rows)
-    lines = [f"input: {f.label}", f"count: {len(rows)}"]
-    for r in rows:
-        lines.append(
-            f"path: {r['path']} period={r['period']} "
-            f"indivisible={'true' if r['indivisible'] else 'false'} "
-            f"illegal={r['illegal']} height={r['height']} "
-            f"exact={'true' if r['exact'] else 'false'}"
-        )
-    return EXIT_OK, "\n".join(lines) + "\n"
+    report = {
+        "input": f.label,
+        "len_bound": args.len_bound,
+        "period_bound": args.period_bound,
+        "count": len(rows),
+        "paths": rows,
+    }
+    return Report(
+        report, table="paths",
+        columns=["path", "period", "indivisible", "illegal", "height", "exact"],
+        head=[f"input: {f.label}", f"count: {len(rows)}"],
+        row="path: {path} period={period} indivisible={indivisible} "
+            "illegal={illegal} height={height} exact={exact}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +349,11 @@ def _inverse_rose(kind, obj) -> GraphMap:
     return rose_of(_with_inverse(obj).inverse())
 
 
-def cmd_validate(args) -> tuple[int, str]:
+_CIRCUIT_COLUMNS = ["circuit", "k", "L", "Lr", "i", "ir", "scriptL", "bound",
+                    "margin", "pass"]
+
+
+def cmd_validate(args) -> Report:
     _positive(
         args, ["pairs", "k_max", "len_bound", "samples", "m_max"]
     )
@@ -397,6 +366,7 @@ def cmd_validate(args) -> tuple[int, str]:
 
     constants: dict = {}
     rows: list[dict] = []
+    columns = ["quantity", "value"]  # bcc and illen write their constants
     code = EXIT_OK
 
     if lemma == "bcc":
@@ -417,7 +387,7 @@ def cmd_validate(args) -> tuple[int, str]:
             f, bwd, circuits, k_max=args.k_max,
             r=_top_exponential(filt) if lemma == "bw2" else None,
         )
-        constants, rows = rep.constants, rep.rows
+        constants, rows, columns = rep.constants, rep.rows, _CIRCUIT_COLUMNS
         if not rep.all_pass:
             code = EXIT_VIOLATION
     elif lemma == "illen":
@@ -437,7 +407,7 @@ def cmd_validate(args) -> tuple[int, str]:
             n_max=args.k_max, m_search_max=args.m_max,
             r=_top_exponential(filt) if len(filt.strata) > 1 else None,
         )
-        constants, rows = rep.constants, rep.rows
+        constants, rows, columns = rep.constants, rep.rows, _CIRCUIT_COLUMNS
         vacuous = constants.get("qualifying", 0) == 0
         if not vacuous and (not rep.all_pass or not constants.get("found", True)):
             code = EXIT_VIOLATION
@@ -445,6 +415,7 @@ def cmd_validate(args) -> tuple[int, str]:
         _top_exponential(filt)  # refuses a map with no exponential stratum
         rng = random.Random(args.seed)
         unresolved = 0
+        columns = ["path", "case", "pass"]
         for _ in range(args.samples):
             p = random_tight_path(f.graph, args.len_bound, rng)
             verdict = growth_mod.trichotomy_classify(
@@ -462,6 +433,7 @@ def cmd_validate(args) -> tuple[int, str]:
             code = EXIT_VIOLATION
     elif lemma == "decomp":
         rng = random.Random(args.seed)
+        columns = ["circuit", "case", "fraction", "pieces", "pass"]
         for _ in range(args.samples):
             c = random_circuit(f.graph, args.len_bound, rng)
             try:
@@ -494,36 +466,17 @@ def cmd_validate(args) -> tuple[int, str]:
         "rows": rows,
         "all_pass": code == EXIT_OK,
     }
-    if args.format == "json":
-        return code, canonical_json(report)
-    if args.format == "csv":
-        if lemma in ("bw1", "bw2", "backgrowth"):
-            header = ["circuit", "k", "L", "Lr", "i", "ir", "scriptL", "bound",
-                      "margin", "pass"]
-            return code, _dict_csv(header, rows)
-        if lemma == "tricho":
-            return code, _dict_csv(["path", "case", "pass"], rows)
-        if lemma == "decomp":
-            header = ["circuit", "case", "fraction", "pieces", "pass"]
-            return code, _dict_csv(header, rows)
-        # bcc and illen reduce to named constants
-        return code, render_csv(
-            ["quantity", "value"],
-            [[k, constants[k]] for k in constants],
-        )
     lines = [f"input: {f.label}", f"lemma: {lemma}"]
-    for k in constants:
-        v = constants[k]
-        lines.append(
-            f"{k}: " + (format_float(v) if isinstance(v, float) else
-                        ("true" if v is True else "false" if v is False else str(v)))
-        )
+    lines += [f"{k}: {format_value(v)}" for k, v in constants.items()]
     failures = [r for r in rows if not r.get("pass", True)]
     lines.append(f"rows: {len(rows)} failures: {len(failures)}")
     for r in failures[:10]:
         lines.append("  fail: " + " ".join(f"{k}={r[k]}" for k in r))
     lines.append("pass" if code == EXIT_OK else "FAIL")
-    return code, "\n".join(lines) + "\n"
+    return Report(
+        report, code, table="rows", columns=columns, head=lines,
+        csv_rows=constants.items if lemma in ("bcc", "illen") else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,44 +490,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, default_fmt):
+    def command(name, handler, help, fmt="json"):
+        p = sub.add_parser(name, help=help)
         p.add_argument("file", help="input file (.aut or .gm)")
-        p.add_argument("--format", default=default_fmt,
-                       choices=["json", "csv", "text"])
+        p.add_argument("--format", default=fmt, choices=["json", "csv", "text"])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("analyze", help="strata, growth rates, metric, map checks")
-    common(p, "json")
+    p = command("analyze", cmd_analyze, "strata, growth rates, metric, map checks")
     p.add_argument("--strict", action="store_true",
                    help="fail on the improved-map conditions as well")
-    p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("probe", help="bounded periodic conjugacy class sweep")
-    common(p, "json")
+    p = command("probe", cmd_probe, "bounded periodic conjugacy class sweep")
     p.add_argument("-L", "--max-class-len", type=int, default=4)
     p.add_argument("-P", "--max-period", type=int, default=2)
-    p.set_defaults(handler=cmd_probe)
 
-    p = sub.add_parser("certify", help="uniform growth certificate search")
-    common(p, "json")
+    p = command("certify", cmd_certify, "uniform growth certificate search")
     p.add_argument("-M", "--m-max", type=int, default=20)
     p.add_argument("-L", "--max-class-len", type=int, default=8)
-    p.set_defaults(handler=cmd_certify)
 
-    p = sub.add_parser("growth", help="conjugacy length series of one class")
-    common(p, "csv")
+    p = command("growth", cmd_growth, "conjugacy length series of one class", "csv")
     p.add_argument("word", help="class word, e.g. 'a b^-1'")
     p.add_argument("--k-min", type=int, default=0)
     p.add_argument("--k-max", type=int, default=6)
-    p.set_defaults(handler=cmd_growth)
 
-    p = sub.add_parser("nielsen", help="periodic Nielsen path inventory")
-    common(p, "json")
+    p = command("nielsen", cmd_nielsen, "periodic Nielsen path inventory")
     p.add_argument("--len-bound", type=int, default=6)
     p.add_argument("--period-bound", type=int, default=4)
-    p.set_defaults(handler=cmd_nielsen)
 
-    p = sub.add_parser("validate", help="run one inequality validator")
-    common(p, "csv")
+    p = command("validate", cmd_validate, "run one inequality validator", "csv")
     p.add_argument("lemma", choices=LEMMAS)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled circuits and paths")
@@ -589,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent search cap (backgrowth) / iterate (tricho)")
     p.add_argument("--l0", type=float, default=12.0,
                    help="length threshold (illen/backgrowth/tricho/decomp)")
-    p.set_defaults(handler=cmd_validate)
 
     return top
 
@@ -597,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, out = args.handler(args)
+        report = args.handler(args)
+        out = render_report(report, args.format)
     except (CliError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -612,7 +556,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     sys.stdout.write(out)
-    return code
+    return report.code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .words import MAX_LETTER, inverse_keys, key_word
+from .words import MAX_LETTER, inverse_keys, key_letters, key_word, spell
 
 __all__ = [
     "WordBatch",
@@ -40,6 +40,7 @@ __all__ = [
     "batch_reduce",
     "batch_cyclic_reduce",
     "batch_take",
+    "spell_batch",
     "inverse_rows",
     "row_codes",
     "least_rotation_codes",
@@ -110,6 +111,20 @@ def _gather(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> WordBatch
 def batch_take(batch: WordBatch, idx: np.ndarray) -> WordBatch:
     """The words at the given indices, in that order."""
     return _gather(batch.flat, batch.offsets[idx], batch_lengths(batch)[idx])
+
+
+def spell_batch(batch: WordBatch, rank: int) -> list[str]:
+    """words.spell of each word, by one name lookup per run of equal
+    lengths."""
+    names = np.array(
+        [spell((x,), rank) for x in key_letters(bytes(range(2 * rank)))],
+        dtype=object,
+    )
+    out: list[str] = []
+    for lo, hi, n in length_runs(batch):
+        rows = batch.flat[batch.offsets[lo] : batch.offsets[hi]].reshape(hi - lo, n)
+        out += map(" ".join, names[rows].tolist()) if n else ["1"] * (hi - lo)
+    return out
 
 
 def batch_apply(batch: WordBatch, table: ImageTable) -> WordBatch:

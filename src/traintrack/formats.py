@@ -30,7 +30,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .graphs import Graph, GraphMap, tighten
 from .words import _ABC, Automorphism, Word, generator_name, invert_verify, spell
@@ -44,8 +45,11 @@ __all__ = [
     "load_graph_map",
     "dump_automorphism",
     "format_float",
+    "format_value",
     "canonical_json",
     "render_csv",
+    "Report",
+    "render_report",
 ]
 
 class FormatWarning(UserWarning):
@@ -379,20 +383,67 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(_jsonable(obj), indent=2) + "\n"
 
 
+def format_value(v: Any) -> str:
+    """A report value as text: floats at 12 significant digits, bools as
+    true/false, lists joined by spaces, anything else by str."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, (list, tuple)):
+        return " ".join(map(format_value, v))
+    return str(v)
+
+
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Render rows as CSV with LF line endings and 12 significant digit floats."""
+    """Render rows as CSV with LF line endings, each cell by format_value;
+    None is an empty cell."""
 
     def cell(v: Any) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format_float(v)
-        s = str(v)
+        if v is None:
+            return ""
+        s = format_value(v)
         if "," in s or '"' in s or "\n" in s:
             s = '"' + s.replace('"', '""') + '"'
         return s
 
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join(map(cell, row)))
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class Report:
+    """A subcommand's result and exit code.  ``fields`` is the JSON
+    document, and ``fields[table]`` the list of row dicts that the CSV
+    writes ``columns`` of and the text writes by the ``row`` format after
+    the ``head`` lines.  ``csv_rows``, when set, builds the CSV's rows in
+    their place: a table that only the CSV holds."""
+
+    fields: dict
+    code: int = 0
+    table: str | None = None
+    columns: Sequence[str] = ()
+    head: Sequence[str] = ()
+    row: str = ""
+    csv_rows: Callable[[], Iterable[Sequence[Any]]] | None = None
+
+
+def render_report(report: Report, fmt: str) -> str:
+    """The report as one of the formats json, csv and text."""
+    if fmt == "json":
+        return canonical_json(report.fields)
+    rows = report.fields[report.table] if report.table else []
+    if fmt == "csv":
+        if report.csv_rows is not None:
+            return render_csv(report.columns, report.csv_rows())
+        cols = report.columns
+        return render_csv(cols, ([r.get(c) for c in cols] for r in rows))
+    lines = list(report.head)
+    if report.row:
+        lines += [
+            report.row.format_map({k: format_value(v) for k, v in r.items()})
+            for r in rows
+        ]
     return "\n".join(lines) + "\n"

@@ -33,7 +33,6 @@ from .words import (
 __all__ = [
     "Witness",
     "AtoroidalityReport",
-    "ClassRatio",
     "HyperbolicityCertificate",
     "atoroidality_probe",
     "certificate_search",
@@ -58,15 +57,6 @@ class AtoroidalityReport:
 
 
 @dataclass(frozen=True)
-class ClassRatio:
-    cls: str
-    norm: int
-    fwd: int
-    bwd: int
-    ratio: float
-
-
-@dataclass(frozen=True)
 class HyperbolicityCertificate:
     M: int | None
     lam: float | None
@@ -82,10 +72,10 @@ class HyperbolicityCertificate:
     sweep: tuple = field(repr=False, compare=False)
 
     @cached_property
-    def table(self) -> list[ClassRatio]:
-        """Per-class lengths at the decisive M (or the last M reached),
-        walked and spelled on first access: only the CSV report reads
-        them."""
+    def table(self) -> dict[str, list]:
+        """Per-class lengths at the decisive M (or the last M reached) as
+        the columns class, norm, fwd, bwd and ratio, walked and spelled on
+        first access: only the CSV report reads them."""
         rank, classes, nn, kept, half, final = self.sweep
         if any(isinstance(f, tuple) for f in final):
             resume = _resume_points(_class_keys(classes, kept))
@@ -94,21 +84,13 @@ class HyperbolicityCertificate:
                 for f in final
             ]
         lf, lb = (f[half] for f in final)
-        flat, off = classes
-        kb = flat.tobytes()
-        out = []
-        for i in range(len(nn)):
-            f, b, n = int(lf[i]), int(lb[i]), int(nn[i])
-            out.append(
-                ClassRatio(
-                    cls=spell(key_letters(kb[off[i] : off[i + 1]]), rank),
-                    norm=n,
-                    fwd=f,
-                    bwd=b,
-                    ratio=max(f, b) / n,
-                )
-            )
-        return out
+        return {
+            "class": engine.spell_batch(classes, rank),
+            "norm": nn.tolist(),
+            "fwd": lf.tolist(),
+            "bwd": lb.tolist(),
+            "ratio": (np.maximum(lf, lb) / nn).tolist(),
+        }
 
 
 def _require_inverse(phi: Automorphism):

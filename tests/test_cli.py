@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import traintrack
-from traintrack import hyperbolicity, strata
+from traintrack import engine, hyperbolicity, strata
 from traintrack.cli import LEMMAS, main
 from traintrack.formats import dump_automorphism
 from traintrack.words import Automorphism
@@ -485,6 +485,23 @@ class TestInputErrors:
         assert (code, out, err) == (
             4, "", "error: an inverse class is missing from the batch\n"
         )
+
+    def test_certify_table_is_built_for_csv_only(self, capsys, files, monkeypatch):
+        # the per-class table is spelled only when the CSV is written, and
+        # inside main's error mapping: json and text keep their pinned bytes
+        pinned = json.loads(
+            (Path(__file__).parent / "report_bytes.json").read_text()
+        )["certify broken.gm -M 30 -L 3"]
+
+        def failing(batch, rank):
+            raise ArithmeticError("spelling failed")
+
+        monkeypatch.setattr(engine, "spell_batch", failing)
+        argv = ["certify", files / "broken.gm", "-M", "30", "-L", "3", "--format"]
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, *argv, fmt)
+            assert [code, hashlib.sha256(out.encode()).hexdigest()] == pinned[fmt]
+        assert run(capsys, *argv, "csv") == (4, "", "error: spelling failed\n")
 
     def test_tol_must_be_positive(self, capsys, files):
         with pytest.raises(SystemExit) as exc:

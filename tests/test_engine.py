@@ -20,8 +20,16 @@ from traintrack.engine import (
     inverse_rows,
     least_rotation_codes,
     row_codes,
+    spell_batch,
 )
-from traintrack.words import CyclicWord, Word, key_word, least_rotation
+from traintrack.words import (
+    CyclicWord,
+    Word,
+    key_letters,
+    key_word,
+    least_rotation,
+    spell,
+)
 
 from conftest import (
     batch_to_words,
@@ -297,6 +305,26 @@ def test_zero_sum_classes_are_the_filtered_enumeration(rank, max_norm):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
     assert (len(got) > 0) == (rank > 1)
+
+
+@pytest.mark.parametrize(
+    ("rank", "max_norm", "zero_sum"),
+    [(2, 8, False), (3, 5, False), (3, 7, True), (27, 2, False)],
+)
+def test_spell_batch_matches_spell(rank, max_norm, zero_sum):
+    """Each class spelled as words.spell spells it, at a rank past 26
+    too, where the names are x1, x2, ..."""
+    (batch,) = enumerate_classes(rank, max_norm, zero_sum=zero_sum)
+    kb, off = batch.flat.tobytes(), batch.offsets
+    want = [spell(key_letters(kb[off[i] : off[i + 1]]), rank) for i in range(len(batch))]
+    assert spell_batch(batch, rank) == want
+    assert want[0].startswith("x1" if rank > 26 else "a")
+
+
+def test_spell_batch_of_mixed_lengths():
+    batch = batch_from_words([(1, -2), (), (3,), (-1, 2)])
+    assert spell_batch(batch, 3) == ["a b^-1", "1", "c", "a^-1 b"]
+    assert spell_batch(batch_from_words([]), 2) == []
 
 
 def test_enumerate_matches_probe_oracle_count():

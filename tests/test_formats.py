@@ -11,7 +11,9 @@ from traintrack.formats import (
     format_float,
     parse_automorphism,
     parse_graph_map,
+    Report,
     render_csv,
+    render_report,
 )
 from traintrack.words import outer_equal
 
@@ -177,12 +179,44 @@ class TestWriters:
 
     def test_render_csv(self):
         out = render_csv(
-            ["cls", "ok", "lam"],
-            [["a b", True, 1.5], ['say "hi", twice', False, 0.1 + 0.2]],
+            ["cls", "ok", "lam", "edges"],
+            [
+                ["a b", True, 1.5, ["e1", "e2^-1"]],
+                ['say "hi", twice', False, 0.1 + 0.2, []],
+                ["two\nlines", None, 2, ("x", 0.5, False)],
+            ],
         )
         assert out == (
-            "cls,ok,lam\n"
-            "a b,true,1.5\n"
-            '"say ""hi"", twice",false,0.3\n'
+            "cls,ok,lam,edges\n"
+            "a b,true,1.5,e1 e2^-1\n"
+            '"say ""hi"", twice",false,0.3,\n'
+            '"two\nlines",,2,x 0.5 false\n'
         )
         assert "\r" not in out
+
+    def test_report_in_three_formats(self):
+        built = []
+
+        def csv_rows():
+            built.append(True)
+            return [["a", 0.1 + 0.2]]
+
+        rows = [{"w": "a b", "n": 2, "ok": True}, {"w": "b", "n": 1, "ok": None}]
+        fields = {"input": "x", "rows": rows}
+        report = Report(
+            fields, table="rows", columns=["w", "ok", "lambda"],
+            head=["input: x"], row="{w}: n={n} ok={ok}",
+        )
+        assert render_report(report, "json") == canonical_json(fields)
+        assert render_report(report, "csv") == "w,ok,lambda\na b,true,\nb,,\n"
+        # text renders None by str, as validate's constants print it
+        assert render_report(report, "text") == (
+            "input: x\na b: n=2 ok=true\nb: n=1 ok=None\n"
+        )
+        # a CSV-only table is built by the CSV path alone
+        lazy = Report(fields, columns=["q", "v"], head=["input: x"], csv_rows=csv_rows)
+        assert render_report(lazy, "json") == canonical_json(fields)
+        assert render_report(lazy, "text") == "input: x\n"
+        assert built == []
+        assert render_report(lazy, "csv") == "q,v\na,0.3\n"
+        assert built == [True]

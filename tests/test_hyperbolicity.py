@@ -95,7 +95,7 @@ class TestCertificate:
         # the commutator orbit pins r(M) to exactly 1 at every exponent
         for M, num, den, arg in cert.history:
             assert Fraction(num, den) == 1
-        assert len(cert.table) == class_count(2, 8)
+        assert len(cert.table["class"]) == class_count(2, 8)
 
     def test_plas_certifies(self, plas):
         cert = certificate_search(plas, M_max=20, L=8)
@@ -112,11 +112,14 @@ class TestCertificate:
 
     def test_plas_table_all_grow(self, plas):
         cert = certificate_search(plas, M_max=20, L=8)
-        assert len(cert.table) == class_count(3, 8)
-        worst = min(Fraction(max(r.fwd, r.bwd), r.norm) for r in cert.table)
+        t = cert.table
+        assert list(t) == ["class", "norm", "fwd", "bwd", "ratio"]
+        assert len(t["class"]) == class_count(3, 8)
+        rows = list(zip(t["fwd"], t["bwd"], t["norm"], t["ratio"]))
+        worst = min(Fraction(max(f, b), n) for f, b, n, _ in rows)
         assert worst == Fraction(6, 5)
-        for r in cert.table:
-            assert r.ratio == pytest.approx(max(r.fwd, r.bwd) / r.norm)
+        for f, b, n, ratio in rows:
+            assert ratio == max(f, b) / n
 
     def test_witness_period_caps_ratio(self, fib):
         # a periodic class (period p) forces r(kp) <= 1
@@ -139,13 +142,13 @@ class TestCertificate:
         assert ref.verdict == "no-certificate-within-bounds"
         assert cert.history == ref.history
         assert cert.table == ref.table
-        assert cert.table_size == len(cert.table) == class_count(2, 6)
+        assert cert.table_size == len(cert.table["class"]) == class_count(2, 6)
 
     def test_letter_budget_before_first_step(self, fib):
         cert = certificate_search(fib, M_max=5, L=3, letter_budget=5)
         assert cert.verdict == "budget-exceeded"
         assert cert.history == []
-        assert all(r.fwd == r.bwd == r.norm for r in cert.table)
+        assert cert.table["fwd"] == cert.table["bwd"] == cert.table["norm"]
 
     def test_validation(self, fib):
         with pytest.raises(ValueError):
@@ -316,7 +319,7 @@ def test_certify_lengths_match_engine(stack_at, name, picks):
             assert cert.history == history[:reached]
             certified = [m for m, num, den, _ in history if num > den]
             assert reached == min([M, *certified])
-            got = [(r.fwd, r.bwd) for r in cert.table]
+            got = list(zip(cert.table["fwd"], cert.table["bwd"]))
             assert got == ref[reached - 1]
     for i in (0, len(words) // 2, len(words) - 1):
         w = Word(words[i])

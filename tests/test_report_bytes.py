@@ -4,9 +4,10 @@ stdout sha256 recorded in tests/report_bytes.json.
 
 The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
-small probe, a small certify and one growth series per fixture, and
+small probe, a small certify and one growth series per fixture,
 twelve deeper class sweeps: five on fib, two each on plas, poly and
-broken, and one on identity.
+broken, and one on identity, and two options that change a report: a
+growth series through both directions and analyze's --strict exit.
 Regenerate the JSON only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -57,6 +58,12 @@ SWEEPS = [
     ["certify", "fib.aut", "-L", "12"],
     ["certify", "broken.gm", "-M", "30", "-L", "3"],
 ]
+# growth walks phi^-1 for k < 0; --strict gates the exit code on the
+# improved-map conditions, which fib fails
+OPTIONS = [
+    ["growth", "fib.aut", "a", "--k-min", "-3", "--k-max", "3"],
+    ["analyze", "fib.aut", "--strict"],
+]
 
 
 def matrix():
@@ -74,7 +81,7 @@ def matrix():
             ["certify", fname, "-M", "5", "-L", "4"],
             ["growth", fname, "a"],
         ]
-    return SWEEPS + cases
+    return SWEEPS + cases + OPTIONS
 
 
 def replay(case, inputs: Path) -> dict:
