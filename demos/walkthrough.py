@@ -5,6 +5,7 @@ Run as: python3 demos/walkthrough.py
 
 from fractions import Fraction
 
+from traintrack.engine import spell_batch
 from traintrack.fixtures import load_fixture
 from traintrack.graphs import rose_of
 from traintrack.growth import bcc_estimate, validate_bw1
@@ -70,8 +71,9 @@ def main():
     section("atoroidality probe")
     rep = atoroidality_probe(phi, L=4, P=2)
     print("verdict:", rep.verdict)
-    for w in rep.witnesses:
-        print(f"  witness {w.cls} period={w.period} inverted={w.inverted}")
+    classes = spell_batch(rep.witnesses, phi.rank)
+    for cls, period, step in zip(classes, rep.period, rep.inversion_step):
+        print(f"  witness {cls} period={period} inverted={step > 0}")
 
     section("uniform growth certificate (plastic map)")
     plas = load_fixture("plas")

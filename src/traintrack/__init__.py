@@ -24,7 +24,6 @@ from .words import (
 )
 from .graphs import (
     Circuit,
-    EdgePath,
     Graph,
     GraphMap,
     induced_automorphism,
@@ -72,7 +71,6 @@ from .growth import (
 from .hyperbolicity import (
     AtoroidalityReport,
     HyperbolicityCertificate,
-    Witness,
     atoroidality_probe,
     certificate_search,
     growth_table,

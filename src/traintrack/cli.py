@@ -26,7 +26,7 @@ import argparse
 import random
 import sys
 
-from . import growth as growth_mod
+from . import engine, growth as growth_mod
 from .formats import (
     ParseError,
     Report,
@@ -192,16 +192,14 @@ def cmd_probe(args) -> Report:
     kind, obj = _load_input(args.file)
     phi = _with_inverse(_as_automorphism(kind, obj))
     rep = atoroidality_probe(phi, args.max_class_len, args.max_period)
-    wit_rows = [
-        {
-            "class": spell(w.cls.letters, phi.rank),
-            "norm": w.cls.norm,
-            "period": w.period,
-            "inverted": w.inverted,
-            "inversion_step": w.inversion_step,
-        }
-        for w in rep.witnesses
-    ]
+    table = {
+        "class": engine.spell_batch(rep.witnesses, phi.rank),
+        "norm": engine.batch_lengths(rep.witnesses).tolist(),
+        "period": rep.period.tolist(),
+        "inverted": (rep.inversion_step > 0).tolist(),
+        "inversion_step": rep.inversion_step.tolist(),
+    }
+    wit_rows = [dict(zip(table, r)) for r in zip(*table.values())]
     report = {
         "input": phi.label,
         "verdict": rep.verdict,
@@ -211,8 +209,7 @@ def cmd_probe(args) -> Report:
         "witnesses": wit_rows,
     }
     return Report(
-        report, table="witnesses",
-        columns=["class", "norm", "period", "inverted", "inversion_step"],
+        report, table="witnesses", columns=list(table),
         head=[
             f"input: {phi.label}",
             f"verdict: {rep.verdict}",

@@ -12,7 +12,6 @@ when some iterate pinches it onto a single direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -184,59 +183,6 @@ def cyclic_tighten(edges: Iterable[int]) -> tuple[int, ...]:
     w = _reduce(edges)
     k = cyclic_trim(w)
     return w[k : len(w) - k]
-
-
-class EdgePath:
-    """A tight edge path with endpoints at vertices."""
-
-    __slots__ = ("graph", "edges")
-
-    def __init__(self, graph: Graph, edges: Iterable[int]):
-        edges = tuple(edges)
-        graph.check_path(edges)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgePath is immutable")
-
-    @classmethod
-    def _raw(cls, graph: Graph, edges: tuple[int, ...]) -> "EdgePath":
-        p = cls.__new__(cls)
-        object.__setattr__(p, "graph", graph)
-        object.__setattr__(p, "edges", edges)
-        return p
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgePath)
-            and self.graph is other.graph
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash(("EdgePath", id(self.graph), self.edges))
-
-    @property
-    def origin(self) -> str:
-        if not self.edges:
-            raise ValueError("trivial path has no well-defined endpoints here")
-        return self.graph.origin(self.edges[0])
-
-    @property
-    def terminus(self) -> str:
-        if not self.edges:
-            raise ValueError("trivial path has no well-defined endpoints here")
-        return self.graph.terminus(self.edges[-1])
-
-    def reverse(self) -> "EdgePath":
-        return EdgePath._raw(self.graph, tuple(-d for d in reversed(self.edges)))
-
-    def __repr__(self) -> str:
-        return f"EdgePath({self.graph.spell_path(self.edges)})"
 
 
 class Circuit:

@@ -31,7 +31,6 @@ from .words import (
 )
 
 __all__ = [
-    "Witness",
     "AtoroidalityReport",
     "HyperbolicityCertificate",
     "atoroidality_probe",
@@ -40,17 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Witness:
-    cls: CyclicWord
-    period: int
-    inverted: bool
-    inversion_step: int  # 0 when the orbit never met the inverse class
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtoroidalityReport:
-    witnesses: list[Witness]
+    """The witness classes as one batch of canonical key words, sorted by
+    norm and then by their letters as signed integers, beside each one's
+    period and the first step at which its orbit met the inverse class (0
+    for none)."""
+
+    witnesses: engine.WordBatch
+    period: np.ndarray
+    inversion_step: np.ndarray
     exhausted: tuple[int, int]
     classes_enumerated: int
     verdict: str  # "not-atoroidal" | "no-witness-within-bounds"
@@ -389,8 +387,8 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
 
     A class and its inverse are separate orbits; when an orbit lands on
     the inverse class halfway and then comes back, the witness carries
-    the inversion flag (the two readings of "periodic class" differ
-    exactly there).
+    that step as its inversion step (the two readings of "periodic class"
+    differ exactly there).
 
     Only one class of each inverse pair (engine.inverse_partners) is
     followed, in blocks of _PROBE_BLOCK classes.  phi^k(w^-1) is
@@ -419,20 +417,30 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
             classes = engine.batch_take(classes, np.flatnonzero(ok))
     partner = engine.inverse_partners(classes, phi.rank)
     kept = np.flatnonzero(partner > np.arange(len(classes)))
-    flat, off = classes
-    witnesses: list[Witness] = []
+    # (row, period, inversion step) of each witness, a block at a time
+    found = [np.zeros((3, 0), dtype=np.int64)]
     for lo in range(0, len(kept), _PROBE_BLOCK):
         idx = kept[lo : lo + _PROBE_BLOCK]
         period, inv_at = _probe_block(engine.batch_take(classes, idx), table, P)
-        for j in np.flatnonzero(period):
-            p, s = int(period[j]), int(inv_at[j])
-            for i in (idx[j], partner[idx[j]]):
-                cls = CyclicWord._raw(key_letters(flat[off[i] : off[i + 1]]))
-                witnesses.append(Witness(cls, p, bool(s), s))
-    witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
-    verdict = "not-atoroidal" if witnesses else "no-witness-within-bounds"
+        back = np.flatnonzero(period)
+        for rows in (idx[back], partner[idx[back]]):
+            found.append(np.stack([rows, period[back], inv_at[back]]))
+    found = np.concatenate(found, axis=1)
+    # by norm, then by letters as signed integers (x_r^-1 < ... < x_1^-1 <
+    # x_1 < ... < x_r) as letter tuples compare: one code per witness, its
+    # keys read as digits in the order of their letters
+    digit = np.argsort(np.argsort(key_letters(bytes(range(2 * phi.rank)))))
+    norms = engine.batch_lengths(classes)[found[0]]
+    codes = np.zeros(len(norms), dtype=np.uint64)
+    for n in np.unique(norms):
+        at = np.flatnonzero(norms == n)
+        words = digit[_rows(classes, found[0, at], n)]
+        codes[at] = engine.row_codes(words, 2 * phi.rank)
+    rows, period, inv_at = found[:, np.lexsort((codes, norms))]
+    verdict = "not-atoroidal" if len(rows) else "no-witness-within-bounds"
     return AtoroidalityReport(
-        witnesses, (L, P), engine.class_count(phi.rank, L), verdict
+        engine.batch_take(classes, rows), period, inv_at, (L, P),
+        engine.class_count(phi.rank, L), verdict,
     )
 
 

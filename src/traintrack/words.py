@@ -22,7 +22,6 @@ and inverse_keys.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 

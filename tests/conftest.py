@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,17 @@ from traintrack import (
     load_fixture,
     rose_of,
 )
-from traintrack.words import CyclicWord, common_prefix, key_letters, key_word
+from traintrack.words import (
+    CyclicWord,
+    Word,
+    _elementary_automorphisms,
+    common_prefix,
+    compose,
+    identity_automorphism,
+    invert_verify,
+    key_letters,
+    key_word,
+)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -244,9 +253,18 @@ def batch_to_words(batch):
     return [key_letters(kb[offsets[i] : offsets[i + 1]]) for i in range(len(batch))]
 
 
+def witness_rows(rep):
+    """(letters, period, inverted, inversion step) of each witness of an
+    AtoroidalityReport, in its order, read off its columns."""
+    words = batch_to_words(rep.witnesses)
+    periods, steps = rep.period.tolist(), rep.inversion_step.tolist()
+    return [(w, p, s > 0, s) for w, p, s in zip(words, periods, steps)]
+
+
 def unfiltered_probe(phi, L, P):
-    """atoroidality_probe's witnesses from stepping one class of every
-    inverse pair through P steps, with no exponent-sum filter in front.
+    """atoroidality_probe's witness rows (see witness_rows) from stepping
+    one class of every inverse pair through P steps, with no exponent-sum
+    filter in front, sorted by norm and then by letters as Python tuples.
     The pairs and the inverse classes come from CyclicWord.inverse_class,
     not from the engine's partner lookup."""
     (classes,) = engine.enumerate_classes(phi.rank, L)
@@ -263,12 +281,43 @@ def unfiltered_probe(phi, L, P):
         block = engine.batch_take(classes, idx)
         period, inv_at = hyperbolicity._probe_block(block, table, P)
         for j in np.flatnonzero(period):
-            w = hyperbolicity.Witness(
-                words[idx[j]], int(period[j]), bool(inv_at[j]), int(inv_at[j])
-            )
-            witnesses += [w, replace(w, cls=w.cls.inverse_class())]
-    witnesses.sort(key=lambda w: (w.cls.norm, w.cls.letters))
+            c, p, s = words[idx[j]], int(period[j]), int(inv_at[j])
+            witnesses += [(w.letters, p, s > 0, s) for w in (c, c.inverse_class())]
+    witnesses.sort(key=lambda w: (len(w[0]), w[0]))
     return witnesses
+
+
+def random_automorphism(rank, factors, rng, label):
+    """The product of `factors` of words._elementary_automorphisms drawn by
+    rng, carrying its inverse, which invert_verify checks.  Each factor's
+    inverse is built here: inversions and swaps are involutions, and R_ij
+    and L_ij with sign s (x_i -> x_i x_j^s and x_i -> x_j^s x_i) invert
+    with sign -s, so the inverse negates the letter that is not x_i."""
+    moves = _elementary_automorphisms(rank)
+    phi = identity_automorphism(rank)
+    for _ in range(factors):
+        g = rng.choice(moves)
+        inverse = [
+            Word(tuple(x if x == i else -x for x in w.letters)) if len(w) == 2 else w
+            for i, w in enumerate(g.images, start=1)
+        ]
+        phi = compose(Automorphism(rank, g.images, inverse), phi)
+    assert invert_verify(phi, phi.inverse_images)
+    return Automorphism(rank, phi.images, phi.inverse_images, label=label)
+
+
+def random_maps():
+    """(phi, L, P) for fib, plas, poly and 20 seeded products of 2 to 8
+    elementary Nielsen automorphisms: ten at rank 2 with L = 7, P = 4, and
+    ten at rank 3 with L = 5, P = 3."""
+    maps = [(load_fixture("fib"), 7, 4), (load_fixture("plas"), 5, 3),
+            (load_fixture("poly"), 7, 4)]
+    rng = random.Random("random maps")
+    for i in range(20):
+        rank = 2 if i < 10 else 3
+        phi = random_automorphism(rank, rng.randint(2, 8), rng, f"random{i}")
+        maps.append((phi, 7, 4) if rank == 2 else (phi, 5, 3))
+    return maps
 
 
 def int_det(rows):

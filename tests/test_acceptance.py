@@ -37,7 +37,7 @@ from traintrack.strata import (
 )
 from traintrack.words import CyclicWord, Word, conjugate_automorphism
 
-from conftest import PHI, random_reduced_word
+from conftest import PHI, random_reduced_word, witness_rows
 
 PLASTIC = 1.3247179572447460
 INP = (-1, -2, 1, 2)
@@ -113,11 +113,10 @@ def test_criterion_06_atoroidality_probe(fib, plas):
     rep = atoroidality_probe(fib, L=4, P=2)
     assert rep.verdict == "not-atoroidal"
     commutator = CyclicWord((1, 2, -1, -2))
-    w = next(w for w in rep.witnesses if w.cls.letters == commutator.letters)
-    assert w.period == 2 and w.inverted and w.inversion_step == 1
+    assert (commutator.letters, 2, True, 1) in witness_rows(rep)
     clean = atoroidality_probe(plas, L=10, P=6)
     assert clean.verdict == "no-witness-within-bounds"
-    assert clean.witnesses == []
+    assert witness_rows(clean) == []
     assert clean.classes_enumerated == 1257526
     verdict(6, "atoroidality-probe")
 

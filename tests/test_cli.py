@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import importlib
@@ -659,3 +660,17 @@ def test_readme_examples_match_output(capsys, files):
         argv = [files / a if a.endswith((".aut", ".gm")) else a for a in argv]
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected), argv
+
+
+def test_package_has_no_assert_statements():
+    """python -O strips assert statements, so no check in the package may
+    rest on one: every module parses without an assert."""
+    paths = sorted(Path(traintrack.__file__).resolve().parent.glob("*.py"))
+    assert "hyperbolicity.py" in [path.name for path in paths]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

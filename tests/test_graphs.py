@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from traintrack.graphs import (
     Circuit,
-    EdgePath,
     Graph,
     GraphMap,
     cyclic_tighten,
@@ -63,12 +62,14 @@ def test_tighten_and_cyclic_tighten():
     assert cyclic_tighten((3, 1, -1, 2, -3)) == (2,)
 
 
-def test_paths_validate(theta):
+def test_paths_validate(theta, fib_rose):
     theta.check_path((1, -2, 3))
     with pytest.raises(ValueError):
         theta.check_path((1, 2))  # q starts at u, not v
     with pytest.raises(ValueError):
         theta.check_path((1, -1))  # backtracks
+    with pytest.raises(ValueError, match="not tight"):
+        fib_rose.graph.check_path((1, -1))  # backtracks at the one vertex
 
 
 def test_turns():
@@ -189,16 +190,6 @@ def test_random_samplers_are_valid(theta, rng):
         Circuit(theta, c)
         p = random_tight_path(theta, 8, rng)
         theta.check_path(p)
-
-
-def test_edge_path_wrapper(fib_rose):
-    p = EdgePath(fib_rose.graph, (1, 2))
-    assert len(p) == 2
-    assert p.reverse().edges == (-2, -1)
-    assert p.origin == "v" and p.terminus == "v"
-    assert fib_rose.graph.spell_path(p.edges) == "a b"
-    with pytest.raises(ValueError):
-        EdgePath(fib_rose.graph, (1, -1))
 
 
 @pytest.fixture(scope="module")

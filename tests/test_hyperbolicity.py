@@ -23,6 +23,7 @@ from traintrack.words import (
     Word,
     compose,
     conjugate_automorphism,
+    identity_automorphism,
     invert_verify,
     iterate,
     key_word,
@@ -37,11 +38,19 @@ from conftest import (
     make_rel,
     naive_apply,
     only_zero_returns,
+    random_maps,
     random_reduced_word,
     stack_length,
     unfiltered_probe,
+    witness_rows,
 )
 
+# fib, plas, poly and 20 seeded random maps, each with the (L, P) of
+# its sweeps; certify runs them to M = 8
+RANDOM_MAPS = random_maps()
+on_random_maps = pytest.mark.parametrize(
+    ("phi", "L", "P"), RANDOM_MAPS, ids=[phi.label for phi, _, _ in RANDOM_MAPS]
+)
 FIB_SERIES = [(0, 1), (1, 2), (2, 3), (3, 5), (4, 8), (5, 13), (6, 21)]
 
 
@@ -51,32 +60,23 @@ class TestProbe:
         assert rep.verdict == "not-atoroidal"
         assert rep.classes_enumerated == 50
         assert rep.exhausted == (4, 2)
-        assert len(rep.witnesses) == 2
-        got = {w.cls.letters for w in rep.witnesses}
-        assert got == {
-            CyclicWord((1, 2, -1, -2)).letters,
-            CyclicWord((1, -2, -1, 2)).letters,
-        }
-        for w in rep.witnesses:
-            assert w.period == 2
-            assert w.inverted
-            assert w.inversion_step == 1
-            assert w.cls.norm == 4
+        assert witness_rows(rep) == [
+            (CyclicWord((1, -2, -1, 2)).letters, 2, True, 1),
+            (CyclicWord((1, 2, -1, -2)).letters, 2, True, 1),
+        ]
 
     def test_plas_is_clean_at_small_bounds(self, plas):
         rep = atoroidality_probe(plas, L=7, P=4)
         assert rep.verdict == "no-witness-within-bounds"
-        assert rep.witnesses == []
+        assert witness_rows(rep) == []
         assert rep.classes_enumerated == class_count(3, 7)
 
     def test_identity_fixes_everything(self, ident):
         rep = atoroidality_probe(ident, L=2, P=1)
         assert rep.verdict == "not-atoroidal"
-        assert len(rep.witnesses) == rep.classes_enumerated == class_count(2, 2)
-        assert all(
-            w.period == 1 and not w.inverted and w.inversion_step == 0
-            for w in rep.witnesses
-        )
+        rows = witness_rows(rep)
+        assert len(rows) == rep.classes_enumerated == class_count(2, 2)
+        assert all(row[1:] == (1, False, 0) for row in rows)
 
     def test_validation(self, fib):
         with pytest.raises(ValueError):
@@ -121,14 +121,17 @@ class TestCertificate:
         for f, b, n, ratio in rows:
             assert ratio == max(f, b) / n
 
-    def test_witness_period_caps_ratio(self, fib):
-        # a periodic class (period p) forces r(kp) <= 1
-        probe = atoroidality_probe(fib, L=4, P=2)
-        p = probe.witnesses[0].period
-        cert = certificate_search(fib, M_max=3 * p, L=4)
-        for M, num, den, arg in cert.history:
-            if M % p == 0:
-                assert Fraction(num, den) <= 1
+    def test_witness_period_caps_ratio(self):
+        # a witness of period p has |phi^M w| = |w| = |phi^-M w| whenever p
+        # divides M, so r(M) <= 1 there, and no certificate comes at such M
+        for phi, L, P in RANDOM_MAPS:
+            periods = set(atoroidality_probe(phi, L, P).period.tolist())
+            cert = certificate_search(phi, M_max=8, L=L, letter_budget=10**6)
+            for M, num, den, arg in cert.history:
+                if any(M % p == 0 for p in periods):
+                    assert num <= den, (phi.label, M)
+            if cert.M is not None:
+                assert all(cert.M % p for p in periods), phi.label
 
     def test_letter_budget(self, fib):
         # sum of |phi^M(x)| + |phi^-M(x)| over the generators: 6 at M = 1
@@ -191,6 +194,11 @@ class TestGrowthTable:
             growth_table(fib, Word((1,)), [12], letter_budget=376)
 
 
+def _probe_view(rep):
+    """Everything an AtoroidalityReport says, as comparable values."""
+    return rep.verdict, rep.exhausted, rep.classes_enumerated, witness_rows(rep)
+
+
 class TestOuterInvariance:
     def _conjugators(self, rng, rank, count=10):
         return [
@@ -203,7 +211,8 @@ class TestOuterInvariance:
         base_cert = certificate_search(fib, M_max=6, L=4)
         for g in self._conjugators(rng, fib.rank):
             psi = conjugate_automorphism(fib, g)
-            assert atoroidality_probe(psi, L=4, P=2) == base_probe
+            rep = atoroidality_probe(psi, L=4, P=2)
+            assert _probe_view(rep) == _probe_view(base_probe)
             cert = certificate_search(psi, M_max=6, L=4)
             assert cert.verdict == base_cert.verdict
             assert cert.history == base_cert.history
@@ -214,10 +223,35 @@ class TestOuterInvariance:
         assert base_cert.verdict == "empirical-certificate"
         for g in self._conjugators(rng, plas.rank):
             psi = conjugate_automorphism(plas, g)
-            assert atoroidality_probe(psi, L=6, P=3) == base_probe
+            rep = atoroidality_probe(psi, L=6, P=3)
+            assert _probe_view(rep) == _probe_view(base_probe)
             cert = certificate_search(psi, M_max=10, L=6)
             assert (cert.M, cert.lam_exact) == (base_cert.M, base_cert.lam_exact)
             assert cert.history == base_cert.history
+
+
+@on_random_maps
+def test_inverse_map_has_the_same_witnesses(phi, L, P):
+    """phi^k(w) ~ w iff phi^-k(w) ~ w, and phi^k(w) ~ w^-1 iff phi^-k(w)
+    ~ w^-1, so the probe reports the same witness rows for phi and
+    phi^-1: the same classes, periods and inversion steps."""
+    assert _probe_view(atoroidality_probe(phi, L, P)) == _probe_view(
+        atoroidality_probe(phi.inverse(), L, P)
+    )
+
+
+@on_random_maps
+def test_inverse_map_has_the_same_certificate(phi, L, P):
+    """certify's ratio takes max(fwd, bwd), so phi^-1 gets the same
+    verdict and history as phi, and its table swaps fwd and bwd."""
+    cert, inv = (
+        certificate_search(f, M_max=8, L=L, letter_budget=10**6)
+        for f in (phi, phi.inverse())
+    )
+    assert (inv.verdict, inv.M, inv.lam_exact, inv.history) == (
+        cert.verdict, cert.M, cert.lam_exact, cert.history
+    )
+    assert inv.table == dict(cert.table, fwd=cert.table["bwd"], bwd=cert.table["fwd"])
 
 
 def _moves(rank):
@@ -482,7 +516,8 @@ def _signed_sums(letters, rank):
 
 
 def _probe_map(name):
-    built = {"rel": make_rel(), "cycle": CYCLE, "mixed": MIXED, "quarter": QUARTER}
+    built = {"rel": make_rel(), "cycle": CYCLE, "mixed": MIXED, "quarter": QUARTER,
+             "id27": identity_automorphism(27)}
     return built[name] if name in built else load_fixture(name)
 
 
@@ -509,9 +544,7 @@ def test_probe_matches_orbit_oracle(name, picks, L, P):
     L = min(L, _PROBE_L[name])
     with mock.patch.object(hyperbolicity, "_PROBE_BLOCK", 3):
         rep = atoroidality_probe(phi, L=L, P=P)
-    got = [(w.cls.letters, w.period, w.inverted, w.inversion_step)
-           for w in rep.witnesses]
-    assert got == _orbit_witnesses(phi, L, P)
+    assert witness_rows(rep) == _orbit_witnesses(phi, L, P)
     assert rep.classes_enumerated == len(_all_classes(phi.rank, L))
 
 
@@ -528,20 +561,23 @@ def test_probe_matches_orbit_oracle(name, picks, L, P):
         ("mixed", 5, 6),
         ("quarter", 6, 3),
         ("quarter", 6, 4),
+        ("id27", 2, 1),
     ],
 )
 def test_exponent_sum_filter_loses_no_witness(name, L, P):
     """The probe, which steps only the classes _may_return keeps, and
     grows only the classes with v = 0 when no other v can return,
     reports the same witnesses as stepping every class of each inverse
-    pair, on the map and on two seeded conjugates.  The classes it steps
-    are exactly those with A^k v = v over the integers for some k <= P."""
+    pair, on the map and on two seeded conjugates, in the same order (by
+    norm, then by letters as signed integers, past 26 generators too).
+    The classes it steps are exactly those with A^k v = v over the
+    integers for some k <= P."""
     base = _probe_map(name)
     rng = random.Random(f"{name} {L} {P}")
     for picks in ([], [rng.randrange(10 ** 6)], [rng.randrange(10 ** 6) for _ in range(2)]):
         phi = _conjugate(base, picks)
         rep = atoroidality_probe(phi, L=L, P=P)
-        assert rep.witnesses == unfiltered_probe(phi, L, P)
+        assert witness_rows(rep) == unfiltered_probe(phi, L, P)
         (classes,) = engine.enumerate_classes(phi.rank, L)
         partner = engine.inverse_partners(classes, phi.rank)
         kept = np.flatnonzero(partner > np.arange(len(classes)))
@@ -621,7 +657,7 @@ def test_determinant_zero_mod_prime_keeps_every_class():
         assert hyperbolicity._returns_only_zero(fib, 3)
         assert not hyperbolicity._returns_only_zero(fib, 4)
         rep = atoroidality_probe(fib, L=8, P=4)
-    assert rep.witnesses == unfiltered_probe(fib, 8, 4)
+    assert witness_rows(rep) == unfiltered_probe(fib, 8, 4)
 
 
 @settings(max_examples=60, deadline=None)
