@@ -61,7 +61,7 @@ def main():
     phi_inv = load_fixture("fib_inverse")
     circuits = [random_circuit(f.graph, 10, rng) for _ in range(40)]
     rep = validate_bw1(f, rose_of(phi_inv), circuits, k_max=4)
-    print(f"{len(rep.rows)} rows, all pass: {rep.all_pass}, "
+    print(f"{len(rep.rows)} rows, all pass: {rep.passed}, "
           f"min margin {min(r['margin'] for r in rep.rows):.4f}")
 
     section("growth of a single class")

@@ -59,14 +59,16 @@ from .growth import (
     DecompositionReport,
     PathStats,
     TrichotomyVerdict,
-    ValidatorReport,
     bcc_estimate,
     growth_decomposition,
     path_stats,
     trichotomy_classify,
     validate_backgrowth,
+    validate_bcc,
     validate_bw1,
+    validate_decomp,
     validate_illen,
+    validate_tricho,
 )
 from .hyperbolicity import (
     AtoroidalityReport,

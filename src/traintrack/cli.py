@@ -151,8 +151,8 @@ def cmd_analyze(args) -> Report:
         "rank": g.marking_rank,
         "strata": strata_rows,
         "metric": {g.edge_names[e - 1]: metric.lengths[e] for e in sorted(metric.lengths)},
-        "rtt": {"passed": rtt.passed, "violations": rtt.violations},
-        "improved": {"passed": improved.passed, "violations": improved.violations},
+        "rtt": {"passed": rtt.passed, "violations": rtt.rows},
+        "improved": {"passed": improved.passed, "violations": improved.rows},
     }
     # the stronger conditions fail on honest train track maps whenever a
     # Nielsen path has period > 1, so they gate the exit code only on demand
@@ -175,7 +175,7 @@ def cmd_analyze(args) -> Report:
     )
     for label, rep in (("rtt", rtt), ("improved", improved)):
         lines.append(f"{label}: {'pass' if rep.passed else 'FAIL'}")
-        for v in rep.violations:
+        for v in rep.rows:
             lines.append("  violation: " + " ".join(f"{k}={v[k]}" for k in sorted(v)))
     return Report(
         report, EXIT_VIOLATION if failed else EXIT_OK, table="strata",
@@ -324,11 +324,6 @@ def cmd_nielsen(args) -> Report:
 # validate
 
 
-def _sample_circuits(f: GraphMap, count: int, len_bound: int, seed: int):
-    rng = random.Random(seed)
-    return [random_circuit(f.graph, len_bound, rng) for _ in range(count)]
-
-
 def _top_exponential(filt):
     exp = [s for s in filt.strata if s.is_exponential]
     if not exp:
@@ -348,110 +343,53 @@ def _inverse_rose(kind, obj) -> GraphMap:
 
 _CIRCUIT_COLUMNS = ["circuit", "k", "L", "Lr", "i", "ir", "scriptL", "bound",
                     "margin", "pass"]
+# bw1, bw2 and backgrowth write _CIRCUIT_COLUMNS; bcc and illen have no
+# rows, and their CSV lists the constants
+_COLUMNS = {
+    "bcc": ["quantity", "value"],
+    "illen": ["quantity", "value"],
+    "tricho": ["path", "case", "pass"],
+    "decomp": ["circuit", "case", "fraction", "pieces", "pass"],
+}
 
 
 def cmd_validate(args) -> Report:
-    _positive(
-        args, ["pairs", "k_max", "len_bound", "samples", "m_max"]
-    )
+    _positive(args, ["pairs", "k_max", "len_bound", "samples", "m_max"])
     if not args.l0 > 0:  # also refuses nan
         raise CliError("--l0 must be positive")
     kind, obj = _load_input(args.file)
     f = _as_graph_map(kind, obj)
     filt = f.filtration
-    lemma = args.lemma
+    lemma, l0 = args.lemma, float(args.l0)
+    rng = random.Random(args.seed)
 
-    constants: dict = {}
-    rows: list[dict] = []
-    columns = ["quantity", "value"]  # bcc and illen write their constants
-    code = EXIT_OK
+    def sample(draw):
+        return [draw(f.graph, args.len_bound, rng) for _ in range(args.samples)]
+
+    def relative():  # illen and backgrowth on a map with several strata
+        return _top_exponential(filt) if len(filt.strata) > 1 else None
 
     if lemma == "bcc":
-        data = growth_mod.bcc_estimate(f, pair_len_bound=args.pairs)
-        constants = {
-            "C_f": data.C_f,
-            "window": data.window,
-            "stable": data.stable,
-        }
-        for idx in sorted(data.critical):
-            constants[f"critical_length_{idx}"] = data.critical[idx]
-        if not data.stable:
-            code = EXIT_VIOLATION
+        rep = growth_mod.validate_bcc(f, args.pairs)
     elif lemma in ("bw1", "bw2"):
-        bwd = _inverse_rose(kind, obj)
-        circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
         rep = growth_mod.validate_bw1(
-            f, bwd, circuits, k_max=args.k_max,
+            f, _inverse_rose(kind, obj), sample(random_circuit), k_max=args.k_max,
             r=_top_exponential(filt) if lemma == "bw2" else None,
         )
-        constants, rows, columns = rep.constants, rep.rows, _CIRCUIT_COLUMNS
-        if not rep.all_pass:
-            code = EXIT_VIOLATION
     elif lemma == "illen":
-        circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
-        r = _top_exponential(filt) if len(filt.strata) > 1 else None
-        c = growth_mod.validate_illen(
-            circuits, float(args.l0), filt, circuit=True, r=r
+        rep = growth_mod.validate_illen(
+            sample(random_circuit), l0, filt, circuit=True, r=relative()
         )
-        constants = {"C": c, "L": float(args.l0)}
-        if r is not None:
-            constants["stratum"] = r
     elif lemma == "backgrowth":
-        bwd = _inverse_rose(kind, obj)
-        circuits = _sample_circuits(f, args.samples, args.len_bound, args.seed)
         rep = growth_mod.validate_backgrowth(
-            f, bwd, circuits, float(args.l0),
-            n_max=args.k_max, m_search_max=args.m_max,
-            r=_top_exponential(filt) if len(filt.strata) > 1 else None,
+            f, _inverse_rose(kind, obj), sample(random_circuit), l0,
+            n_max=args.k_max, m_search_max=args.m_max, r=relative(),
         )
-        constants, rows, columns = rep.constants, rep.rows, _CIRCUIT_COLUMNS
-        vacuous = constants.get("qualifying", 0) == 0
-        if not vacuous and (not rep.all_pass or not constants.get("found", True)):
-            code = EXIT_VIOLATION
     elif lemma == "tricho":
         _top_exponential(filt)  # refuses a map with no exponential stratum
-        rng = random.Random(args.seed)
-        unresolved = 0
-        columns = ["path", "case", "pass"]
-        for _ in range(args.samples):
-            p = random_tight_path(f.graph, args.len_bound, rng)
-            verdict = growth_mod.trichotomy_classify(
-                f, p, M=args.m_max, L=float(args.l0)
-            )
-            rows.append({
-                "path": f.graph.spell_path(p),
-                "case": verdict.case,
-                "pass": verdict.case != "unresolved",
-            })
-            if verdict.case == "unresolved":
-                unresolved += 1
-        constants = {"unresolved": unresolved, "M": args.m_max, "L": float(args.l0)}
-        if unresolved:
-            code = EXIT_VIOLATION
+        rep = growth_mod.validate_tricho(f, sample(random_tight_path), args.m_max, l0)
     elif lemma == "decomp":
-        rng = random.Random(args.seed)
-        columns = ["circuit", "case", "fraction", "pieces", "pass"]
-        for _ in range(args.samples):
-            c = random_circuit(f.graph, args.len_bound, rng)
-            try:
-                rep = growth_mod.growth_decomposition(c, float(args.l0), filt)
-            except growth_mod.BoundViolation as exc:
-                rows.append({
-                    "circuit": f.graph.spell_path(c),
-                    "case": "bound-violated",
-                    "pass": False,
-                })
-                constants["violation"] = str(exc)
-                code = EXIT_VIOLATION
-                continue
-            rows.append({
-                "circuit": f.graph.spell_path(c),
-                "case": rep.case,
-                "fraction": rep.fraction,
-                "pieces": len(rep.pieces),
-                "pass": True,
-            })
-        constants.setdefault("L0", float(args.l0))
+        rep = growth_mod.validate_decomp(sample(random_circuit), l0, filt)
     else:
         raise CliError(f"unknown lemma {lemma!r}")
 
@@ -459,20 +397,21 @@ def cmd_validate(args) -> Report:
         "input": f.label,
         "lemma": lemma,
         "seed": args.seed,
-        "constants": constants,
-        "rows": rows,
-        "all_pass": code == EXIT_OK,
+        "constants": rep.constants,
+        "rows": rep.rows,
+        "all_pass": rep.passed,
     }
     lines = [f"input: {f.label}", f"lemma: {lemma}"]
-    lines += [f"{k}: {format_value(v)}" for k, v in constants.items()]
-    failures = [r for r in rows if not r.get("pass", True)]
-    lines.append(f"rows: {len(rows)} failures: {len(failures)}")
+    lines += [f"{k}: {format_value(v)}" for k, v in rep.constants.items()]
+    failures = [r for r in rep.rows if not r["pass"]]
+    lines.append(f"rows: {len(rep.rows)} failures: {len(failures)}")
     for r in failures[:10]:
         lines.append("  fail: " + " ".join(f"{k}={r[k]}" for k in r))
-    lines.append("pass" if code == EXIT_OK else "FAIL")
+    lines.append("pass" if rep.passed else "FAIL")
     return Report(
-        report, code, table="rows", columns=columns, head=lines,
-        csv_rows=constants.items if lemma in ("bcc", "illen") else None,
+        report, EXIT_OK if rep.passed else EXIT_VIOLATION, table="rows",
+        columns=_COLUMNS.get(lemma, _CIRCUIT_COLUMNS), head=lines,
+        csv_rows=rep.constants.items if lemma in ("bcc", "illen") else None,
     )
 
 

@@ -10,27 +10,29 @@ H_r part of the length.  Circuits use cyclic turns and segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Circuit, GraphMap, preimage_circuit
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
-from .strata import Filtration, Metric
+from .strata import CheckReport, Filtration, Metric
 from .words import BudgetExceeded, common_prefix, inverse_keys, key_word, letter_key
 
 __all__ = [
     "PathStats",
     "CancellationData",
     "TrichotomyVerdict",
-    "ValidatorReport",
     "DecompositionReport",
     "path_stats",
     "bcc_estimate",
+    "validate_bcc",
     "validate_bw1",
     "validate_illen",
     "trichotomy_classify",
+    "validate_tricho",
     "validate_backgrowth",
     "BoundViolation",
     "growth_decomposition",
+    "validate_decomp",
 ]
 
 _SLACK = 1e-9
@@ -238,14 +240,14 @@ def bcc_estimate(f: GraphMap, pair_len_bound: int = 8) -> CancellationData:
     return CancellationData(C_f=cur, window=window, stable=stable, critical=critical)
 
 
-@dataclass
-class ValidatorReport:
-    rows: list[dict] = field(default_factory=list)
-    constants: dict = field(default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row["pass"] for row in self.rows)
+def validate_bcc(f: GraphMap, pair_len_bound: int = 8) -> CheckReport:
+    """bcc_estimate as a check: its constants, passing when the windowed
+    search stabilised within pair_len_bound."""
+    data = bcc_estimate(f, pair_len_bound)
+    constants = {"C_f": data.C_f, "window": data.window, "stable": data.stable}
+    for idx in sorted(data.critical):
+        constants[f"critical_length_{idx}"] = data.critical[idx]
+    return CheckReport(data.stable, [], constants)
 
 
 def _require_absolute(filtration: Filtration) -> float:
@@ -281,10 +283,11 @@ def validate_bw1(
     circuits,
     k_max: int = 5,
     r: int | None = None,
-) -> ValidatorReport:
+) -> CheckReport:
     """Backward control of the longest legal segment: for every circuit
     and k <= k_max, script_L of the k-fold preimage stays below
     script_L / lambda^k + L_c, and below script_L + L_c (weaker form).
+    Passes when every row does.
 
     With r (relative form, BW2, for circuits in G_r): script_L_r of the
     preimage stays below script_L_r + L_c_r.
@@ -298,7 +301,7 @@ def validate_bw1(
         constants = {"lambda": lam, "C_f": cancellation.C_f, "L_c": lc}
     else:
         constants = {"L_c_r": lc, "r": r}
-    report = ValidatorReport(constants=constants)
+    rows = []
     stratum = filtration.strata[0].index if r is None else r
     g = f.graph
     for c in circuits:
@@ -317,8 +320,8 @@ def validate_bw1(
                 weak_ok = True
             margin = bound - seg
             ok = margin > -_SLACK * max(1.0, abs(bound)) and weak_ok
-            report.rows.append(_circuit_row(g, c, k, st, r, bound, margin, ok))
-    return report
+            rows.append(_circuit_row(g, c, k, st, r, bound, margin, ok))
+    return CheckReport(all(row["pass"] for row in rows), rows, constants)
 
 
 def validate_illen(
@@ -327,10 +330,11 @@ def validate_illen(
     filtration: Filtration,
     circuit: bool = False,
     r: int | None = None,
-) -> float:
+) -> CheckReport:
     """Least constant C with i/C <= metric length <= C i over the sample
-    paths (filtered to 1 <= script_L <= L and i > 0).  With r, the same
-    over the r-quantities i_r, L_r and script_L_r."""
+    paths (filtered to 1 <= script_L <= L and i > 0), as the constant C
+    of a passing report.  With r, the same over the r-quantities i_r, L_r
+    and script_L_r.  Raises ValueError when no sample path qualifies."""
     metric = filtration.metric
     best = None
     for p in sample:
@@ -345,7 +349,10 @@ def validate_illen(
         best = c if best is None else max(best, c)
     if best is None:
         raise ValueError("no sample path meets the preconditions")
-    return best
+    constants = {"C": best, "L": L}
+    if r is not None:
+        constants["stratum"] = r
+    return CheckReport(True, [], constants)
 
 
 @dataclass(frozen=True)
@@ -354,22 +361,13 @@ class TrichotomyVerdict:
     witness: dict
 
 
-def _splittable_into_pre_nielsen(
-    f, edges, r: int | None
-) -> list[tuple[int, ...]] | None:
-    """Try to split a path into pre-Nielsen pieces with one (r-)illegal
-    turn each; in the relative case lower segments may sit in between.
-    Returns the pieces, or None."""
-    hr = None
-    if r is not None:
-        hr = frozenset(f.filtration.stratum(r).edges)
-        lower = f.filtration.edges_below(r)
+def _splittable_into_pre_nielsen(f, edges) -> list[tuple[int, ...]] | None:
+    """Try to split a path into pre-Nielsen pieces with one illegal turn
+    each.  Returns the pieces, or None."""
     n = len(edges)
 
     def piece_ok(piece):
-        if r is not None and all(abs(d) in lower for d in piece):
-            return True
-        if sum(f.illegal_flags(piece, hr)) != 1:
+        if sum(f.illegal_flags(piece)) != 1:
             return False
         verdict, _, _ = is_pre_nielsen(f, piece, max_steps=_PRE_STEPS)
         return verdict in ("nielsen", "pre-nielsen")
@@ -395,7 +393,6 @@ def trichotomy_classify(
     rho,
     M: int,
     L: float,
-    r: int | None = None,
 ) -> TrichotomyVerdict:
     """Classify the behavior of a path under M iterations: a legal
     segment longer than L appears, or illegal turns drop, or the path
@@ -406,33 +403,25 @@ def trichotomy_classify(
         raise ValueError("M must be >= 1")
     filtration, metric = f.filtration, f.filtration.metric
     rho = tuple(rho)
-    base = path_stats(rho, filtration, metric, r=r)
-    if r is not None and base.L_r < 1.0 - _SLACK:
-        raise ValueError("relative classification needs L_r >= 1")
-    image = f.iterate_letters(rho, M)
-    img = path_stats(image, filtration, metric, r=r)
-    seg = img.script_L if r is None else img.script_L_r
-    if seg > L + _SLACK:
+    base = path_stats(rho, filtration, metric)
+    img = path_stats(f.iterate_letters(rho, M), filtration, metric)
+    if img.script_L > L + _SLACK:
         return TrichotomyVerdict(
             case="long-legal-segment",
-            witness={"segment_length": seg, "threshold": L, "M": M},
+            witness={"segment_length": img.script_L, "threshold": L, "M": M},
         )
-    i_img = img.i if r is None else img.i_r
-    i_base = base.i if r is None else base.i_r
-    if i_img < i_base:
+    if img.i < base.i:
         return TrichotomyVerdict(
             case="fewer-illegal-turns",
-            witness={"before": i_base, "after": i_img, "M": M},
+            witness={"before": base.i, "after": img.i, "M": M},
         )
     n = len(rho)
 
     def trim_ok(piece):
         if not piece:
             return True
-        st = path_stats(piece, filtration, metric, r=r)
-        length = st.L if r is None else st.L_r
-        turns = st.i if r is None else st.i_r
-        return length <= 2 * L + _SLACK and turns <= 1
+        st = path_stats(piece, filtration, metric)
+        return st.L <= 2 * L + _SLACK and st.i <= 1
 
     for a in range(0, n):
         if not trim_ok(rho[:a]):
@@ -441,7 +430,7 @@ def trichotomy_classify(
             # suffixes only grow as b decreases, so the first failure ends it
             if not trim_ok(rho[b:]):
                 break
-            pieces = _splittable_into_pre_nielsen(f, rho[a:b], r)
+            pieces = _splittable_into_pre_nielsen(f, rho[a:b])
             if pieces is not None:
                 return TrichotomyVerdict(
                     case="pre-nielsen-splitting",
@@ -452,6 +441,23 @@ def trichotomy_classify(
                     },
                 )
     return TrichotomyVerdict(case="unresolved", witness={"M": M, "L": L})
+
+
+def validate_tricho(f: GraphMap, paths, M: int, L: float) -> CheckReport:
+    """trichotomy_classify on every path: one row per path with its case,
+    passing when no path is unresolved."""
+    rows = []
+    for p in paths:
+        case = trichotomy_classify(f, p, M=M, L=L).case
+        rows.append({
+            "path": f.graph.spell_path(p),
+            "case": case,
+            "pass": case != "unresolved",
+        })
+    unresolved = sum(not row["pass"] for row in rows)
+    return CheckReport(
+        not unresolved, rows, {"unresolved": unresolved, "M": M, "L": L}
+    )
 
 
 def _qualifying_circuits(f, circuits, L0, i_min, r):
@@ -490,40 +496,30 @@ def validate_backgrowth(
     f_inv: GraphMap,
     sample,
     L0: float,
-    M: int | None = None,
     n_max: int = 3,
     m_search_max: int = 12,
     r: int | None = None,
-) -> ValidatorReport:
+) -> CheckReport:
     """Backward growth of illegal turns: (8/7)^n i <= i of the nM-fold
     preimage, over sample circuits with script_L <= L0 and i >= 4.  With
     r, the relative form: (10/9)^n i_r, over circuits in G_r with
-    script_L_r <= L0 and i_r >= 5.  When M is not supplied the least
-    workable exponent <= m_search_max is searched for; absence is
-    reported, not fatal."""
+    script_L_r <= L0 and i_r >= 5.  The least workable exponent
+    M <= m_search_max is searched for, and the report passes when one is
+    found.  It also passes, vacuously and with no rows, when no sample
+    circuit qualifies: its constants then say qualifying 0."""
     ratio, i_min = (8.0 / 7.0, 4) if r is None else (10.0 / 9.0, 5)
     qualified = _qualifying_circuits(f, sample, L0, i_min, r)
-    if M is not None:
-        rows = _backgrowth_rows(f, f_inv, qualified, M, n_max, ratio, r)
-        report = ValidatorReport(
-            rows=rows,
-            constants={"M": M, "ratio": ratio, "qualifying": len(qualified)},
-        )
-        report.constants["found"] = report.all_pass
-        return report
     for m in range(1, m_search_max + 1):
         rows = _backgrowth_rows(f, f_inv, qualified, m, n_max, ratio, r)
         if rows and all(row["pass"] for row in rows):
-            return ValidatorReport(
-                rows=rows,
-                constants={"M": m, "ratio": ratio, "found": True,
-                           "qualifying": len(qualified)},
-            )
-    return ValidatorReport(
-        rows=[],
-        constants={"M": None, "ratio": ratio, "found": False,
-                   "qualifying": len(qualified), "searched": m_search_max},
-    )
+            return CheckReport(True, rows, {
+                "M": m, "ratio": ratio, "found": True,
+                "qualifying": len(qualified),
+            })
+    return CheckReport(not qualified, [], {
+        "M": None, "ratio": ratio, "found": False,
+        "qualifying": len(qualified), "searched": m_search_max,
+    })
 
 
 class BoundViolation(Exception):
@@ -673,3 +669,24 @@ def growth_decomposition(
         fraction=1.0,
         details={"i": st.i, "L": st.L},
     )
+
+
+def validate_decomp(circuits, L0: float, filtration: Filtration) -> CheckReport:
+    """growth_decomposition of every circuit: one row per circuit with its
+    case, share and piece count.  A circuit on which a guaranteed bound
+    fails gets a bound-violated row, and the constant violation holds the
+    last such failure; the report passes when there is none."""
+    g = filtration.graph_map.graph
+    rows, constants = [], {}
+    for c in circuits:
+        try:
+            rep = growth_decomposition(c, L0, filtration)
+        except BoundViolation as exc:
+            row = {"case": "bound-violated", "pass": False}
+            constants["violation"] = str(exc)
+        else:
+            row = {"case": rep.case, "fraction": rep.fraction,
+                   "pieces": len(rep.pieces), "pass": True}
+        rows.append({"circuit": g.spell_path(c), **row})
+    constants["L0"] = L0
+    return CheckReport("violation" not in constants, rows, constants)

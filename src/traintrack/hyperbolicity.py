@@ -272,12 +272,10 @@ def _sum_blocks(batch: engine.WordBatch, rank: int):
 def _abelianization(images: tuple[Word, ...]) -> np.ndarray:
     """The integer matrix A on Z^rank of the map with these images of the
     generators: A[i, j] is the exponent sum of x_(i+1) in the image of
-    x_(j+1), so v(phi(w)) = A v(w)."""
-    a = np.zeros((len(images), len(images)), dtype=np.int64)
-    for j, img in enumerate(images):
-        x = np.array(img.letters)
-        np.add.at(a[:, j], np.abs(x) - 1, np.sign(x))
-    return a
+    x_(j+1), so v(phi(w)) = A v(w).  The images are key-encoded, so the
+    rank is at most MAX_LETTER."""
+    batch = engine.batch_from_words([img.letters for img in images])
+    return np.concatenate([v for _, v in _sum_blocks(batch, len(images))]).T
 
 
 def _invertible_mod(m: np.ndarray) -> bool:
@@ -299,17 +297,13 @@ def _returns_only_zero(phi: Automorphism, P: int) -> bool:
     abelianization of phi, so that only v = 0 can come back within P
     steps.
 
-    Decided by determinants mod _PRIME: one that is nonzero mod _PRIME is
-    nonzero over the integers.  A zero one (A^k - I singular, or _PRIME
+    Decided by one determinant mod _PRIME: one that is nonzero mod _PRIME
+    is nonzero over the integers.  A zero one (A^k - I singular, or _PRIME
     dividing the determinant) answers False, which costs only the
-    pruning.  The kernel of A^k - I lies in that of A^jk - I, so A - I is
-    tested first, which settles every A with eigenvalue 1 at once, and
-    then the product of the A^k - I over k in (P/2, P], which covers
-    every k <= P."""
+    pruning.  The kernel of A^k - I lies in that of A^jk - I, so the
+    product of the A^k - I over k in (P/2, P] covers every k <= P."""
     a = _abelianization(phi.images) % _PRIME
     eye = np.eye(phi.rank, dtype=np.int64)
-    if not _invertible_mod(a - eye):
-        return False
     ak = prod = eye
     for k in range(1, P + 1):
         ak = ak @ a % _PRIME

@@ -8,7 +8,7 @@ the stratum type, the eigenvector metric, and the expansion factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -318,16 +318,15 @@ def assign_metric(filtration: Filtration) -> Metric:
     return Metric(lengths=lengths)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
-    """Violations found by verify_rtt or verify_improved, and what was checked."""
+    """The verdict of a map check or a lemma validator: whether it passed,
+    its rows (the violations of a map check, one row per case a validator
+    checked), and its constants (what was counted or estimated)."""
 
-    violations: list[dict] = field(default_factory=list)
-    checked: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+    passed: bool
+    rows: list[dict]
+    constants: dict
 
 
 def _subgraph_vertices(graph: Graph, edges) -> set[str]:
@@ -351,7 +350,7 @@ def verify_rtt(f: GraphMap) -> CheckReport:
     """
     filtration = f.filtration
     g = f.graph
-    report = CheckReport()
+    violations: list[dict] = []
     counts = {"strata": 0, "beta_paths": 0, "legal_paths": 0}
     for s in filtration.exponential_strata():
         counts["strata"] += 1
@@ -361,7 +360,7 @@ def verify_rtt(f: GraphMap) -> CheckReport:
         for e in s.edges:
             img = f.edge_image(e)
             if abs(img[0]) not in hr or abs(img[-1]) not in hr:
-                report.violations.append({
+                violations.append({
                     "condition": 1,
                     "stratum": r,
                     "edge": g.edge_name(e),
@@ -380,7 +379,7 @@ def verify_rtt(f: GraphMap) -> CheckReport:
                     continue
                 counts["beta_paths"] += 1
                 if not f.map_letters(beta):
-                    report.violations.append({
+                    violations.append({
                         "condition": 2,
                         "stratum": r,
                         "path": g.spell_path(beta),
@@ -399,14 +398,13 @@ def verify_rtt(f: GraphMap) -> CheckReport:
             counts["legal_paths"] += 1
             image = f.map_letters(p)
             if any(f.illegal_flags(image, hr)):
-                report.violations.append({
+                violations.append({
                     "condition": 3,
                     "stratum": r,
                     "path": g.spell_path(p),
                     "detail": "image %s is not r-legal" % g.spell_path(image),
                 })
-    report.checked = counts
-    return report
+    return CheckReport(not violations, violations, counts)
 
 
 def _contractible_component_edges(graph: Graph, edges) -> set[int]:
@@ -449,11 +447,11 @@ def verify_improved(f: GraphMap) -> CheckReport:
 
     filtration = f.filtration
     g = f.graph
-    report = CheckReport()
+    violations: list[dict] = []
     records = find_nielsen_paths(f)
     for rec in records:
         if rec.period != 1:
-            report.violations.append({
+            violations.append({
                 "property": 1,
                 "detail": "Nielsen path %s has period %d"
                 % (g.spell_path(rec.path), rec.period),
@@ -464,7 +462,7 @@ def verify_improved(f: GraphMap) -> CheckReport:
             gr = filtration.edges_through(r)
             contractible = _contractible_component_edges(g, gr)
             if contractible != set(s.edges):
-                report.violations.append({
+                violations.append({
                     "property": 2,
                     "stratum": r,
                     "detail": "zero stratum %s != contractible part %s" % (
@@ -474,7 +472,7 @@ def verify_improved(f: GraphMap) -> CheckReport:
                 })
             nxt = filtration.strata[r] if r < len(filtration.strata) else None
             if nxt is None or nxt.kind != "exponential":
-                report.violations.append({
+                violations.append({
                     "property": 3,
                     "stratum": r,
                     "detail": "zero stratum not followed by an exponential one",
@@ -487,7 +485,7 @@ def verify_improved(f: GraphMap) -> CheckReport:
                 img = f.edge_image(e)
                 ok = img[0] == e and all(abs(d) in lower for d in img[1:])
             if not ok:
-                report.violations.append({
+                violations.append({
                     "property": 4,
                     "stratum": r,
                     "detail": "stratum is not of the form E -> E u with "
@@ -503,13 +501,10 @@ def verify_improved(f: GraphMap) -> CheckReport:
     for s in filtration.exponential_strata():
         n = by_stratum.get(s.index, 0)
         if n > 1:
-            report.violations.append({
+            violations.append({
                 "property": 5,
                 "stratum": s.index,
                 "detail": "%d indivisible Nielsen paths meet the stratum" % n,
             })
-    report.checked = {
-        "nielsen_records": len(records),
-        "strata": len(filtration.strata),
-    }
-    return report
+    counts = {"nielsen_records": len(records), "strata": len(filtration.strata)}
+    return CheckReport(not violations, violations, counts)

@@ -104,7 +104,7 @@ def test_criterion_05_bw1_validator(fib_rose, fib_inv_rose, rng):
     circuits = [random_circuit(fib_rose.graph, 12, rng) for _ in range(500)]
     rep = validate_bw1(fib_rose, fib_inv_rose, circuits, k_max=5)
     assert len(rep.rows) == 2500
-    assert rep.all_pass
+    assert rep.passed
     assert all(row["margin"] > 0 for row in rep.rows)
     verdict(5, "bw1-validator")
 
@@ -194,7 +194,7 @@ def test_criterion_12_negative_controls(broken, tmp_path, capsys):
     filt = compute_filtration(broken)
     rep = verify_rtt(broken)
     assert not rep.passed
-    (violation,) = rep.violations
+    (violation,) = rep.rows
     assert violation["condition"] == 1
     assert violation["edge"] == "ea"
     path = tmp_path / "broken.gm"

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 
 import traintrack
-from traintrack import engine, hyperbolicity, strata
+from traintrack import engine, growth, hyperbolicity, strata
 from traintrack.cli import LEMMAS, main
-from traintrack.formats import dump_automorphism
+from traintrack.formats import canonical_json, dump_automorphism
+from traintrack.graphs import random_circuit, random_tight_path, rose_of
 from traintrack.words import Automorphism
-from traintrack.fixtures import fixture_text
+from traintrack.fixtures import fixture_text, load_fixture
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -292,6 +294,54 @@ class TestValidate:
         _, c, _ = run(capsys, *argv, "--seed", "8")
         assert a == b
         assert a != c
+
+
+def _library_report(name, lemma):
+    """The library validator of lemma on the samples that `validate
+    <name>.aut <lemma> --seed 0` draws at its defaults."""
+    phi = load_fixture(name)
+    f, f_inv = rose_of(phi), rose_of(phi.inverse())
+    filt = f.filtration
+    top = filt.exponential_strata()[-1].index
+    r = top if len(filt.strata) > 1 else None
+    rng = random.Random(0)
+
+    def sample(draw):
+        return [draw(f.graph, 12, rng) for _ in range(100)]
+
+    if lemma == "bcc":
+        return growth.validate_bcc(f, 8)
+    if lemma in ("bw1", "bw2"):
+        return growth.validate_bw1(
+            f, f_inv, sample(random_circuit), k_max=5,
+            r=top if lemma == "bw2" else None,
+        )
+    if lemma == "illen":
+        return growth.validate_illen(
+            sample(random_circuit), 12.0, filt, circuit=True, r=r
+        )
+    if lemma == "backgrowth":
+        return growth.validate_backgrowth(
+            f, f_inv, sample(random_circuit), 12.0, n_max=5, m_search_max=12, r=r
+        )
+    if lemma == "tricho":
+        return growth.validate_tricho(f, sample(random_tight_path), 12, 12.0)
+    return growth.validate_decomp(sample(random_circuit), 12.0, filt)
+
+
+@pytest.mark.parametrize("lemma", LEMMAS)
+@pytest.mark.parametrize("name", ["fib", "fib_inverse", "plas"])
+def test_library_validator_matches_cli(capsys, tmp_path, name, lemma):
+    # validate is one library call: the same rows and constants, and its
+    # exit code is the report's verdict
+    path = tmp_path / f"{name}.aut"
+    path.write_text(fixture_text(name))
+    code, out, _ = run(capsys, "validate", path, lemma, "--format", "json")
+    report = json.loads(out)
+    rep = _library_report(name, lemma)
+    assert json.loads(canonical_json(rep.rows)) == report["rows"]
+    assert json.loads(canonical_json(rep.constants)) == report["constants"]
+    assert rep.passed == (code == 0) == report["all_pass"]
 
 
 @pytest.mark.parametrize(

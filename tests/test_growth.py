@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from traintrack.graphs import (
     random_tight_path,
     rose_of,
 )
+from traintrack import growth
 from traintrack.growth import (
     _SLACK,
     _longest_short_path,
@@ -22,8 +24,11 @@ from traintrack.growth import (
     path_stats,
     trichotomy_classify,
     validate_backgrowth,
+    validate_bcc,
     validate_bw1,
+    validate_decomp,
     validate_illen,
+    validate_tricho,
 )
 from traintrack.strata import Metric, assign_metric, compute_filtration
 from traintrack.words import BudgetExceeded
@@ -197,7 +202,7 @@ class TestBwValidators:
             f, fib_inv_rose, circuits, k_max=5
         )
         assert len(rep.rows) == 600
-        assert rep.all_pass
+        assert rep.passed
         assert all(row["margin"] > 0 for row in rep.rows)
         assert rep.constants["lambda"] == pytest.approx(PHI, abs=1e-9)
         assert rep.constants["L_c"] == pytest.approx(10.472135955, abs=1e-6)
@@ -213,13 +218,13 @@ class TestBwValidators:
         rep = validate_bw1(
             f, rel_inv_rose, circuits, k_max=3, r=2,
         )
-        assert rep.all_pass
+        assert rep.passed
         assert rep.constants["L_c_r"] == pytest.approx(16.9442719100, abs=1e-6)
 
     def test_illen_recovers_exact_max(self, fib_setup):
         f, filt, met = fib_setup
         sample = list(iter_tight_paths(f.graph, 6))
-        got = validate_illen(sample, 10.0, filt)
+        got = validate_illen(sample, 10.0, filt).constants["C"]
         expected = 0.0
         for p in sample:
             st = path_stats(p, filt, met)
@@ -231,7 +236,7 @@ class TestBwValidators:
     def test_illen2_relative(self, rel_setup):
         f, filt, met = rel_setup
         sample = list(iter_tight_paths(f.graph, 5))
-        got = validate_illen(sample, 10.0, r=2, filtration=filt)
+        got = validate_illen(sample, 10.0, r=2, filtration=filt).constants["C"]
         expected = 0.0
         for p in sample:
             st = path_stats(p, filt, met, r=2)
@@ -250,14 +255,14 @@ class TestBackgrowth:
         f, filt, met = fib_setup
         family = Circuit(f.graph, (1, -2) * 4)
         rep = validate_backgrowth(
-            f, fib_inv_rose, [family], L0=12.0, M=2, n_max=3,
+            f, fib_inv_rose, [family], L0=12.0, n_max=3,
         )
         assert rep.constants["qualifying"] == 1
         assert [row["i"] for row in rep.rows] == [8, 20, 52]
         assert [row["k"] for row in rep.rows] == [2, 4, 6]
         for n, row in enumerate(rep.rows, start=1):
             assert row["bound"] == pytest.approx((8 / 7) ** n * 4)
-        assert rep.all_pass and rep.constants["found"]
+        assert rep.passed and rep.constants["found"]
 
     def test_fib_search_finds_exponent(self, fib_setup, fib_inv_rose):
         f, filt, met = fib_setup
@@ -283,7 +288,7 @@ class TestBackgrowth:
         # a legal circuit never meets the i >= 4 precondition
         f, filt, met = fib_setup
         rep = validate_backgrowth(
-            f, fib_inv_rose, [(1, 2)], L0=12.0, M=2,
+            f, fib_inv_rose, [(1, 2)], L0=12.0,
         )
         assert rep.constants["qualifying"] == 0
         assert rep.rows == []
@@ -383,6 +388,62 @@ _SLOW_LISTINGS = {
     ("ident", 12), ("poly", 12), ("plas", 12),
     ("broken", 10), ("broken", 12), ("rel", 10), ("rel", 12),
 }
+
+
+class TestVerdicts:
+    """Each validator's passed is the verdict that validate exits on."""
+
+    def test_bcc_fails_when_unstable(self, fib_setup):
+        f, filt, met = fib_setup
+        assert validate_bcc(f).passed
+        rep = validate_bcc(f, pair_len_bound=1)
+        assert not rep.passed
+        assert rep.rows == []
+        assert rep.constants["stable"] is False and rep.constants["window"] == 1
+
+    def test_backgrowth_fails_when_no_exponent_works(self, fib_setup, fib_inv_rose):
+        # the alternating family needs M = 2, so a search to 1 finds nothing
+        f, filt, met = fib_setup
+        family = Circuit(f.graph, (1, -2) * 4)
+        rep = validate_backgrowth(
+            f, fib_inv_rose, [family], L0=12.0, n_max=3, m_search_max=1,
+        )
+        assert not rep.passed
+        assert rep.rows == []
+        assert rep.constants["qualifying"] == 1 and not rep.constants["found"]
+
+    def test_backgrowth_passes_vacuously(self, fib_setup, fib_inv_rose):
+        f, filt, met = fib_setup
+        rep = validate_backgrowth(f, fib_inv_rose, [(1, 2)], L0=12.0)
+        assert rep.passed and rep.rows == []
+        assert rep.constants["qualifying"] == 0 and not rep.constants["found"]
+
+    def test_tricho_fails_on_unresolved_path(self, fib_setup):
+        # a legal path keeps no illegal turn to lose, and with L past the
+        # length of its image no case resolves it
+        f, filt, met = fib_setup
+        rep = validate_tricho(f, [(1, 1, 1, 1), INP], M=1, L=50.0)
+        assert not rep.passed
+        assert [row["case"] for row in rep.rows] == [
+            "unresolved", "pre-nielsen-splitting",
+        ]
+        assert [row["pass"] for row in rep.rows] == [False, True]
+        assert rep.constants == {"unresolved": 1, "M": 1, "L": 50.0}
+
+    def test_decomp_reports_a_bound_violation(self, fib_setup, monkeypatch):
+        # a longest short path of 0 puts the legal-or-sparse share's lower
+        # bound at 1, which a circuit with an illegal turn cannot meet
+        f, filt, met = fib_setup
+        monkeypatch.setattr(growth, "_longest_short_path", lambda *a, **k: 0.0)
+        rng = random.Random(0)
+        circuits = [random_circuit(f.graph, 12, rng) for _ in range(5)]
+        rep = validate_decomp(circuits, 3.0, filt)
+        assert not rep.passed
+        assert len(rep.rows) == 5
+        bad = [row for row in rep.rows if row["case"] == "bound-violated"]
+        assert bad and not any(row["pass"] for row in bad)
+        assert "below" in rep.constants["violation"]
+        assert rep.constants["L0"] == 3.0
 
 
 class TestLongestShortPath:

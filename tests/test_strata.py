@@ -194,7 +194,7 @@ class TestMetric:
 class TestVerify:
     def test_fib_passes_rtt(self, fib_rose, fib_filtration):
         rep = verify_rtt(fib_rose)
-        assert rep.passed and rep.violations == []
+        assert rep.passed and rep.rows == []
 
     def test_plas_rel_pass(self, plas_rose, rel_rose):
         assert verify_rtt(plas_rose).passed
@@ -204,8 +204,8 @@ class TestVerify:
         filt = compute_filtration(broken)
         rep = verify_rtt(broken)
         assert not rep.passed
-        assert len(rep.violations) == 1
-        v = rep.violations[0]
+        assert len(rep.rows) == 1
+        v = rep.rows[0]
         assert v["condition"] == 1
         assert v["edge"] == "ea"
 
@@ -213,7 +213,7 @@ class TestVerify:
         # an honest train track map can still fail the stronger conditions
         rep = verify_improved(fib_rose)
         assert not rep.passed
-        assert any("period 2" in v.get("detail", "") for v in rep.violations)
+        assert any("period 2" in v.get("detail", "") for v in rep.rows)
 
     def test_improved_passes_plas(self, plas_rose):
         assert verify_improved(plas_rose).passed
