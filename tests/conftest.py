@@ -349,3 +349,29 @@ def only_zero_returns(a, P):
         if int_det(ak - eye) == 0:
             return False
     return True
+
+
+def reach_closure(adjacency):
+    """Boolean reachability matrix of a digraph given as a square 0/1
+    matrix: entry [i, j] says whether j can be reached from i in zero or
+    more steps.  Computed as the boolean closure of I + A by repeated
+    squaring, with no graph search."""
+    a = np.asarray(adjacency, dtype=bool)
+    closure = a | np.eye(len(a), dtype=bool)
+    while True:
+        ints = closure.astype(np.int64)
+        squared = (ints @ ints) > 0
+        if (squared == closure).all():
+            return closure
+        closure = squared
+
+
+def random_rose_map(rank, rng):
+    """A self-map of the rose with `rank` petals x1..xn sending each petal
+    to a random reduced word of 1 to 4 letters."""
+    from traintrack.graphs import Graph, GraphMap
+
+    names = [f"x{i}" for i in range(1, rank + 1)]
+    g = Graph(["v"], [(x, "v", "v") for x in names])
+    images = {x: random_reduced_word(rank, rng.randint(1, 4), rng) for x in names}
+    return GraphMap(g, {"v": "v"}, images, label=f"rose{rank}")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from traintrack.strata import (
     verify_rtt,
 )
 
-from conftest import PHI
+from conftest import PHI, random_rose_map, reach_closure
 
 PLASTIC = 1.3247179572447460  # real root of x^3 = x + 1
 
@@ -112,6 +113,53 @@ class TestFiltration:
             with pytest.raises(ValueError, match=f"no stratum {r}"):
                 filt.stratum(r)
 
+    def test_random_roses_meet_the_placement_rule(self):
+        """On 200 seeded rose maps of ranks 2 to 5: the strata partition
+        the edges; each is a maximal set of mutually reachable edges (the
+        oracle is conftest.reach_closure); every image lies in G_r; and
+        each stratum has the least edge among the strata that could have
+        been placed at its position."""
+        rng = random.Random("filtration spec")
+        zero = ties = 0
+        for i in range(200):
+            f = random_rose_map(2 + i % 4, rng)
+            n = f.graph.edge_count
+            images = [f.edge_image(e) for e in range(1, n + 1)]
+            adjacency = np.zeros((n, n), dtype=bool)
+            for e in range(1, n + 1):
+                for d in f.edge_image(e):
+                    adjacency[e - 1, abs(d) - 1] = True
+            closure = reach_closure(adjacency)
+            mutual = closure & closure.T
+            filt = compute_filtration(f)
+            strata = filt.strata
+            assert [s.index for s in strata] == list(range(1, len(strata) + 1))
+            assert sorted(e for s in strata for e in s.edges) == list(range(1, n + 1))
+            for s in strata:
+                assert s.edges == tuple(sorted(s.edges)), images
+                for e in s.edges:
+                    assert set(s.edges) == {
+                        d + 1 for d in np.flatnonzero(mutual[e - 1])
+                    }, (images, s)
+                    assert all(
+                        abs(d) in filt.edges_through(s.index)
+                        for d in f.edge_image(e)
+                    ), (images, s)
+                zero += s.kind == "zero"
+            for s in strata:
+                below = filt.edges_below(s.index)
+                placeable = [
+                    t for t in strata[s.index:]
+                    if all(abs(d) in below | set(t.edges)
+                           for e in t.edges for d in f.edge_image(e))
+                ]
+                ties += bool(placeable)
+                assert all(t.edges[0] > s.edges[0] for t in placeable), (
+                    images, s, placeable
+                )
+        # the corpus exercises zero strata and choices between components
+        assert zero and ties
+
     def test_map_owns_filtration_and_metric(self, plas):
         f = rose_of(plas)
         filt = f.filtration
@@ -131,6 +179,19 @@ def _two_rose():
 def _zero_example():
     # a -> b, b -> b: the top stratum {a} has zero transition matrix
     return GraphMap(_two_rose(), {"v": "v"}, {"a": (2,), "b": (2,)})
+
+
+def _tree_example():
+    # a, b: a fib rose at v; t: u -> w, s: v -> u, r: w -> v, each sent
+    # into the rose.  The zero strata {t}, {s}, {r} come in that order;
+    # {t} alone is a tree component of G_2, while s and r close loops.
+    from traintrack.graphs import Graph
+
+    g = Graph(["v", "u", "w"], [("a", "v", "v"), ("b", "v", "v"),
+                                ("t", "u", "w"), ("s", "v", "u"),
+                                ("r", "w", "v")])
+    return GraphMap(g, {"v": "v", "u": "v", "w": "v"},
+                    {"a": (1, 2), "b": (1,), "t": (1,), "s": (2,), "r": (1,)})
 
 
 class TestMetric:
@@ -217,3 +278,34 @@ class TestVerify:
 
     def test_improved_passes_plas(self, plas_rose):
         assert verify_improved(plas_rose).passed
+
+    def test_improved_zero_strata_against_tree_components(self):
+        # property 2 holds for a zero stratum that is a tree component of
+        # G_r ({t}) and fails for one that closes a loop ({s}, {r}, {a})
+        f = _tree_example()
+        assert [(s.edges, s.kind) for s in f.filtration.strata] == [
+            ((1, 2), "exponential"), ((3,), "zero"), ((4,), "zero"),
+            ((5,), "zero"),
+        ]
+        rep = verify_improved(f)
+        assert rep.constants == {"nielsen_records": 1, "strata": 4}
+        assert rep.rows == [
+            {"property": 1, "detail": "Nielsen path a^-1 b^-1 a b has period 2"},
+            {"property": 3, "stratum": 2,
+             "detail": "zero stratum not followed by an exponential one"},
+            {"property": 2, "stratum": 3,
+             "detail": "zero stratum ['s'] != contractible part []"},
+            {"property": 3, "stratum": 3,
+             "detail": "zero stratum not followed by an exponential one"},
+            {"property": 2, "stratum": 4,
+             "detail": "zero stratum ['r'] != contractible part []"},
+            {"property": 3, "stratum": 4,
+             "detail": "zero stratum not followed by an exponential one"},
+        ]
+        rep = verify_improved(_zero_example())
+        assert rep.rows == [
+            {"property": 2, "stratum": 2,
+             "detail": "zero stratum ['a'] != contractible part []"},
+            {"property": 3, "stratum": 2,
+             "detail": "zero stratum not followed by an exponential one"},
+        ]
