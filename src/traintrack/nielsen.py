@@ -3,7 +3,7 @@
 A path p is a periodic Nielsen path if [f^k(p)] = p for some k >= 1.
 The indivisible ones (INPs) have exactly one illegal turn, at their
 "tip", and their two legal halves a, b satisfy f^k(a) = g a and
-f^k(b) = g b for a common prefix g.  Two search modes:
+f^k(b) = g b for a common prefix g.  Two searches:
 
 * orbit: enumerate every tight path up to a length bound and walk its
   forward orbit.  Complete within the bounds, but only feasible when
@@ -228,11 +228,6 @@ def _cut_ray(ray, target, metric: Metric, hr, tol=1e-9):
 
 def _develop_search(f, len_bound, period_bound):
     filtration, metric = f.filtration, f.filtration.metric
-    if any(s.kind != "exponential" for s in filtration.strata):
-        raise ValueError(
-            "ray development requires every stratum to be exponential; "
-            "use a larger orbit budget instead"
-        )
     lam_of = {s.index: s.pf_value for s in filtration.strata}
     hr_of = {s.index: frozenset(s.edges) for s in filtration.strata}
     records = []
@@ -327,40 +322,26 @@ def find_nielsen_paths(
     len_bound: int = 6,
     period_bound: int = 4,
     orbit_budget: int = 200_000,
-    mode: str = "auto",
 ) -> list[NielsenPathRecord]:
     """All periodic Nielsen paths up to the given bounds.
 
-    mode "orbit" walks every tight path with at most len_bound edges and
-    is complete within the bounds; "develop" grows INPs from illegal
-    turns (each half seeded up to len_bound edges) plus their tight
-    concatenations up to twice that, and also finds paths with endpoints
-    inside edges, but requires every stratum to be exponential.  "auto"
-    picks orbit when the path universe fits in orbit_budget, develop
-    otherwise, and raises BudgetExceeded when develop does not apply.
+    When the tight paths with at most len_bound edges number at most
+    orbit_budget, the orbit search walks every one of them and is
+    complete within the bounds.  Otherwise, when every stratum is
+    exponential, the develop search grows INPs from illegal turns (each
+    half seeded up to len_bound edges) plus their tight concatenations up
+    to twice that, and also finds paths with endpoints inside edges.
+    Otherwise it raises BudgetExceeded.
     """
     filtration = f.filtration
-    if mode not in ("auto", "orbit", "develop"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "develop":
-        size = _path_universe_size(f.graph, len_bound)
-        if size <= orbit_budget:
-            mode = "orbit"
-        elif mode == "orbit":
-            raise ValueError(
-                "path universe exceeds orbit budget; lower len_bound or "
-                "raise orbit_budget"
-            )
-        elif any(s.kind != "exponential" for s in filtration.strata):
-            # develop does not apply, so auto has nothing left to try
-            raise BudgetExceeded(
-                f"Nielsen orbit search budget exceeded: {size} tight paths "
-                f"of up to {len_bound} edges, budget {orbit_budget}"
-            )
-        else:
-            mode = "develop"
-    if mode == "orbit":
+    size = _path_universe_size(f.graph, len_bound)
+    if size <= orbit_budget:
         records = _orbit_search(f, len_bound, period_bound)
+    elif any(s.kind != "exponential" for s in filtration.strata):
+        raise BudgetExceeded(
+            f"Nielsen orbit search budget exceeded: {size} tight paths "
+            f"of up to {len_bound} edges, budget {orbit_budget}"
+        )
     else:
         records = _develop_search(f, len_bound, period_bound)
         records += _compose_records(

@@ -36,53 +36,33 @@ class InternalError(RuntimeError):
     bug in this package, not bad input."""
 
 
-def _strongly_connected_components(adj: dict[int, set[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Returns components in reverse
-    topological order (every edge leaves a later component)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
+def _reach(adj: dict) -> dict:
+    """The set of nodes that each node of a digraph reaches, itself
+    included; adj maps every node to its successors.
+
+    A depth-first search from every node costs O(V*E), where a linear
+    strongly-connected-components algorithm would not.  The graphs this
+    package can check are small: verify_rtt lists every connecting path
+    of up to 12 edges."""
+    out = {}
+    for root in adj:
+        seen = {root}
+        stack = [root]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-    return components
+        out[root] = seen
+    return out
+
+
+def _components(adj: dict) -> list[tuple]:
+    """Strongly connected components of a digraph (nodes that reach each
+    other), each sorted, listed by least node."""
+    reach = _reach(adj)
+    mutual = {tuple(sorted(v for v in reach[u] if u in reach[v])) for u in adj}
+    return sorted(mutual)
 
 
 @dataclass(frozen=True)
@@ -168,7 +148,7 @@ def is_irreducible(matrix: np.ndarray) -> bool:
     if n == 1:
         return bool(m[0, 0] > 0)
     adj = {i: set(np.flatnonzero(row).tolist()) for i, row in enumerate(m > 0)}
-    return len(_strongly_connected_components(adj)) == 1
+    return len(_components(adj)) == 1
 
 
 def _is_permutation_matrix(m: np.ndarray) -> bool:
@@ -219,44 +199,29 @@ def compute_filtration(f: GraphMap) -> Filtration:
     """Maximal invariant filtration of a graph self-map.
 
     Strata are the strongly connected components of the edge dependency
-    digraph (E depends on every edge its image crosses), condensed and
-    topologically ordered bottom-up.  Ties between independent components
-    are broken by smallest edge id, so the result is deterministic.
+    digraph (E depends on every edge its image crosses), placed
+    bottom-up: each stratum is the first component, in least-edge order,
+    whose images cross only edges in itself or in strata already placed.
+    Components never share their least edge, so the order is
+    deterministic, and every image lies in its G_r.
     """
-    g = f.graph
-    edges = list(range(1, g.edge_count + 1))
-    adj: dict[int, set[int]] = {e: set() for e in edges}
-    for e in edges:
-        for d in f.edge_image(e):
-            if abs(d) != e:
-                adj[e].add(abs(d))
-    comps = _strongly_connected_components(adj)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for e in comp:
-            comp_of[e] = ci
-    # Kahn ordering of the condensation; a component is ready once
-    # everything its images cross is already placed.
-    deps: list[set[int]] = [set() for _ in comps]
-    for e in edges:
-        for t in adj[e]:
-            if comp_of[t] != comp_of[e]:
-                deps[comp_of[e]].add(comp_of[t])
+    adj = {
+        e: {abs(d) for d in f.edge_image(e)}
+        for e in range(1, f.graph.edge_count + 1)
+    }
+    unplaced = _components(adj)
     placed: set[int] = set()
-    order: list[int] = []
-    remaining = set(range(len(comps)))
-    while remaining:
-        ready = [ci for ci in remaining if deps[ci] <= placed]
-        if not ready:
-            raise InternalError("dependency cycle across components")
-        ready.sort(key=lambda ci: comps[ci][0])
-        ci = ready[0]
-        order.append(ci)
-        placed.add(ci)
-        remaining.discard(ci)
     strata = []
-    for r, ci in enumerate(order, start=1):
-        comp = tuple(comps[ci])
+    while unplaced:
+        comp = next(
+            (c for c in unplaced
+             if all(d in placed or d in c for e in c for d in adj[e])),
+            None,
+        )
+        if comp is None:
+            raise InternalError("dependency cycle across components")
+        unplaced.remove(comp)
+        placed.update(comp)
         m = transition_matrix(f, comp)
         if not m.any():
             kind, lam, vec = "zero", None, None
@@ -267,16 +232,11 @@ def compute_filtration(f: GraphMap) -> Filtration:
             else:
                 kind, lam, vec = "exponential", lam_f, tuple(float(x) for x in v)
         strata.append(
-            Stratum(index=r, edges=comp, matrix=tuple(map(tuple, m.tolist())),
+            Stratum(index=len(strata) + 1, edges=comp,
+                    matrix=tuple(map(tuple, m.tolist())),
                     kind=kind, pf_value=lam, pf_vector=vec)
         )
-    filtration = Filtration(graph_map=f, strata=tuple(strata))
-    for s in strata:
-        below = filtration.edges_through(s.index)
-        for e in s.edges:
-            if not all(abs(d) in below for d in f.edge_image(e)):
-                raise InternalError(f"filtration is not invariant at edge {e}")
-    return filtration
+    return Filtration(graph_map=f, strata=tuple(strata))
 
 
 @dataclass(frozen=True)
@@ -408,31 +368,17 @@ def verify_rtt(f: GraphMap) -> CheckReport:
 
 
 def _contractible_component_edges(graph: Graph, edges) -> set[int]:
-    """Edges lying in tree components of the subgraph spanned by edges."""
-    parent: dict[str, str] = {}
-
-    def find(v):
-        while parent.get(v, v) != v:
-            parent[v] = parent.get(parent[v], parent[v])
-            v = parent[v]
-        return v
-
-    comp_edges: dict[str, set[int]] = {}
-    for v in _subgraph_vertices(graph, edges):
-        parent[v] = v
+    """Edges lying in tree components of the subgraph spanned by edges:
+    the components with one more vertex than they have edges."""
+    adj = {v: set() for v in _subgraph_vertices(graph, edges)}
     for e in edges:
-        a, b = find(graph.origin(e)), find(graph.terminus(e))
-        if a != b:
-            parent[a] = b
-    for e in edges:
-        comp_edges.setdefault(find(graph.origin(e)), set()).add(e)
-    comp_verts: dict[str, set[str]] = {}
-    for v in list(parent):
-        comp_verts.setdefault(find(v), set()).add(v)
+        adj[graph.origin(e)].add(graph.terminus(e))
+        adj[graph.terminus(e)].add(graph.origin(e))
     out: set[int] = set()
-    for root, es in comp_edges.items():
-        if len(es) == len(comp_verts[root]) - 1:
-            out |= es
+    for verts in {frozenset(c) for c in _reach(adj).values()}:
+        comp_edges = {e for e in edges if graph.origin(e) in verts}
+        if len(comp_edges) == len(verts) - 1:
+            out |= comp_edges
     return out
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from traintrack import (
     Automorphism,
+    Graph,
+    GraphMap,
     compute_filtration,
     engine,
     hyperbolicity,
@@ -369,9 +371,7 @@ def reach_closure(adjacency):
 def random_rose_map(rank, rng):
     """A self-map of the rose with `rank` petals x1..xn sending each petal
     to a random reduced word of 1 to 4 letters."""
-    from traintrack.graphs import Graph, GraphMap
-
     names = [f"x{i}" for i in range(1, rank + 1)]
     g = Graph(["v"], [(x, "v", "v") for x in names])
     images = {x: random_reduced_word(rank, rng.randint(1, 4), rng) for x in names}
-    return GraphMap(g, {"v": "v"}, images, label=f"rose{rank}")
+    return GraphMap(g, {"v": "v"}, images)

@@ -501,9 +501,7 @@ class TestInputErrors:
 
     def test_filtration_invariant_error_exits_4(self, capsys, files, monkeypatch):
         # fib's two edges form one component; split, each needs the other
-        monkeypatch.setattr(
-            strata, "_strongly_connected_components", lambda adj: [[e] for e in adj]
-        )
+        monkeypatch.setattr(strata, "_components", lambda adj: [(e,) for e in adj])
         code, out, err = run(capsys, "analyze", files / "fib.aut")
         assert (code, out, err) == (
             4, "", "error: dependency cycle across components\n"

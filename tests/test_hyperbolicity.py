@@ -229,6 +229,23 @@ class TestOuterInvariance:
             assert (cert.M, cert.lam_exact) == (base_cert.M, base_cert.lam_exact)
             assert cert.history == base_cert.history
 
+    @on_random_maps
+    def test_random_map_probe_and_certificate(self, phi, L, P):
+        (g,) = self._conjugators(random.Random(phi.label), phi.rank, count=1)
+        psi = conjugate_automorphism(phi, g)
+        assert psi.images != phi.images
+        assert _probe_view(atoroidality_probe(psi, L, P)) == _probe_view(
+            atoroidality_probe(phi, L, P)
+        )
+        cert, conj = (
+            certificate_search(f, M_max=8, L=L, letter_budget=10**6)
+            for f in (phi, psi)
+        )
+        assert (conj.verdict, conj.M, conj.lam_exact, conj.history) == (
+            cert.verdict, cert.M, cert.lam_exact, cert.history
+        )
+        assert conj.table == cert.table
+
 
 @on_random_maps
 def test_inverse_map_has_the_same_witnesses(phi, L, P):

@@ -86,19 +86,12 @@ class TestSearch:
         assert find_nielsen_paths(plas_rose, len_bound=6) == []
 
     def test_develop_agrees_with_orbit(self, fib_rose):
-        orbit = find_nielsen_paths(fib_rose, mode="orbit")
-        develop = find_nielsen_paths(fib_rose, mode="develop")
+        orbit = find_nielsen_paths(fib_rose)
+        develop = find_nielsen_paths(fib_rose, orbit_budget=0)
         key = {(r.path, r.period) for r in orbit if r.indivisible}
         assert key <= {(r.path, r.period) for r in develop}
         # develop also returns tight concatenations at the same tip
         assert all(r.exact for r in develop)
-
-    def test_mode_validation(self, fib_rose):
-        with pytest.raises(ValueError):
-            find_nielsen_paths(fib_rose, mode="guess")
-        with pytest.raises(ValueError):
-            find_nielsen_paths(fib_rose, mode="orbit", len_bound=12,
-                               orbit_budget=10)
 
 
 class TestIsPreNielsen:
@@ -129,7 +122,7 @@ class TestConstraints:
         }
 
     def test_divisible_record_fails_turn_count(self, fib_rose):
-        recs = find_nielsen_paths(fib_rose, mode="develop")
+        recs = find_nielsen_paths(fib_rose, orbit_budget=0)
         squared = next(r for r in recs if len(r.path) == 8)
         out = check_np_constraints(fib_rose, squared)
         assert out["one_illegal_turn"] is False

@@ -126,9 +126,9 @@ class TestFiltration:
             n = f.graph.edge_count
             images = [f.edge_image(e) for e in range(1, n + 1)]
             adjacency = np.zeros((n, n), dtype=bool)
-            for e in range(1, n + 1):
-                for d in f.edge_image(e):
-                    adjacency[e - 1, abs(d) - 1] = True
+            for e, image in enumerate(images):
+                for d in image:
+                    adjacency[e, abs(d) - 1] = True
             closure = reach_closure(adjacency)
             mutual = closure & closure.T
             filt = compute_filtration(f)
@@ -143,7 +143,7 @@ class TestFiltration:
                     }, (images, s)
                     assert all(
                         abs(d) in filt.edges_through(s.index)
-                        for d in f.edge_image(e)
+                        for d in images[e - 1]
                     ), (images, s)
                 zero += s.kind == "zero"
             for s in strata:
@@ -151,7 +151,7 @@ class TestFiltration:
                 placeable = [
                     t for t in strata[s.index:]
                     if all(abs(d) in below | set(t.edges)
-                           for e in t.edges for d in f.edge_image(e))
+                           for e in t.edges for d in images[e - 1])
                 ]
                 ties += bool(placeable)
                 assert all(t.edges[0] > s.edges[0] for t in placeable), (
