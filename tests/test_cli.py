@@ -21,6 +21,8 @@ from traintrack.graphs import random_circuit, random_tight_path, rose_of
 from traintrack.words import Automorphism
 from traintrack.fixtures import fixture_text, load_fixture
 
+from conftest import naive_apply, naive_cyclic_reduce
+
 PHI = (1 + 5 ** 0.5) / 2
 
 
@@ -617,6 +619,35 @@ class TestInputErrors:
             assert (code, out, err) == (2, "", limit)
         code, out, _ = run(capsys, "validate", identity_file(tmp_path, 128), "bcc")
         assert code == 0 and "stable,true" in out
+
+    def test_growth_runs_above_the_sweep_rank_limit(self, capsys, tmp_path):
+        # growth steps one class in Python ints, so it has no rank limit;
+        # on the rank-129 shift map x_i -> x_i+1, x_129 -> x_2 x_1 it
+        # prints the naive norms in both directions while the class
+        # sweeps refuse the same file
+        images = [(x + 1,) for x in range(1, 129)] + [(2, 1)]
+        inverse = [(-1, 129)] + [(x - 1,) for x in range(2, 130)]
+        shift = tmp_path / "shift129.aut"
+        shift.write_text(dump_automorphism(
+            Automorphism.from_letter_lists(images, inverse)
+        ))
+        for sub in ("probe", "certify"):
+            assert run(capsys, sub, shift, "-L", "1") == (
+                2, "", "error: rank 129 is above the class sweep's limit of 128\n"
+            )
+        code, out, err = run(
+            capsys, "growth", shift, "x1 x129^-1", "--k-min", "-4", "--k-max", "4",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        want = {0: 2}
+        for sign, table in ((1, images), (-1, inverse)):
+            cur = (1, -129)
+            for k in range(1, 5):
+                cur = naive_cyclic_reduce(naive_apply(dict(enumerate(table, 1)), cur))
+                want[sign * k] = len(cur)
+        got = {row["k"]: row["norm"] for row in json.loads(out)["rows"]}
+        assert got == want
 
     def test_argparse_rejects_unknown_lemma(self, capsys, files):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,9 @@ from traintrack.graphs import (
     turns_of_path,
 )
 from traintrack.strata import compute_filtration
-from traintrack.words import Automorphism, CyclicWord, Word, outer_equal
+from traintrack.words import Automorphism, CyclicWord, Word, letter_key, outer_equal
+
+from conftest import naive_apply, naive_cyclic_reduce
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,33 @@ class TestGraphMap:
         pre = preimage_circuit(fib_rose, fib_inv_rose, c, 1)
         assert pre == Circuit(fib_rose.graph, (1, 2))
         assert preimage_circuit(fib_rose, fib_inv_rose, c, 0) == c
+
+    @pytest.mark.parametrize("name", ["fib", "plas", "rel"])
+    def test_preimage_circuit_matches_naive_walk(self, name, request, rng):
+        # the k-fold preimage maps back onto c's marking class, and it is
+        # the least rotation of the naive backward walk: apply f_inv's
+        # images letter by letter, strip inverse pairs from the ends
+        f = request.getfixturevalue(f"{name}_rose")
+        f_inv = request.getfixturevalue(f"{name}_inv_rose")
+        g = f.graph
+        inv_images = {e: f_inv.edge_image(e) for e in range(1, g.edge_count + 1)}
+
+        def least(w):
+            return min((w[i:] + w[:i] for i in range(len(w))),
+                       key=lambda r: [letter_key(x) for x in r])
+
+        for _ in range(15):
+            c = Circuit(g, random_circuit(g, 6, rng))
+            for k in range(5):
+                pre = preimage_circuit(f, f_inv, c, k)
+                image = g.path_marking(f.iterate_letters(pre.edges, k))
+                assert CyclicWord(image.letters) == CyclicWord(
+                    g.path_marking(c.edges).letters
+                )
+                walk = c.edges
+                for _ in range(k):
+                    walk = naive_cyclic_reduce(naive_apply(inv_images, walk))
+                assert pre.edges == least(walk)
 
     def test_preimage_circuit_detects_wrong_inverse(self, fib_rose):
         c = Circuit(fib_rose.graph, (1,))

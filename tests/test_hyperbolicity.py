@@ -37,6 +37,7 @@ from conftest import (
     int_det,
     make_rel,
     naive_apply,
+    naive_cyclic_reduce,
     only_zero_returns,
     random_maps,
     random_reduced_word,
@@ -192,6 +193,30 @@ class TestGrowthTable:
         assert growth_table(fib, Word((1,)), [12], letter_budget=377) == [(12, 377)]
         with pytest.raises(BudgetExceeded):
             growth_table(fib, Word((1,)), [12], letter_budget=376)
+
+    @on_random_maps
+    def test_matches_naive_orbit(self, phi, L, P):
+        # each step of the naive orbit applies the images letter by letter
+        # and strips inverse pairs from the ends; growth_table's norms must
+        # be those lengths in both directions, on 23 maps and three seeded
+        # words of norm 1 to 5 each, to |k| = 20 or past 2,000 letters
+        # (2,367 exponents in all)
+        rng = random.Random(f"growth {phi.label}")
+        tables = {1: image_dict(phi), -1: image_dict(phi.inverse())}
+        for _ in range(3):
+            g = random_reduced_word(phi.rank, rng.randint(1, 5), rng)
+            if not naive_cyclic_reduce(g):
+                continue
+            want = {0: len(naive_cyclic_reduce(g))}
+            for sign, images in tables.items():
+                cur = naive_cyclic_reduce(g)
+                for k in range(1, 21):
+                    cur = naive_cyclic_reduce(naive_apply(images, cur))
+                    want[sign * k] = len(cur)
+                    if len(cur) > 2000:
+                        break
+            ks = sorted(want)
+            assert growth_table(phi, Word(g), ks) == [(k, want[k]) for k in ks]
 
 
 def _probe_view(rep):

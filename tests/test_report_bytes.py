@@ -6,8 +6,10 @@ The matrix is every validator at --seed 0 (decomp at its defaults on
 every fixture, and on fib also at a short L0), plus analyze, nielsen, a
 small probe, a small certify and one growth series per fixture,
 twelve deeper class sweeps: five on fib, two each on plas, poly and
-broken, and one on identity, and two options that change a report: a
-growth series through both directions and analyze's --strict exit.
+broken, and one on identity, two options that change a report: a
+growth series through both directions and analyze's --strict exit, and
+four deeper growth series: fib to k = 24, plas and fib through both
+directions to |k| = 30 and 20, and poly to k = 40.
 Regenerate the JSON only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -64,6 +66,14 @@ OPTIONS = [
     ["growth", "fib.aut", "a", "--k-min", "-3", "--k-max", "3"],
     ["analyze", "fib.aut", "--strict"],
 ]
+# growth series long enough that each step's word runs to thousands of
+# letters: exponential growth on fib and plas, linear on poly
+GROWTH = [
+    ["growth", "fib.aut", "a", "--k-max", "24"],
+    ["growth", "fib.aut", "a b^-1", "--k-min", "-20", "--k-max", "20"],
+    ["growth", "plas.aut", "a b^-1", "--k-min", "-30", "--k-max", "30"],
+    ["growth", "poly.aut", "a b", "--k-max", "40"],
+]
 
 
 def matrix():
@@ -81,7 +91,7 @@ def matrix():
             ["certify", fname, "-M", "5", "-L", "4"],
             ["growth", fname, "a"],
         ]
-    return SWEEPS + cases + OPTIONS
+    return SWEEPS + cases + OPTIONS + GROWTH
 
 
 def replay(case, inputs: Path) -> dict:
