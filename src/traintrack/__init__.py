@@ -23,9 +23,9 @@ from .words import (
     spell,
 )
 from .graphs import (
-    Circuit,
     Graph,
     GraphMap,
+    canonical_circuit,
     induced_automorphism,
     iter_tight_paths,
     preimage_circuit,

@@ -2,7 +2,9 @@
 
 Oriented edges are nonzero integers: +e is the chosen orientation of edge e,
 -e its reversal, mirroring the word encoding.  A path is a tuple of oriented
-edges whose endpoints match up; tightening removes adjacent e, -e pairs.
+edges whose endpoints match up; tightening removes adjacent e, -e pairs.  A
+circuit is a closed path up to rotation, in the canonical form of a closed
+word (canonical_circuit): cyclically tight, least rotation.
 
 A GraphMap sends vertices to vertices and edges to tight nonempty edge
 paths.  Turns (unordered pairs of directions at a vertex) are classified as
@@ -19,8 +21,8 @@ from .words import (
     Automorphism,
     Word,
     _reduce,
-    cyclic_trim,
-    least_rotation,
+    canonical_cycle,
+    cyclic_core,
     letter_key,
     letter_table,
     nielsen_inverse_search,
@@ -179,51 +181,16 @@ class Graph:
 tighten = _reduce
 
 
-def cyclic_tighten(edges: Iterable[int]) -> tuple[int, ...]:
-    w = _reduce(edges)
-    k = cyclic_trim(w)
-    return w[k : len(w) - k]
-
-
-class Circuit:
-    """A free homotopy class of loops: cyclically tight, canonical rotation."""
-
-    __slots__ = ("graph", "edges")
-
-    def __init__(self, graph: Graph, edges: Iterable[int]):
-        edges = cyclic_tighten(edges)
-        if edges:
-            graph.check_path(edges)
-            if graph.terminus(edges[-1]) != graph.origin(edges[0]):
-                raise ValueError("circuit does not close up")
-            if len(edges) >= 2 and edges[0] == -edges[-1]:
-                raise ValueError("circuit is not cyclically tight")
-            r = least_rotation(edges)
-            edges = edges[r:] + edges[:r]
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circuit is immutable")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Circuit)
-            and self.graph is other.graph
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Circuit", id(self.graph), self.edges))
-
-    def reverse(self) -> "Circuit":
-        return Circuit(self.graph, tuple(-d for d in reversed(self.edges)))
-
-    def __repr__(self) -> str:
-        return f"Circuit({self.graph.spell_path(self.edges)})"
+def canonical_circuit(graph: Graph, edges: Iterable[int]) -> tuple[int, ...]:
+    """The free homotopy class of a closed path: cyclically tight, in
+    canonical rotation.  Raises ValueError unless it is a path of graph
+    that closes up."""
+    edges = canonical_cycle(edges)
+    if edges:
+        graph.check_path(edges)
+        if graph.terminus(edges[-1]) != graph.origin(edges[0]):
+            raise ValueError("circuit does not close up")
+    return edges
 
 
 def make_turn(d1: int, d2: int) -> tuple[int, int]:
@@ -525,27 +492,29 @@ def induced_automorphism(
     return phi
 
 
-def preimage_circuit(f: GraphMap, f_inv: GraphMap, c: Circuit, k: int) -> Circuit:
-    """The class mapping onto c under k iterates of f, computed via f_inv.
+def preimage_circuit(
+    f: GraphMap, f_inv: GraphMap, c: Sequence[int], k: int
+) -> tuple[int, ...]:
+    """The class mapping onto the circuit c under k iterates of f, computed
+    via f_inv, as a canonical circuit.
 
-    Verifies [f^k(result)] == c and raises ValueError if the two maps are
+    Verifies [f^k(result)] == [c] and raises ValueError if the two maps are
     not homotopy inverses on this class.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = c
+    out = tuple(c)
     for _ in range(k):
-        out = Circuit(f_inv.graph, f_inv.map_letters(out.edges))
+        out = cyclic_core(f_inv.map_letters(out))
     back = out
     for _ in range(k):
-        back = Circuit(f.graph, f.map_letters(back.edges))
-    if back != c:
+        back = cyclic_core(f.map_letters(back))
+    if canonical_cycle(back) != canonical_circuit(f.graph, c):
         raise ValueError(
             "preimage verification failed: the supplied maps are not inverse "
             "on this circuit"
         )
-    # f_inv may live on its own copy of the graph; return on c's graph
-    return Circuit(c.graph, out.edges)
+    return canonical_circuit(f.graph, out)
 
 
 def random_tight_path(graph: Graph, max_len: int, rng) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Circuit, GraphMap, preimage_circuit
+from .graphs import GraphMap, canonical_circuit, preimage_circuit
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import CheckReport, Filtration, Metric
 from .words import BudgetExceeded, common_prefix, inverse_keys, key_word, letter_key
@@ -83,7 +83,7 @@ def path_stats(
     circuit: bool = False,
 ) -> PathStats:
     """Exact turn counts and metric lengths of a tight path or circuit."""
-    edges = tuple(p.edges) if isinstance(p, Circuit) else tuple(p)
+    edges = tuple(p)
     if not edges:
         raise ValueError("constant paths have no defined statistics")
     f = filtration.graph_map
@@ -264,7 +264,7 @@ def _circuit_row(g, c, k, st: PathStats, r, bound, margin, ok) -> dict:
     and exponent k: the statistics st of its k-fold preimage, the bound and
     the margin."""
     return {
-        "circuit": g.spell_path(c.edges),
+        "circuit": g.spell_path(c),
         "k": k,
         "L": st.L,
         "Lr": st.L_r,
@@ -305,7 +305,7 @@ def validate_bw1(
     stratum = filtration.strata[0].index if r is None else r
     g = f.graph
     for c in circuits:
-        c = c if isinstance(c, Circuit) else Circuit(g, c)
+        c = canonical_circuit(g, c)
         base = path_stats(c, filtration, metric, r=stratum, circuit=True)
         for k in range(1, k_max + 1):
             pre = preimage_circuit(f, f_inv, c, k)
@@ -467,7 +467,7 @@ def _qualifying_circuits(f, circuits, L0, i_min, r):
     g = f.graph
     keep = []
     for c in circuits:
-        c = c if isinstance(c, Circuit) else Circuit(g, c)
+        c = canonical_circuit(g, c)
         base = path_stats(c, filtration, metric, r=r, circuit=True)
         seg = base.script_L if r is None else base.script_L_r
         turns = base.i if r is None else base.i_r
@@ -579,8 +579,7 @@ def growth_decomposition(
     metric = filtration.metric
     f = filtration.graph_map
     g = f.graph
-    c = sigma if isinstance(sigma, Circuit) else Circuit(g, sigma)
-    edges = c.edges
+    edges = canonical_circuit(g, sigma)
     if not edges:
         raise ValueError("trivial circuit")
     top = max(filtration.stratum_of(d) for d in edges)
@@ -593,7 +592,7 @@ def growth_decomposition(
             fraction=1.0,
             details={"stratum": top},
         )
-    st = path_stats(c, filtration, metric, circuit=True)
+    st = path_stats(edges, filtration, metric, circuit=True)
     if st.i == 0:
         return DecompositionReport(
             case="legal-or-sparse",

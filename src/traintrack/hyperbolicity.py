@@ -22,9 +22,9 @@ from .words import (
     MAX_LETTER,
     Automorphism,
     BudgetExceeded,
-    CyclicWord,
     Word,
     common_prefix,
+    cyclic_core,
     inverse_keys,
     key_letters,
     spell,
@@ -611,32 +611,24 @@ def growth_table(
     ks = sorted(set(int(k) for k in n_range))
     if not ks:
         return []
-    cls0 = CyclicWord(g.letters)
-    if not cls0.letters:
+    core = cyclic_core(g.letters)
+    if not core:
         raise ValueError("trivial class has no growth")
     inv = None
     if min(ks) < 0:
         _require_inverse(phi)
         inv = phi.inverse()
-    out: dict[int, int] = {}
-    for direction in (1, -1):
-        wanted = [k for k in ks if k * direction > 0]
-        cur = cls0
+    out: dict[int, int] = {0: len(core)}
+    for step, sign in ((phi, 1), (inv, -1)):
+        cur = core
         last = 0
-        for k in sorted(wanted, key=abs):
+        for k in sorted((j for j in ks if j * sign > 0), key=abs):
             for _ in range(abs(k) - last):
-                nxt = (
-                    phi.apply_class(cur)
-                    if direction > 0
-                    else inv.apply_class(cur)
-                )
-                if len(nxt.letters) > letter_budget:
+                cur = cyclic_core(step.apply_letters(cur))
+                if len(cur) > letter_budget:
                     raise BudgetExceeded(
                         f"letter budget {letter_budget} exceeded at exponent {k}"
                     )
-                cur = nxt
             last = abs(k)
-            out[k] = cur.norm
-    if 0 in ks:
-        out[0] = cls0.norm
+            out[k] = len(cur)
     return [(k, out[k]) for k in ks]

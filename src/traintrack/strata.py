@@ -76,7 +76,6 @@ class Stratum:
 
     index: int
     edges: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
     kind: str
     pf_value: float | None = None
     pf_vector: tuple[float, ...] | None = None
@@ -232,9 +231,8 @@ def compute_filtration(f: GraphMap) -> Filtration:
             else:
                 kind, lam, vec = "exponential", lam_f, tuple(float(x) for x in v)
         strata.append(
-            Stratum(index=len(strata) + 1, edges=comp,
-                    matrix=tuple(map(tuple, m.tolist())),
-                    kind=kind, pf_value=lam, pf_vector=vec)
+            Stratum(index=len(strata) + 1, edges=comp, kind=kind,
+                    pf_value=lam, pf_vector=vec)
         )
     return Filtration(graph_map=f, strata=tuple(strata))
 

@@ -3,7 +3,8 @@
 A word in the free group with basis x_1, ..., x_n is stored as a tuple of
 nonzero integers: +i stands for x_i and -i for its inverse.  All public
 constructors return freely reduced words.  Conjugacy classes are represented
-by cyclic words: cyclically reduced and rotated to a canonical position.
+by cyclic words: cyclically reduced and rotated to a canonical position
+(canonical_cycle); closed paths in a graph use the same form.
 
 The canonical position is the lexicographically least rotation under the
 fixed letter order x_1 < x_1^-1 < x_2 < x_2^-1 < ...; a class and its
@@ -91,14 +92,14 @@ def letter_table(images: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
     return t
 
 
-def cyclic_trim(w: Sequence[int]) -> int:
-    """Number of inverse pairs x ... x^-1 stripped from the two ends of a
-    reduced word; w[k:len(w)-k] is its cyclic reduction."""
+def cyclic_core(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic reduction of a reduced word: w with the inverse pairs
+    x ... x^-1 stripped from its two ends."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
         j -= 1
-    return i
+    return w[i:j]
 
 
 def reduce_letters(letters: Iterable[int], rank: int | None = None) -> tuple[int, ...]:
@@ -196,6 +197,14 @@ def least_rotation(seq: Sequence[int]) -> int:
     return k
 
 
+def canonical_cycle(letters: Iterable[int]) -> tuple[int, ...]:
+    """The canonical form of a closed word: freely and cyclically reduced,
+    then rotated to its least rotation."""
+    core = cyclic_core(_reduce(letters))
+    r = least_rotation(core)
+    return core[r:] + core[:r]
+
+
 class Word:
     """A freely reduced word. Immutable; multiplication reduces."""
 
@@ -260,13 +269,7 @@ class CyclicWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        w = _reduce(letters)
-        k = cyclic_trim(w)
-        core = w[k : len(w) - k]
-        if core:
-            r = least_rotation(core)
-            core = core[r:] + core[:r]
-        object.__setattr__(self, "letters", core)
+        object.__setattr__(self, "letters", canonical_cycle(letters))
 
     @classmethod
     def _raw(cls, canonical: tuple[int, ...]) -> "CyclicWord":
@@ -311,8 +314,7 @@ class CyclicWord:
 
 
 def conjugacy_length(w: Word | Sequence[int]) -> int:
-    letters = w.letters if isinstance(w, Word) else _reduce(w)
-    return len(letters) - 2 * cyclic_trim(letters)
+    return len(cyclic_core(w.letters if isinstance(w, Word) else _reduce(w)))
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
@@ -323,16 +325,10 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     identity w == conj * core * conj^-1 holds exactly.
     """
     letters = w.letters
-    i = cyclic_trim(letters)
-    core = letters[i : len(letters) - i]
-    prefix = letters[:i]
-    if core:
-        r = least_rotation(core)
-        conj = _reduce(prefix + core[:r])
-        core = core[r:] + core[:r]
-    else:
-        conj = prefix
-    return CyclicWord._raw(core), Word._raw(conj)
+    core = cyclic_core(letters)
+    r = least_rotation(core)
+    conj = _reduce(letters[: (len(letters) - len(core)) // 2] + core[:r])
+    return CyclicWord._raw(core[r:] + core[:r]), Word._raw(conj)
 
 
 class Automorphism:

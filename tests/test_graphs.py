@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traintrack.graphs import (
-    Circuit,
     Graph,
     GraphMap,
-    cyclic_tighten,
+    canonical_circuit,
     induced_automorphism,
     is_degenerate,
     iter_tight_paths,
@@ -20,7 +19,9 @@ from traintrack.graphs import (
     turns_of_path,
 )
 from traintrack.strata import compute_filtration
-from traintrack.words import Automorphism, CyclicWord, Word, letter_key, outer_equal
+from traintrack.words import (
+    Automorphism, CyclicWord, Word, cyclic_core, letter_key, outer_equal,
+)
 
 from conftest import naive_apply, naive_cyclic_reduce
 
@@ -61,7 +62,7 @@ def test_edge_lookups(theta):
 def test_tighten_and_cyclic_tighten():
     assert tighten((1, -1, 2)) == (2,)
     assert tighten(()) == ()
-    assert cyclic_tighten((3, 1, -1, 2, -3)) == (2,)
+    assert cyclic_core(tighten((3, 1, -1, 2, -3))) == (2,)
 
 
 def test_paths_validate(theta, fib_rose):
@@ -83,13 +84,13 @@ def test_turns():
 
 
 def test_circuit_canonical_rotation(theta):
-    c1 = Circuit(theta, (1, -2, 3, -1))
-    c2 = Circuit(theta, (3, -1, 1, -2))
+    c1 = canonical_circuit(theta, (1, -2, 3, -1))
+    c2 = canonical_circuit(theta, (3, -1, 1, -2))
     assert c1 == c2
     # circuits normalize their input: cyclic tightening happens on entry
-    assert Circuit(theta, (1, -2, 3, -3)) == Circuit(theta, (1, -2))
+    assert canonical_circuit(theta, (1, -2, 3, -3)) == canonical_circuit(theta, (1, -2))
     with pytest.raises(ValueError):
-        Circuit(theta, (1, 3))  # does not close up
+        canonical_circuit(theta, (1, 3))  # does not close up
 
 
 def test_marking_words(theta):
@@ -130,17 +131,17 @@ class TestGraphMap:
         # land in the same conjugacy class
         for _ in range(25):
             edges = random_circuit(fib_rose.graph, 10, rng)
-            c = Circuit(fib_rose.graph, edges)
-            image = Circuit(fib_rose.graph, fib_rose.map_letters(c.edges))
-            lhs = CyclicWord(fib_rose.graph.path_marking(image.edges).letters)
-            rhs = fib.apply_class(CyclicWord(fib_rose.graph.path_marking(c.edges).letters))
+            c = canonical_circuit(fib_rose.graph, edges)
+            image = canonical_circuit(fib_rose.graph, fib_rose.map_letters(c))
+            lhs = CyclicWord(fib_rose.graph.path_marking(image).letters)
+            rhs = fib.apply_class(CyclicWord(fib_rose.graph.path_marking(c).letters))
             assert lhs == rhs
 
     def test_preimage_circuit_example(self, fib, fib_rose, fib_inv_rose):
         # the class of aba pulls back to the class of ab in one step
-        c = Circuit(fib_rose.graph, (1, 2, 1))
+        c = canonical_circuit(fib_rose.graph, (1, 2, 1))
         pre = preimage_circuit(fib_rose, fib_inv_rose, c, 1)
-        assert pre == Circuit(fib_rose.graph, (1, 2))
+        assert pre == canonical_circuit(fib_rose.graph, (1, 2))
         assert preimage_circuit(fib_rose, fib_inv_rose, c, 0) == c
 
     @pytest.mark.parametrize("name", ["fib", "plas", "rel"])
@@ -158,20 +159,20 @@ class TestGraphMap:
                        key=lambda r: [letter_key(x) for x in r])
 
         for _ in range(15):
-            c = Circuit(g, random_circuit(g, 6, rng))
+            c = canonical_circuit(g, random_circuit(g, 6, rng))
             for k in range(5):
                 pre = preimage_circuit(f, f_inv, c, k)
-                image = g.path_marking(f.iterate_letters(pre.edges, k))
+                image = g.path_marking(f.iterate_letters(pre, k))
                 assert CyclicWord(image.letters) == CyclicWord(
-                    g.path_marking(c.edges).letters
+                    g.path_marking(c).letters
                 )
-                walk = c.edges
+                walk = c
                 for _ in range(k):
                     walk = naive_cyclic_reduce(naive_apply(inv_images, walk))
-                assert pre.edges == least(walk)
+                assert pre == least(walk)
 
     def test_preimage_circuit_detects_wrong_inverse(self, fib_rose):
-        c = Circuit(fib_rose.graph, (1,))
+        c = canonical_circuit(fib_rose.graph, (1,))
         with pytest.raises(ValueError):
             preimage_circuit(fib_rose, fib_rose, c, 1)  # f is not its own inverse
 
@@ -216,7 +217,7 @@ def test_successors(theta, fib_rose):
 def test_random_samplers_are_valid(theta, rng):
     for _ in range(40):
         c = random_circuit(theta, 8, rng)
-        Circuit(theta, c)
+        canonical_circuit(theta, c)
         p = random_tight_path(theta, 8, rng)
         theta.check_path(p)
 

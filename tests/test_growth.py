@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from traintrack.fixtures import load_fixture
 from traintrack.graphs import (
-    Circuit,
     GraphMap,
+    canonical_circuit,
     iter_tight_paths,
     random_circuit,
     random_tight_path,
@@ -253,7 +253,7 @@ class TestBwValidators:
 class TestBackgrowth:
     def test_fib_alternating_family(self, fib_setup, fib_inv_rose):
         f, filt, met = fib_setup
-        family = Circuit(f.graph, (1, -2) * 4)
+        family = canonical_circuit(f.graph, (1, -2) * 4)
         rep = validate_backgrowth(
             f, fib_inv_rose, [family], L0=12.0, n_max=3,
         )
@@ -266,7 +266,7 @@ class TestBackgrowth:
 
     def test_fib_search_finds_exponent(self, fib_setup, fib_inv_rose):
         f, filt, met = fib_setup
-        family = Circuit(f.graph, (1, -2) * 4)
+        family = canonical_circuit(f.graph, (1, -2) * 4)
         rep = validate_backgrowth(
             f, fib_inv_rose, [family], L0=12.0, n_max=3,
         )
@@ -275,7 +275,7 @@ class TestBackgrowth:
 
     def test_rel_relative_family(self, rel_setup, rel_inv_rose):
         f, filt, met = rel_setup
-        family = Circuit(f.graph, (2, -3) * 5)
+        family = canonical_circuit(f.graph, (2, -3) * 5)
         rep = validate_backgrowth(
             f, rel_inv_rose, [family], L0=12.0, r=2, n_max=3,
         )
@@ -404,7 +404,7 @@ class TestVerdicts:
     def test_backgrowth_fails_when_no_exponent_works(self, fib_setup, fib_inv_rose):
         # the alternating family needs M = 2, so a search to 1 finds nothing
         f, filt, met = fib_setup
-        family = Circuit(f.graph, (1, -2) * 4)
+        family = canonical_circuit(f.graph, (1, -2) * 4)
         rep = validate_backgrowth(
             f, fib_inv_rose, [family], L0=12.0, n_max=3, m_search_max=1,
         )
