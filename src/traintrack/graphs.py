@@ -503,7 +503,7 @@ def preimage_circuit(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = tuple(c)
+    out = c
     for _ in range(k):
         out = cyclic_core(f_inv.map_letters(out))
     back = out

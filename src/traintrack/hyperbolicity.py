@@ -605,8 +605,8 @@ def growth_table(
     """Exact conjugacy lengths of phi^k(g) over the given exponents.
 
     Walks outward from k = 0 applying phi (or its inverse), reducing
-    cyclically at every step; raises BudgetExceeded rather than grow any
-    intermediate word past the letter budget.
+    cyclically at every step; raises BudgetExceeded at the first step
+    whose reduced image holds more letters than the budget.
     """
     ks = sorted(set(int(k) for k in n_range))
     if not ks:

@@ -41,10 +41,10 @@ def test_bench_library_imports_resolve():
     for path in sorted((ROOT / "bench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names.update((a.name, "") for a in node.names
-                             if a.name.startswith("traintrack"))
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("traintrack"):
+                names.update((a.name, "") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
                 names.update((node.module, a.name) for a in node.names)
+    names = {(m, n) for m, n in names if m.split(".")[0] == "traintrack"}
     assert len(names) >= 20
     for module, name in sorted(names):
         mod = importlib.import_module(module)
