@@ -7,6 +7,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -54,3 +55,51 @@ def test_bench_library_imports_resolve():
     for cls, attr in (("Automorphism", "apply_class"),
                       ("CyclicWord", "inverse_class"), ("CyclicWord", "norm")):
         assert hasattr(getattr(words, cls), attr), f"{cls}.{attr}"
+
+
+def _run(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in args])
+    return code, out.getvalue().encode()
+
+
+def _fib_conjugate(seed, tmp_path):
+    from traintrack.formats import dump_automorphism, load_automorphism
+
+    wl = workloads.Workload(str(ROOT), str(tmp_path))
+    conj = workloads.seeded_conjugate(load_automorphism(wl.fixture("fib.aut")), seed)
+    path = tmp_path / "conj.aut"
+    path.write_text(dump_automorphism(conj))
+    return conj, path
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_checks_pass_on_fib_conjugates(seed, tmp_path):
+    # the checks that call Word, iterate, CyclicWord, apply_class,
+    # from_letter_lists, compose and invert_verify run only inside
+    # bench/run.py; here they run on small sweeps of seeded conjugates
+    conj, path = _fib_conjugate(seed, tmp_path)
+    code, out = _run(["probe", path, "-L", "6", "-P", "4"])
+    assert len(json.loads(out)["witnesses"]) == 2  # the apply_class loop runs
+    assert workloads.check_probe(conj, 6, 4, code, out) is None
+    code, out = _run(["certify", path, "-M", "6", "-L", "6"])
+    assert workloads.check_certify(conj, 6, code, out) is None
+
+
+@pytest.mark.parametrize("workload,name", [("certify-sweep", "certify-conj"),
+                                           ("probe-sweep", "probe-conj")])
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_workload_cases_pass(workload, name, seed, tmp_path):
+    (case,) = [c for c in workloads.Workload(str(ROOT), str(tmp_path)).build(workload, seed)
+               if c.name == name]
+    assert case.check(*_run(case.args)) is None
+
+
+def test_probe_check_rejects_a_wrong_period(tmp_path):
+    conj, path = _fib_conjugate(0, tmp_path)
+    code, out = _run(["probe", path, "-L", "6", "-P", "4"])
+    rep = json.loads(out)
+    rep["witnesses"][0]["period"] += 1
+    bad = json.dumps(rep).encode()
+    assert workloads.check_probe(conj, 6, 4, code, bad) is not None

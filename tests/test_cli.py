@@ -193,6 +193,12 @@ class TestGrowth:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("word", ["a c", "a^2", ""])
+    def test_bad_class_word(self, capsys, files, word):
+        code, out, err = run(capsys, "growth", files / "fib.aut", word)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestNielsen:
     def test_fib_inventory(self, capsys, files):

@@ -161,6 +161,21 @@ class TestCertificate:
             certificate_search(fib, M_max=4, L=0)
 
 
+class TestRefusesUnverifiedInverse:
+    # each sweep needs phi^-1, and refuses a map that carries none
+    def test_probe(self, fib):
+        with pytest.raises(ValueError, match="has no verified inverse"):
+            atoroidality_probe(Automorphism(2, fib.images), L=4, P=2)
+
+    def test_certify(self, fib):
+        with pytest.raises(ValueError, match="has no verified inverse"):
+            certificate_search(Automorphism(2, fib.images), M_max=4, L=4)
+
+    def test_growth_table_backwards(self, fib):
+        with pytest.raises(ValueError, match="has no verified inverse"):
+            growth_table(Automorphism(2, fib.images), fib.images[0], range(-2, 3))
+
+
 class TestGrowthTable:
     def test_fibonacci_series(self, fib):
         assert growth_table(fib, Word((1,)), range(0, 7)) == FIB_SERIES
