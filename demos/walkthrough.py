@@ -16,7 +16,6 @@ from traintrack.hyperbolicity import (
 )
 from traintrack.nielsen import find_nielsen_paths
 from traintrack.strata import verify_rtt
-from traintrack.words import Word
 
 
 def section(title):
@@ -65,7 +64,7 @@ def main():
           f"min margin {min(r['margin'] for r in rep.rows):.4f}")
 
     section("growth of a single class")
-    for k, norm in growth_table(phi, Word((1,)), range(0, 8)):
+    for k, norm in growth_table(phi, (1,), range(0, 8)):
         print(f"|phi^{k}(a)| = {norm}")
 
     section("atoroidality probe")

@@ -10,16 +10,12 @@ operations on two small text formats.
 from .words import (
     Automorphism,
     BudgetExceeded,
-    CyclicWord,
-    Word,
     compose,
-    conjugacy_length,
     conjugate_automorphism,
     generator_name,
     identity_automorphism,
     invert_verify,
     nielsen_inverse_search,
-    outer_equal,
     spell,
 )
 from .graphs import (

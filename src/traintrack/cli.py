@@ -30,6 +30,7 @@ from . import engine, growth as growth_mod
 from .formats import (
     ParseError,
     Report,
+    _parse_word,
     format_float,
     format_value,
     load_automorphism,
@@ -49,9 +50,9 @@ from .strata import InternalError, verify_improved, verify_rtt
 from .words import (
     Automorphism,
     BudgetExceeded,
-    Word,
     generator_name,
     nielsen_inverse_search,
+    reduce_letters,
     spell,
 )
 
@@ -106,19 +107,11 @@ def _with_inverse(phi: Automorphism) -> Automorphism:
     return found
 
 
-def _parse_class_word(text: str, rank: int) -> Word:
-    index = {generator_name(i, rank): i for i in range(1, rank + 1)}
-    letters = []
-    for tok in text.split():
-        name, sign = tok, 1
-        if tok.endswith("^-1"):
-            name, sign = tok[: -len("^-1")], -1
-        if name not in index:
-            raise CliError(f"unknown generator {name!r} (rank {rank})")
-        letters.append(sign * index[name])
-    if not letters:
+def _parse_class_word(text: str, rank: int) -> tuple[int, ...]:
+    if not text.split():
         raise CliError("empty word")
-    return Word(letters, rank)
+    index = {generator_name(i, rank): i for i in range(1, rank + 1)}
+    return reduce_letters(_parse_word("word", 0, text, index, "generator"), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +259,7 @@ def cmd_growth(args) -> Report:
         raise CliError("--k-max must be >= --k-min")
     g = _parse_class_word(args.word, phi.rank)
     rows = growth_table(phi, g, range(args.k_min, args.k_max + 1))
-    word = spell(g.letters, phi.rank)
+    word = spell(g, phi.rank)
     report = {
         "input": phi.label,
         "word": word,

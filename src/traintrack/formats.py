@@ -34,7 +34,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .graphs import Graph, GraphMap, tighten
-from .words import _ABC, Automorphism, Word, generator_name, invert_verify, spell
+from .words import (
+    _ABC,
+    Automorphism,
+    generator_name,
+    invert_verify,
+    reduce_letters,
+    spell,
+)
 
 __all__ = [
     "FormatWarning",
@@ -153,7 +160,7 @@ def parse_automorphism(text: str, source: str = "<aut>", label: str = "") -> Aut
             if gen in target:
                 raise ParseError(source, no, f"duplicate {key} line for {lhs!r}")
             letters = _parse_word(source, no, rhs, index, "generator")
-            reduced = Word(letters, len(names)).letters
+            reduced = reduce_letters(letters, len(names))
             if reduced != letters:
                 warnings.warn(
                     f"{source}:{no}: image of {lhs!r} is not reduced; reducing",
@@ -176,10 +183,10 @@ def parse_automorphism(text: str, source: str = "<aut>", label: str = "") -> Aut
         missing = [names[i - 1] for i in range(1, rank + 1) if i not in inverses]
         if missing:
             raise ParseError(source, 0, f"missing inv lines for: {' '.join(missing)}")
-        inv_words = [Word(inverses[i], rank) for i in range(1, rank + 1)]
+        inv_words = [inverses[i] for i in range(1, rank + 1)]
     phi = Automorphism(
         rank,
-        [Word(images[i], rank) for i in range(1, rank + 1)],
+        [images[i] for i in range(1, rank + 1)],
         inv_words,
         label=label or source,
     )
@@ -193,10 +200,10 @@ def dump_automorphism(phi: Automorphism) -> str:
     names = [generator_name(i, phi.rank) for i in range(1, phi.rank + 1)]
     out = [f"basis: {' '.join(names)}"]
     for i, n in enumerate(names):
-        out.append(f"map: {n} -> {spell(phi.images[i].letters, phi.rank)}")
+        out.append(f"map: {n} -> {spell(phi.images[i], phi.rank)}")
     if phi.inverse_images is not None:
         for i, n in enumerate(names):
-            out.append(f"inv: {n} -> {spell(phi.inverse_images[i].letters, phi.rank)}")
+            out.append(f"inv: {n} -> {spell(phi.inverse_images[i], phi.rank)}")
     return "\n".join(out) + "\n"
 
 

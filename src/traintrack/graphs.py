@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .words import (
     Automorphism,
-    Word,
     _reduce,
     canonical_cycle,
     cyclic_core,
@@ -29,6 +28,7 @@ from .words import (
     invert_verify,
     compose,
     generator_name,
+    inverse_word,
     substitute,
 )
 
@@ -150,10 +150,10 @@ class Graph:
             raise ValueError("graph has no marking")
         return self.marking[d]
 
-    def path_marking(self, edges: Iterable[int]) -> Word:
+    def path_marking(self, edges: Iterable[int]) -> tuple[int, ...]:
         if self.marking is None:
             raise ValueError("graph has no marking")
-        return Word._raw(substitute(self.marking, edges))
+        return substitute(self.marking, edges)
 
     def spell_path(self, edges: Sequence[int]) -> str:
         if not edges:
@@ -391,9 +391,7 @@ def rose_of(phi: Automorphism, label: str | None = None) -> GraphMap:
         marking={n: (i,) for i, n in enumerate(names, start=1)},
         marking_rank=phi.rank,
     )
-    images = {
-        names[i - 1]: phi.images[i - 1].letters for i in range(1, phi.rank + 1)
-    }
+    images = dict(zip(names, phi.images))
     return GraphMap(graph, {"v": "v"}, images, label=label or phi.label)
 
 
@@ -422,7 +420,7 @@ def _spanning_tree(graph: Graph) -> tuple[dict[str, tuple[int, ...]], list[int]]
 
 def induced_automorphism(
     f: GraphMap,
-    inverse: Automorphism | Sequence[Word] | None = None,
+    inverse: Automorphism | Sequence[Sequence[int]] | None = None,
 ) -> Automorphism:
     """Read off the outer automorphism that f induces on the marked fundamental group.
 
@@ -445,7 +443,7 @@ def induced_automorphism(
         )
 
     def to_base(v: str) -> tuple[int, ...]:
-        return tuple(-d for d in reversed(from_base[v]))
+        return inverse_word(from_base[v])
 
     def project(edges: Sequence[int]) -> tuple[int, ...]:
         out = []
@@ -457,7 +455,7 @@ def induced_automorphism(
 
     fbase = f.vertex_image[base]
     closing = from_base[fbase]
-    closing_back = tuple(-d for d in reversed(closing))
+    closing_back = inverse_word(closing)
 
     psi_images = []
     loop_markings = []
@@ -465,11 +463,11 @@ def induced_automorphism(
         loop = from_base[graph.origin(e)] + (e,) + to_base(graph.terminus(e))
         img = f.map_letters(loop)
         closed = tighten(closing + img + closing_back)
-        psi_images.append(Word(project(closed)))
+        psi_images.append(project(closed))
         loop_markings.append(graph.path_marking(loop))
     psi = Automorphism(k, psi_images, label=(f.label + "#" if f.label else ""))
 
-    if all(w.letters == (j,) for j, w in enumerate(loop_markings, start=1)):
+    if all(w == (j,) for j, w in enumerate(loop_markings, start=1)):
         phi = psi
     else:
         m = Automorphism(k, loop_markings)

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +23,11 @@ from .words import (
     MAX_LETTER,
     Automorphism,
     BudgetExceeded,
-    Word,
     common_prefix,
     cyclic_core,
     inverse_keys,
     key_letters,
+    reduce_letters,
     spell,
 )
 
@@ -89,13 +90,6 @@ class HyperbolicityCertificate:
             "bwd": lb.tolist(),
             "ratio": (np.maximum(lf, lb) / nn).tolist(),
         }
-
-
-def _require_inverse(phi: Automorphism):
-    if phi.inverse_images is None:
-        raise ValueError(
-            f"automorphism {phi.label or '?'} has no verified inverse"
-        )
 
 
 def _step(batch: engine.WordBatch, table: engine.ImageTable) -> engine.WordBatch:
@@ -269,12 +263,12 @@ def _sum_blocks(batch: engine.WordBatch, rank: int):
             yield lo + s, engine.exponent_sums(words[s : s + size], rank)
 
 
-def _abelianization(images: tuple[Word, ...]) -> np.ndarray:
+def _abelianization(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """The integer matrix A on Z^rank of the map with these images of the
     generators: A[i, j] is the exponent sum of x_(i+1) in the image of
     x_(j+1), so v(phi(w)) = A v(w).  The images are key-encoded, so the
     rank is at most MAX_LETTER."""
-    batch = engine.batch_from_words([img.letters for img in images])
+    batch = engine.batch_from_words(images)
     return np.concatenate([v for _, v in _sum_blocks(batch, len(images))]).T
 
 
@@ -395,7 +389,8 @@ def atoroidality_probe(phi: Automorphism, L: int, P: int) -> AtoroidalityReport:
     """
     if L < 1 or P < 1:
         raise ValueError("L and P must be positive")
-    _require_inverse(phi)
+    # the probe refuses a map that carries no verified inverse
+    phi.inverse()
     # the enumeration checks the rank before the table encodes the images,
     # and a rank it refuses is not worth a decision
     zero_sum = phi.rank <= MAX_LETTER and _returns_only_zero(phi, P)
@@ -492,10 +487,9 @@ def certificate_search(
     """
     if M_max < 1 or L < 1:
         raise ValueError("M_max and L must be positive")
-    _require_inverse(phi)
+    images = (phi.images, phi.inverse().images)
     # the enumeration checks the rank before the tables encode the images
     (classes,) = engine.enumerate_classes(phi.rank, L)
-    images = (phi.images, phi.inverse_images)
     tables = tuple(map(engine.image_table, images))
     powers = tuple(_Powers(t, phi.rank) for t in tables)
     # a batch step multiplies the batch's letters by at most the longest
@@ -598,26 +592,25 @@ def certificate_search(
 
 def growth_table(
     phi: Automorphism,
-    g: Word,
+    g: Sequence[int],
     n_range,
     letter_budget: int = 10_000_000,
 ):
     """Exact conjugacy lengths of phi^k(g) over the given exponents.
 
-    Walks outward from k = 0 applying phi (or its inverse), reducing
-    cyclically at every step; raises BudgetExceeded at the first step
-    whose reduced image holds more letters than the budget.
+    g is a letter sequence, freely reduced here; a letter outside phi's
+    rank or a trivial class raises ValueError.  Walks outward from k = 0
+    applying phi (or its inverse), reducing cyclically at every step;
+    raises BudgetExceeded at the first step whose reduced image holds
+    more letters than the budget.
     """
     ks = sorted(set(int(k) for k in n_range))
     if not ks:
         return []
-    core = cyclic_core(g.letters)
+    core = cyclic_core(reduce_letters(g, phi.rank))
     if not core:
         raise ValueError("trivial class has no growth")
-    inv = None
-    if min(ks) < 0:
-        _require_inverse(phi)
-        inv = phi.inverse()
+    inv = phi.inverse() if min(ks) < 0 else None
     out: dict[int, int] = {0: len(core)}
     for step, sign in ((phi, 1), (inv, -1)):
         cur = core

@@ -23,7 +23,7 @@ from math import lcm
 
 from .graphs import GraphMap, iter_tight_paths
 from .strata import Filtration, Metric
-from .words import BudgetExceeded, common_prefix, letter_key
+from .words import BudgetExceeded, common_prefix, inverse_word, letter_key
 
 __all__ = [
     "NielsenPathRecord",
@@ -64,7 +64,7 @@ class NielsenPathRecord:
     def reversed(self) -> "NielsenPathRecord":
         return replace(
             self,
-            path=tuple(-d for d in reversed(self.path)),
+            path=inverse_word(self.path),
             start_fraction=1.0 - self.end_fraction,
             end_fraction=1.0 - self.start_fraction,
         )
@@ -112,13 +112,13 @@ def _orbit_search(f, len_bound, period_bound):
     filtration = f.filtration
     found: dict[tuple[int, ...], int] = {}
     for p in iter_tight_paths(f.graph, len_bound):
-        if _key_tuple(tuple(-d for d in reversed(p))) < _key_tuple(p):
+        if _key_tuple(inverse_word(p)) < _key_tuple(p):
             continue
         j = _minimal_period(f, p, period_bound)
         if j is not None:
             found[p] = j
     nielsen_set = set(found)
-    nielsen_set |= {tuple(-d for d in reversed(p)) for p in nielsen_set}
+    nielsen_set |= {inverse_word(p) for p in nielsen_set}
     records = []
     for p, j in sorted(found.items(), key=lambda kv: (len(kv[0]), _key_tuple(kv[0]))):
         divisible = any(
@@ -237,7 +237,7 @@ def _develop_search(f, len_bound, period_bound):
             for outcome in _develop_turn(f, fk, k, turn, len_bound):
                 kind, half1, half2, gamma = outcome
                 if kind == "exact":
-                    path = tuple(-d for d in reversed(half1)) + half2
+                    path = inverse_word(half1) + half2
                     if fk.map_letters(path) != path:
                         continue
                     rec = NielsenPathRecord(
@@ -262,7 +262,7 @@ def _develop_search(f, len_bound, period_bound):
                         continue
                     e1, t1 = cut1
                     e2, t2 = cut2
-                    path = tuple(-d for d in reversed(e1)) + e2
+                    path = inverse_word(e1) + e2
                     rec = NielsenPathRecord(
                         path=path,
                         period=k,

@@ -1,10 +1,12 @@
 """Words and automorphisms of a finitely generated free group.
 
 A word in the free group with basis x_1, ..., x_n is stored as a tuple of
-nonzero integers: +i stands for x_i and -i for its inverse.  All public
-constructors return freely reduced words.  Conjugacy classes are represented
-by cyclic words: cyclically reduced and rotated to a canonical position
-(canonical_cycle); closed paths in a graph use the same form.
+nonzero integers: +i stands for x_i and -i for its inverse.  An open word
+is a freely reduced tuple (reduce_letters): the images of an Automorphism
+are such tuples, and phi(w) returns one.  A conjugacy class is a closed
+word, cyclically reduced (cyclic_core) and rotated to a canonical position
+(canonical_cycle); closed paths in a graph use the same form.  The classes
+Word and CyclicWord remain only for the output checks of bench/workloads.py.
 
 The canonical position is the lexicographically least rotation under the
 fixed letter order x_1 < x_1^-1 < x_2 < x_2^-1 < ...; a class and its
@@ -82,13 +84,17 @@ def substitute(table: dict[int, Sequence[int]], letters: Iterable[int]) -> tuple
     return tuple(out)
 
 
+def inverse_word(w: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a word or edge path: reversed, each letter inverted."""
+    return tuple(-x for x in reversed(w))
+
+
 def letter_table(images: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
     """The substitution table {i: w_i, -i: w_i^-1} of images w_1, w_2, ..."""
     t: dict[int, tuple[int, ...]] = {}
     for i, w in enumerate(images, start=1):
-        w = tuple(w)
-        t[i] = w
-        t[-i] = tuple(-x for x in reversed(w))
+        t[i] = tuple(w)
+        t[-i] = inverse_word(w)
     return t
 
 
@@ -206,143 +212,53 @@ def canonical_cycle(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 class Word:
-    """A freely reduced word. Immutable; multiplication reduces."""
+    """A freely reduced word, kept for bench/workloads.py only: its output
+    checks build one, read ``letters`` and iterate it."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = (), rank: int | None = None):
-        object.__setattr__(self, "letters", reduce_letters(letters, rank))
-
-    @classmethod
-    def _raw(cls, reduced: tuple[int, ...]) -> "Word":
-        w = cls.__new__(cls)
-        object.__setattr__(w, "letters", reduced)
-        return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
+        self.letters = reduce_letters(letters, rank)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(("Word", self.letters))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word._raw(_reduce(self.letters + other.letters))
-
-    def inverse(self) -> "Word":
-        return Word._raw(tuple(-x for x in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
-
-    def conjugate_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
-    def __repr__(self) -> str:
-        return f"Word({spell(self.letters)})"
-
-    def __str__(self) -> str:
-        return spell(self.letters)
-
 
 class CyclicWord:
-    """A conjugacy class: cyclically reduced word in canonical rotation."""
+    """A conjugacy class in canonical form, kept for bench/workloads.py
+    only: its output checks build one, compare classes, and read the norm
+    and the inverse class."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        object.__setattr__(self, "letters", canonical_cycle(letters))
-
-    @classmethod
-    def _raw(cls, canonical: tuple[int, ...]) -> "CyclicWord":
-        c = cls.__new__(cls)
-        object.__setattr__(c, "letters", canonical)
-        return c
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
+        self.letters = canonical_cycle(letters)
 
     @property
     def norm(self) -> int:
         """Conjugacy length (cyclically reduced length)."""
         return len(self.letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclicWord) and self.letters == other.letters
 
-    def __hash__(self) -> int:
-        return hash(("CyclicWord", self.letters))
-
     def inverse_class(self) -> "CyclicWord":
-        return CyclicWord(-x for x in reversed(self.letters))
-
-    def word(self) -> Word:
-        return Word._raw(self.letters)
-
-    def __repr__(self) -> str:
-        return f"CyclicWord({spell(self.letters)})"
-
-    def __str__(self) -> str:
-        return spell(self.letters)
-
-
-def conjugacy_length(w: Word | Sequence[int]) -> int:
-    return len(cyclic_core(w.letters if isinstance(w, Word) else _reduce(w)))
-
-
-def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
-    """Split w as conj * core * conj^-1 with core canonical.
-
-    Returns (core class, conjugator).  The conjugator accounts both for the
-    stripped ends and for the rotation to canonical position, so the
-    identity w == conj * core * conj^-1 holds exactly.
-    """
-    letters = w.letters
-    core = cyclic_core(letters)
-    r = least_rotation(core)
-    conj = _reduce(letters[: (len(letters) - len(core)) // 2] + core[:r])
-    return CyclicWord._raw(core[r:] + core[:r]), Word._raw(conj)
+        return CyclicWord(inverse_word(self.letters))
 
 
 class Automorphism:
     """An automorphism of the free group of the given rank.
 
-    images[i-1] is the image of x_i.  inverse_images, when present, has been
-    checked to invert the map on every generator (see invert_verify).
+    images[i-1] is the image of x_i, a reduced letter tuple.
+    inverse_images, when present, has been checked to invert the map on
+    every generator (see invert_verify).
     """
 
     def __init__(
         self,
         rank: int,
-        images: Sequence[Word],
-        inverse_images: Sequence[Word] | None = None,
+        images: Sequence[Sequence[int]],
+        inverse_images: Sequence[Sequence[int]] | None = None,
         label: str = "",
     ):
         if rank < 1:
@@ -350,9 +266,9 @@ class Automorphism:
         if len(images) != rank:
             raise ValueError(f"expected {rank} images, got {len(images)}")
         self.rank = rank
-        self.images = tuple(Word(w.letters, rank) for w in images)
+        self.images = tuple(reduce_letters(w, rank) for w in images)
         self.inverse_images = (
-            tuple(Word(w.letters, rank) for w in inverse_images)
+            tuple(reduce_letters(w, rank) for w in inverse_images)
             if inverse_images is not None
             else None
         )
@@ -369,22 +285,20 @@ class Automorphism:
         rank: int | None = None,
     ) -> "Automorphism":
         r = rank if rank is not None else len(images)
-        inv = None
-        if inverse_images is not None:
-            inv = [Word(w, r) for w in inverse_images]
-        return cls(r, [Word(w, r) for w in images], inv, label)
+        return cls(r, images, inverse_images, label)
 
     @cached_property
     def _table(self) -> dict[int, tuple[int, ...]]:
-        return letter_table(w.letters for w in self.images)
+        return letter_table(self.images)
 
     def apply_letters(self, letters: Sequence[int]) -> tuple[int, ...]:
         return substitute(self._table, letters)
 
-    def __call__(self, w: Word) -> Word:
-        return Word._raw(self.apply_letters(w.letters))
+    def __call__(self, letters: Sequence[int]) -> tuple[int, ...]:
+        return self.apply_letters(letters)
 
     def apply_class(self, c: CyclicWord) -> CyclicWord:
+        """phi of a class, kept for bench/workloads.py only."""
         return CyclicWord(self.apply_letters(c.letters))
 
     def inverse(self) -> "Automorphism":
@@ -399,14 +313,14 @@ class Automorphism:
 
     def __repr__(self) -> str:
         ims = ", ".join(
-            f"{generator_name(i, self.rank)} -> {w}"
+            f"{generator_name(i, self.rank)} -> {spell(w, self.rank)}"
             for i, w in enumerate(self.images, start=1)
         )
         return f"Automorphism({ims})"
 
 
 def identity_automorphism(rank: int) -> Automorphism:
-    gens = [Word((i,)) for i in range(1, rank + 1)]
+    gens = [(i,) for i in range(1, rank + 1)]
     return Automorphism(rank, gens, gens, label="id")
 
 
@@ -425,91 +339,63 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     return Automorphism(phi.rank, images, inv, label=label)
 
 
-def invert_verify(phi: Automorphism, candidate: Sequence[Word] | Automorphism) -> bool:
+def invert_verify(
+    phi: Automorphism, candidate: Sequence[Sequence[int]] | Automorphism
+) -> bool:
     """True iff the candidate images invert phi in both orders."""
     if isinstance(candidate, Automorphism):
         if candidate.rank != phi.rank:
             return False
         cand = candidate.images
     else:
-        cand = tuple(Word(w.letters, phi.rank) for w in candidate)
-        if len(cand) != phi.rank:
+        if len(candidate) != phi.rank:
             return False
+        cand = candidate
     trial = Automorphism(phi.rank, cand)
     for i in range(1, phi.rank + 1):
-        if trial(phi(Word((i,)))).letters != (i,):
-            return False
-        if phi(trial(Word((i,)))).letters != (i,):
+        if trial(phi((i,))) != (i,) or phi(trial((i,))) != (i,):
             return False
     return True
 
 
 def iterate(phi: Automorphism, w: Word, n: int) -> Word:
-    """phi^n(w); negative n uses the verified inverse."""
-    if n == 0:
-        return w
-    table = phi if n > 0 else phi.inverse()
-    out = w
-    for _ in range(abs(n)):
-        out = table(out)
-    return out
+    """phi^n(w); negative n uses the verified inverse.  Kept for
+    bench/workloads.py only, which reads ``letters`` from the result."""
+    out = w.letters
+    if n:
+        table = phi if n > 0 else phi.inverse()
+        for _ in range(abs(n)):
+            out = table(out)
+    return Word(out)
 
 
-def conjugate_automorphism(phi: Automorphism, g: Word) -> Automorphism:
+def conjugate_automorphism(phi: Automorphism, g: Sequence[int]) -> Automorphism:
     """The automorphism x -> g phi(x) g^-1 (same outer class as phi)."""
-    g = Word(g.letters, phi.rank)
-    images = [w.conjugate_by(g) for w in phi.images]
+    g = reduce_letters(g, phi.rank)
+
+    def conjugate(w, h):
+        return _reduce(h + w + inverse_word(h))
+
+    images = [conjugate(w, g) for w in phi.images]
     inv = None
     if phi.inverse_images is not None:
-        phin = phi.inverse()
-        h = phin(g.inverse())
-        inv = [w.conjugate_by(h) for w in phi.inverse_images]
+        h = phi.inverse()(inverse_word(g))
+        inv = [conjugate(w, h) for w in phi.inverse_images]
     return Automorphism(phi.rank, images, inv,
                         label=f"{phi.label}^conj" if phi.label else "")
-
-
-def inner_conjugator(phi: Automorphism) -> Word | None:
-    """If phi is conjugation by some g, return g, else None."""
-    rank = phi.rank
-    w1 = phi(Word((1,)))
-    core, conj = cyclic_reduce(w1)
-    if core.letters != (1,):
-        return None
-    # conjugators of x_1 differ by a power of x_1
-    bound = max(len(w) for w in phi.images) + 2
-    x1 = Word((1,))
-    for k in range(-bound, bound + 1):
-        g = conj * (x1 ** k)
-        if all(
-            Word((i,)).conjugate_by(g) == phi(Word((i,)))
-            for i in range(1, rank + 1)
-        ):
-            return g
-    return None
-
-
-def outer_equal(phi: Automorphism, psi: Automorphism) -> bool:
-    """True iff phi and psi differ by an inner automorphism.
-
-    psi must carry a verified inverse.
-    """
-    if phi.rank != psi.rank:
-        return False
-    diff = compose(phi, psi.inverse())
-    return inner_conjugator(diff) is not None
 
 
 def _elementary_automorphisms(rank: int) -> list[Automorphism]:
     """Nielsen generators: inversions, transpositions, one-sided multiplications."""
     gens: list[Automorphism] = []
-    basis = [Word((i,)) for i in range(1, rank + 1)]
+    basis = [(i,) for i in range(1, rank + 1)]
 
     def build(images, label):
         gens.append(Automorphism(rank, images, label=label))
 
     for i in range(1, rank + 1):
         ims = list(basis)
-        ims[i - 1] = Word((-i,))
+        ims[i - 1] = (-i,)
         build(ims, f"inv{i}")
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):
@@ -522,10 +408,10 @@ def _elementary_automorphisms(rank: int) -> list[Automorphism]:
                 continue
             for sign in (1, -1):
                 ims = list(basis)
-                ims[i - 1] = Word((i, sign * j))
+                ims[i - 1] = (i, sign * j)
                 build(ims, f"R{i}{j}{sign}")
                 ims = list(basis)
-                ims[i - 1] = Word((sign * j, i))
+                ims[i - 1] = (sign * j, i)
                 build(ims, f"L{i}{j}{sign}")
     return gens
 
@@ -540,7 +426,7 @@ def nielsen_inverse_search(phi: Automorphism, depth: int = 4) -> Automorphism | 
     """
     rank = phi.rank
     target = tuple((i,) for i in range(1, rank + 1))
-    start = tuple(w.letters for w in phi.images)
+    start = phi.images
     if start == target:
         return identity_automorphism(rank)
     gens = _elementary_automorphisms(rank)

@@ -17,14 +17,16 @@ from traintrack import (
 )
 from traintrack.words import (
     CyclicWord,
-    Word,
     _elementary_automorphisms,
     common_prefix,
     compose,
+    cyclic_core,
     identity_automorphism,
+    inverse_word,
     invert_verify,
     key_letters,
     key_word,
+    reduce_letters,
 )
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -154,7 +156,7 @@ def naive_apply(images, letters):
 
 
 def image_dict(phi):
-    return {i: list(phi.images[i - 1].letters) for i in range(1, phi.rank + 1)}
+    return {i: list(w) for i, w in enumerate(phi.images, start=1)}
 
 
 def random_reduced_word(rank, length, rng):
@@ -300,12 +302,36 @@ def random_automorphism(rank, factors, rng, label):
     for _ in range(factors):
         g = rng.choice(moves)
         inverse = [
-            Word(tuple(x if x == i else -x for x in w.letters)) if len(w) == 2 else w
+            tuple(x if x == i else -x for x in w) if len(w) == 2 else w
             for i, w in enumerate(g.images, start=1)
         ]
         phi = compose(Automorphism(rank, g.images, inverse), phi)
     assert invert_verify(phi, phi.inverse_images)
     return Automorphism(rank, phi.images, phi.inverse_images, label=label)
+
+
+def inner_conjugator(phi):
+    """If phi is conjugation by some g, return g, else None."""
+    w1 = phi((1,))
+    if cyclic_core(w1) != (1,):
+        return None
+    conj = w1[: len(w1) // 2]
+    # conjugators of x_1 differ by a power of x_1
+    bound = max(map(len, phi.images)) + 2
+    for k in range(-bound, bound + 1):
+        g = reduce_letters(conj + (1 if k > 0 else -1,) * abs(k))
+        if all(reduce_letters(g + (i,) + inverse_word(g)) == phi((i,))
+               for i in range(1, phi.rank + 1)):
+            return g
+    return None
+
+
+def outer_equal(phi, psi):
+    """True iff phi and psi differ by an inner automorphism; psi must
+    carry a verified inverse."""
+    if phi.rank != psi.rank:
+        return False
+    return inner_conjugator(compose(phi, psi.inverse())) is not None
 
 
 def random_maps():

@@ -35,7 +35,7 @@ from traintrack.strata import (
     transition_matrix,
     verify_rtt,
 )
-from traintrack.words import CyclicWord, Word, conjugate_automorphism
+from traintrack.words import CyclicWord, conjugate_automorphism
 
 from conftest import PHI, random_reduced_word, witness_rows
 
@@ -152,7 +152,7 @@ def test_criterion_08_splitting(poly_rose, rng):
 
 
 def test_criterion_09_growth_series(fib):
-    table = growth_table(fib, Word((1,)), range(0, 7))
+    table = growth_table(fib, (1,), range(0, 7))
     assert table == [(0, 1), (1, 2), (2, 3), (3, 5), (4, 8), (5, 13), (6, 21)]
     verdict(9, "growth-series")
 
@@ -165,8 +165,7 @@ def test_criterion_10_outer_invariance(fib, plas, rng):
         base_probe = atoroidality_probe(phi, **probe_args)
         base_cert = certificate_search(phi, **cert_args)
         for _ in range(10):
-            g = Word(random_reduced_word(phi.rank, rng.randint(1, 4), rng),
-                     phi.rank)
+            g = random_reduced_word(phi.rank, rng.randint(1, 4), rng)
             psi = conjugate_automorphism(phi, g)
             assert atoroidality_probe(psi, **probe_args).verdict == base_probe.verdict
             cert = certificate_search(psi, **cert_args)

@@ -15,7 +15,8 @@ from traintrack.formats import (
     render_csv,
     render_report,
 )
-from traintrack.words import outer_equal
+
+from conftest import outer_equal
 
 FIB_TEXT = """\
 # golden mean map
@@ -83,7 +84,7 @@ class TestAutomorphismParsing:
         text = FIB_TEXT.replace("map: a -> a b", "map: a -> a b^-1 b b")
         with pytest.warns(FormatWarning, match="not reduced"):
             phi = parse_automorphism(text)
-        assert phi.images[0].letters == (1, 2)
+        assert phi.images[0] == (1, 2)
 
     def test_inv_lines_optional(self):
         text = "basis: a b\nmap: a -> a b\nmap: b -> a\n"

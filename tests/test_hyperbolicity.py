@@ -178,36 +178,43 @@ class TestRefusesUnverifiedInverse:
 
 class TestGrowthTable:
     def test_fibonacci_series(self, fib):
-        assert growth_table(fib, Word((1,)), range(0, 7)) == FIB_SERIES
+        assert growth_table(fib, (1,), range(0, 7)) == FIB_SERIES
 
     def test_negative_exponents(self, fib):
-        assert growth_table(fib, Word((1,)), range(-3, 1)) == [
+        assert growth_table(fib, (1,), range(-3, 1)) == [
             (-3, 3), (-2, 2), (-1, 1), (0, 1),
         ]
 
     def test_inverse_swaps_direction(self, fib, fib_inverse):
         ks = range(-4, 5)
-        fwd = dict(growth_table(fib, Word((1, 2)), ks))
-        bwd = dict(growth_table(fib_inverse, Word((1, 2)), ks))
+        fwd = dict(growth_table(fib, (1, 2), ks))
+        bwd = dict(growth_table(fib_inverse, (1, 2), ks))
         assert all(bwd[k] == fwd[-k] for k in ks)
 
     def test_commutator_never_grows(self, fib):
-        tbl = growth_table(fib, Word((1, 2, -1, -2)), range(-6, 7))
+        tbl = growth_table(fib, (1, 2, -1, -2), range(-6, 7))
         assert all(norm == 4 for _, norm in tbl)
 
     def test_trivial_class_rejected(self, fib):
         with pytest.raises(ValueError):
-            growth_table(fib, Word(()), range(3))
+            growth_table(fib, (), range(3))
+
+    def test_reduces_its_input(self, fib):
+        # g is any letter sequence: it is freely reduced against phi's rank
+        assert growth_table(fib, (1, 2, -2), range(7)) == FIB_SERIES
+        for g in ((3,), (), (1, -1)):
+            with pytest.raises(ValueError):
+                growth_table(fib, g, range(7))
 
     def test_letter_budget(self, fib):
         with pytest.raises(
             BudgetExceeded, match="letter budget 500 exceeded at exponent 60"
         ):
-            growth_table(fib, Word((1,)), [60], letter_budget=500)
+            growth_table(fib, (1,), [60], letter_budget=500)
         # a word of exactly the budget still fits: |phi^12(a)| = 377
-        assert growth_table(fib, Word((1,)), [12], letter_budget=377) == [(12, 377)]
+        assert growth_table(fib, (1,), [12], letter_budget=377) == [(12, 377)]
         with pytest.raises(BudgetExceeded):
-            growth_table(fib, Word((1,)), [12], letter_budget=376)
+            growth_table(fib, (1,), [12], letter_budget=376)
 
     @on_random_maps
     def test_matches_naive_orbit(self, phi, L, P):
@@ -231,7 +238,7 @@ class TestGrowthTable:
                     if len(cur) > 2000:
                         break
             ks = sorted(want)
-            assert growth_table(phi, Word(g), ks) == [(k, want[k]) for k in ks]
+            assert growth_table(phi, g, ks) == [(k, want[k]) for k in ks]
 
 
 def _probe_view(rep):
@@ -241,10 +248,7 @@ def _probe_view(rep):
 
 class TestOuterInvariance:
     def _conjugators(self, rng, rank, count=10):
-        return [
-            Word(random_reduced_word(rank, rng.randint(1, 4), rng), rank)
-            for _ in range(count)
-        ]
+        return [random_reduced_word(rank, rng.randint(1, 4), rng) for _ in range(count)]
 
     def test_fib_probe_and_certificate(self, fib, rng):
         base_probe = atoroidality_probe(fib, L=4, P=2)
@@ -521,13 +525,13 @@ def test_stack_walk_matches_per_class_stacks(name, Ms):
 def _all_classes(rank, L):
     """Every nontrivial class of norm <= L, from all words by brute force."""
     gens = [s * i for i in range(1, rank + 1) for s in (1, -1)]
-    classes = set()
+    classes = {}
     for n in range(1, L + 1):
         for w in itertools.product(gens, repeat=n):
             c = CyclicWord(w)
-            if c:
-                classes.add(c)
-    return classes
+            if c.letters:
+                classes[c.letters] = c
+    return list(classes.values())
 
 
 def _orbit_witnesses(phi, L, P):
