@@ -372,15 +372,11 @@ def iterate(phi: Automorphism, w: Word, n: int) -> Word:
 def conjugate_automorphism(phi: Automorphism, g: Sequence[int]) -> Automorphism:
     """The automorphism x -> g phi(x) g^-1 (same outer class as phi)."""
     g = reduce_letters(g, phi.rank)
-
-    def conjugate(w, h):
-        return _reduce(h + w + inverse_word(h))
-
-    images = [conjugate(w, g) for w in phi.images]
+    images = [_reduce(g + w + inverse_word(g)) for w in phi.images]
     inv = None
     if phi.inverse_images is not None:
         h = phi.inverse()(inverse_word(g))
-        inv = [conjugate(w, h) for w in phi.inverse_images]
+        inv = [_reduce(h + w + inverse_word(h)) for w in phi.inverse_images]
     return Automorphism(phi.rank, images, inv,
                         label=f"{phi.label}^conj" if phi.label else "")
 
