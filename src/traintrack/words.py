@@ -295,6 +295,7 @@ class Automorphism:
         return substitute(self._table, letters)
 
     def __call__(self, letters: Sequence[int]) -> tuple[int, ...]:
+        # through apply_letters, the method bench/tracer.py times
         return self.apply_letters(letters)
 
     def apply_class(self, c: CyclicWord) -> CyclicWord:
