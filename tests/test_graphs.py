@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,8 @@ from traintrack.graphs import (
 from traintrack.strata import compute_filtration
 from traintrack.words import Automorphism, CyclicWord, cyclic_core, letter_key
 
-from conftest import naive_apply, naive_cyclic_reduce, outer_equal
+from conftest import naive_apply, naive_cyclic_reduce, outer_equal, random_rose_map
+from test_strata import _tree_example
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +221,13 @@ def test_random_samplers_are_valid(theta, rng):
         theta.check_path(p)
 
 
+def _chain_rose():
+    # the derivative is one chain a -> a^-1 -> b -> b^-1 -> c -> c^-1, and
+    # c^-1 is fixed: the turn {a, c^-1} degenerates only at the fifth step
+    g = Graph(["v"], [(x, "v", "v") for x in "abc"])
+    return GraphMap(g, {"v": "v"}, {"a": (-1, -2), "b": (-2, -3), "c": (-3, 1, 3)})
+
+
 @pytest.fixture(scope="module")
 def turn_maps(fib_rose, plas_rose, poly_rose, rel):
     # two exponential strata {a, b} < {c, d}; c -> a c d pinches the turn
@@ -225,13 +235,42 @@ def turn_maps(fib_rose, plas_rose, poly_rose, rel):
     two = Automorphism.from_letter_lists([(1, 2), (1,), (1, 3, 4), (3,)])
     return {
         "fib": fib_rose, "plas": plas_rose, "poly": poly_rose,
-        "rel": rose_of(rel), "two": rose_of(two),
+        "rel": rose_of(rel), "two": rose_of(two), "chain": _chain_rose(),
     }
+
+
+def test_illegal_turns_match_turn_orbits(turn_maps):
+    """A turn is in illegal_turns exactly when turn_orbit, which iterates
+    the derivative on the turn until it degenerates or repeats, calls it
+    illegal: on 200 seeded random rose maps of ranks 2-4, on the
+    three-vertex map of test_strata, and on the named maps."""
+    maps = [random_rose_map(2 + i % 3, random.Random(i)) for i in range(200)]
+    maps += [_tree_example(), *turn_maps.values()]
+    illegal = 0
+    for f in maps:
+        for t in f.all_turns():
+            want = f.turn_orbit(t)[0] == "illegal"
+            assert (t in f.illegal_turns) == want, (f, t)
+            illegal += want
+    assert illegal > 0
+    assert make_turn(1, -3) in turn_maps["chain"].illegal_turns
+    assert turn_maps["chain"].turn_orbit(make_turn(1, -3))[:2] == ("illegal", 5)
+
+
+def _flags_by_definition(f, edges, hr, circuit):
+    pairs = list(zip(edges, edges[1:]))
+    if circuit:
+        pairs.append((edges[-1], edges[0]))
+    return [
+        make_turn(-a, b) in f.illegal_turns
+        and (hr is None or abs(a) in hr or abs(b) in hr)
+        for a, b in pairs
+    ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    name=st.sampled_from(["fib", "plas", "poly", "rel", "two"]),
+    name=st.sampled_from(["fib", "plas", "poly", "rel", "two", "chain"]),
     rng=st.randoms(use_true_random=False),
     circuit=st.booleans(),
 )
@@ -242,14 +281,19 @@ def test_illegal_flags_match_definition(turn_maps, name, rng, circuit):
     f = turn_maps[name]
     g = f.graph
     edges = random_circuit(g, 10, rng) if circuit else random_tight_path(g, 10, rng)
-    pairs = list(zip(edges, edges[1:]))
-    if circuit:
-        pairs.append((edges[-1], edges[0]))
     strata = compute_filtration(f).exponential_strata()
     for hr in [None] + [frozenset(s.edges) for s in strata]:
-        want = [
-            make_turn(-a, b) in f.illegal_turns
-            and (hr is None or abs(a) in hr or abs(b) in hr)
-            for a, b in pairs
-        ]
+        want = _flags_by_definition(f, edges, hr, circuit)
         assert f.illegal_flags(edges, hr, circuit) == want
+
+
+def test_illegal_flags_one_edge_circuits(turn_maps):
+    """A one-edge circuit (e,) has one turn, {e^-1, e}, at its wrap."""
+    for f in turn_maps.values():
+        for e in range(1, f.graph.edge_count + 1):
+            if f.graph.origin(e) == f.graph.terminus(e):
+                want = _flags_by_definition(f, (e,), None, True)
+                assert f.illegal_flags((e,), circuit=True) == want
+    # the chain also pinches the wrap turn {a^-1, a}, at the fifth step
+    assert turn_maps["chain"].illegal_flags((1,), circuit=True) == [True]
+    assert turn_maps["fib"].illegal_flags((1,), circuit=True) == [False]
