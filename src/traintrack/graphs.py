@@ -7,9 +7,9 @@ circuit is a closed path up to rotation, in the canonical form of a closed
 word (canonical_circuit): cyclically tight, least rotation.
 
 A GraphMap sends vertices to vertices and edges to tight nonempty edge
-paths.  Turns (unordered pairs of directions at a vertex) are classified as
-legal or illegal by iterating the derivative map: a turn is illegal exactly
-when some iterate pinches it onto a single direction.
+paths.  A turn (an unordered pair of directions at a vertex) is illegal
+exactly when some iterate of the derivative map pinches it onto a single
+direction, which GraphMap reads off one table of eventual images.
 """
 
 from __future__ import annotations
@@ -204,18 +204,6 @@ def is_degenerate(turn: tuple[int, int]) -> bool:
     return turn[0] == turn[1]
 
 
-def turns_of_path(edges: Sequence[int]) -> list[tuple[int, int]]:
-    """Turns taken at the interior vertices of a path."""
-    return [make_turn(-a, b) for a, b in zip(edges, edges[1:])]
-
-
-def turns_of_circuit(edges: Sequence[int]) -> list[tuple[int, int]]:
-    if len(edges) < 1:
-        return []
-    pairs = list(zip(edges, edges[1:])) + [(edges[-1], edges[0])]
-    return [make_turn(-a, b) for a, b in pairs]
-
-
 class GraphMap:
     """A self-map of a graph sending edges to tight nonempty edge paths."""
 
@@ -297,16 +285,16 @@ class GraphMap:
             seen.add(t)
 
     @cached_property
-    def turn_classification(self) -> dict[tuple[int, int], str]:
-        out = {}
-        for t in self.all_turns():
-            verdict, _, orbit = self.turn_orbit(t)
-            # every nondegenerate turn along a non-degenerating orbit is legal
-            for u in orbit[:-1] if verdict == "illegal" else orbit:
-                if not is_degenerate(u) and u not in out:
-                    out[u] = verdict if verdict == "illegal" else "legal"
-            out[t] = verdict
-        return out
+    def _limit(self) -> dict[int, int]:
+        """Each direction's image under Df^(2^b), 2^b > N directions, by b
+        squarings of the derivative.  Within N steps every direction
+        reaches the Df-cycle it ends on, and Df is one-to-one on cycles,
+        so two directions meet under some power of Df exactly when their
+        limits are equal: that is when the turn they form is illegal."""
+        lim = {d: self.derivative(d) for d in self.graph.directions()}
+        for _ in range(len(lim).bit_length()):
+            lim = {d: lim[e] for d, e in lim.items()}
+        return lim
 
     @cached_property
     def filtration(self) -> Filtration:
@@ -318,22 +306,23 @@ class GraphMap:
 
     @cached_property
     def illegal_turns(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            t for t, v in self.turn_classification.items() if v == "illegal"
-        )
+        lim = self._limit
+        return frozenset(t for t in self.all_turns() if lim[t[0]] == lim[t[1]])
 
     def illegal_flags(
         self, edges: Sequence[int], hr=None, circuit: bool = False
     ) -> list[bool]:
-        """One flag per turn of a path, or of a circuit with the wrap turn
-        last: whether the turn is illegal and, when hr (a set of positive
-        edge ids) is given, also meets an edge of hr."""
-        illegal = self.illegal_turns
-        turns = turns_of_circuit(edges) if circuit else turns_of_path(edges)
-        if hr is None:
-            return [t in illegal for t in turns]
+        """One flag per turn {a^-1, b} of a path, or of a circuit with the
+        wrap turn last: whether the turn is illegal and, when hr (a set of
+        positive edge ids) is given, also meets an edge of hr."""
+        lim = self._limit
+        junctions = list(zip(edges, edges[1:]))
+        if circuit and edges:
+            junctions.append((edges[-1], edges[0]))
         return [
-            t in illegal and (abs(t[0]) in hr or abs(t[1]) in hr) for t in turns
+            a != -b and lim[-a] == lim[b]
+            and (hr is None or abs(a) in hr or abs(b) in hr)
+            for a, b in junctions
         ]
 
     def is_legal(self, edges: Sequence[int]) -> bool:

@@ -17,8 +17,6 @@ from traintrack.graphs import (
     random_tight_path,
     rose_of,
     tighten,
-    turns_of_circuit,
-    turns_of_path,
 )
 from traintrack.strata import compute_filtration
 from traintrack.words import Automorphism, CyclicWord, cyclic_core, letter_key
@@ -79,9 +77,6 @@ def test_paths_validate(theta, fib_rose):
 def test_turns():
     assert make_turn(3, -1) == make_turn(-1, 3)
     assert is_degenerate(make_turn(2, 2))
-    assert turns_of_path((1, -2, 3)) == [make_turn(-1, -2), make_turn(2, 3)]
-    # the circuit wraps around
-    assert make_turn(-3, 1) in turns_of_circuit((1, -2, 3))
 
 
 def test_circuit_canonical_rotation(theta):
