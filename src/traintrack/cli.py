@@ -95,14 +95,18 @@ def _as_automorphism(kind, obj) -> Automorphism:
     return induced_automorphism(obj)
 
 
-def _with_inverse(phi: Automorphism) -> Automorphism:
+def _with_inverse(kind, phi: Automorphism) -> Automorphism:
+    """phi with a verified inverse.  induced_automorphism has already
+    searched for the inverse of a .gm input, so only an .aut one is
+    searched here."""
     if phi.inverse_images is not None:
         return phi
-    found = nielsen_inverse_search(phi)
+    found = nielsen_inverse_search(phi) if kind == "aut" else None
     if found is None:
         raise CliError(
             "no inverse known for this map and a short search found none; "
-            "add inv lines to the input file"
+            + ("add inv lines to the input file" if kind == "aut"
+               else "a .gm input cannot supply one")
         )
     return found
 
@@ -183,7 +187,7 @@ def cmd_analyze(args) -> Report:
 def cmd_probe(args) -> Report:
     _positive(args, ["max_class_len", "max_period"])
     kind, obj = _load_input(args.file)
-    phi = _with_inverse(_as_automorphism(kind, obj))
+    phi = _with_inverse(kind, _as_automorphism(kind, obj))
     rep = atoroidality_probe(phi, args.max_class_len, args.max_period)
     table = {
         "class": engine.spell_batch(rep.witnesses, phi.rank),
@@ -217,7 +221,7 @@ def cmd_probe(args) -> Report:
 def cmd_certify(args) -> Report:
     _positive(args, ["m_max", "max_class_len"])
     kind, obj = _load_input(args.file)
-    phi = _with_inverse(_as_automorphism(kind, obj))
+    phi = _with_inverse(kind, _as_automorphism(kind, obj))
     cert = certificate_search(phi, args.m_max, args.max_class_len)
     history = [
         {"M": m, "num": num, "den": den, "ratio": num / den, "argmin": cls}
@@ -254,7 +258,7 @@ def cmd_growth(args) -> Report:
     kind, obj = _load_input(args.file)
     phi = _as_automorphism(kind, obj)
     if args.k_min < 0:
-        phi = _with_inverse(phi)
+        phi = _with_inverse(kind, phi)
     if args.k_max < args.k_min:
         raise CliError("--k-max must be >= --k-min")
     g = _parse_class_word(args.word, phi.rank)
@@ -331,7 +335,7 @@ def _inverse_rose(kind, obj) -> GraphMap:
             "this validator iterates backwards and needs an automorphism "
             "input with inv lines"
         )
-    return rose_of(_with_inverse(obj).inverse())
+    return rose_of(_with_inverse(kind, obj).inverse())
 
 
 _CIRCUIT_COLUMNS = ["circuit", "k", "L", "Lr", "i", "ir", "scriptL", "bound",

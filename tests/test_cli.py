@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import traintrack
-from traintrack import engine, growth, hyperbolicity, strata
+from traintrack import cli, engine, graphs, growth, hyperbolicity, strata
 from traintrack.cli import LEMMAS, main
 from traintrack.formats import canonical_json, dump_automorphism
 from traintrack.graphs import random_circuit, random_tight_path, rose_of
-from traintrack.words import Automorphism
+from traintrack.words import Automorphism, nielsen_inverse_search
 from traintrack.fixtures import fixture_text, load_fixture
 
 from conftest import naive_apply, naive_cyclic_reduce
@@ -660,6 +660,38 @@ class TestInputErrors:
             main(["validate", str(files / "fib.aut"), "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args", [["probe"], ["certify"], ["growth", "a", "--k-min", "-1"]],
+        ids=lambda args: args[0],
+    )
+    def test_graph_map_without_inverse_is_searched_once(
+        self, capsys, tmp_path, monkeypatch, args
+    ):
+        # a -> a b and b -> a b send a b^-1 to the identity, so the map
+        # this rose induces has no inverse; induced_automorphism searches
+        # for one and the command must not search again
+        path = tmp_path / "noinv.gm"
+        path.write_text(
+            "vertex: v\nedge: ea v v\nedge: eb v v\nedge: ec v v\n"
+            "image: ea -> ea eb\nimage: eb -> ea eb\nimage: ec -> ec ea\n"
+            "mark: ea -> a\nmark: eb -> b\nmark: ec -> c\nfvertex: v -> v\n"
+        )
+        searches = []
+
+        def counted(phi, *rest):
+            searches.append(phi)
+            return nielsen_inverse_search(phi, *rest)
+
+        monkeypatch.setattr(graphs, "nielsen_inverse_search", counted)
+        monkeypatch.setattr(cli, "nielsen_inverse_search", counted)
+        code, out, err = run(capsys, args[0], path, *args[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no inverse known for this map and a short search found "
+            "none; a .gm input cannot supply one\n"
+        )
+        assert len(searches) == 1
+
 
 def _package_env():
     """The environment with the package this suite imported first on
@@ -745,6 +777,20 @@ def test_readme_examples_match_output(capsys, files):
         argv = [files / a if a.endswith((".aut", ".gm")) else a for a in argv]
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected), argv
+
+
+def test_readme_library_examples_run(capsys):
+    """The README's python blocks run in order, in one namespace, and
+    raise nothing."""
+    blocks = [
+        b.partition("```")[0]
+        for b in README.read_text().split("```python\n")[1:]
+    ]
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
 
 
 def test_package_has_no_assert_statements():
