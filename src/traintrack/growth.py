@@ -307,8 +307,9 @@ def validate_bw1(
     for c in circuits:
         c = canonical_circuit(g, c)
         base = path_stats(c, filtration, metric, r=stratum, circuit=True)
+        pre = c
         for k in range(1, k_max + 1):
-            pre = preimage_circuit(f, f_inv, c, k)
+            pre = preimage_circuit(f, f_inv, pre, 1)
             st = path_stats(pre, filtration, metric, r=stratum, circuit=True)
             if r is None:
                 seg = st.script_L
@@ -481,8 +482,9 @@ def _backgrowth_rows(f, f_inv, qualified, M, n_max, ratio, r):
     g = f.graph
     rows = []
     for c, turns in qualified:
+        pre = c
         for n in range(1, n_max + 1):
-            pre = preimage_circuit(f, f_inv, c, n * M)
+            pre = preimage_circuit(f, f_inv, pre, M)
             st = path_stats(pre, filtration, metric, r=r, circuit=True)
             val = st.i if r is None else st.i_r
             bound = ratio ** n * turns

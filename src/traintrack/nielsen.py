@@ -158,7 +158,7 @@ def _legal_extensions(f: GraphMap, path):
             yield x
 
 
-def _develop_turn(f, fk, k, turn, len_bound, max_states=50_000):
+def _develop_turn(f, fk, turn, len_bound, max_states=50_000):
     """Grow a ray pair seeded at an illegal turn of f^k.
 
     Returns a list of ("exact", half1, half2, gamma) and
@@ -234,7 +234,7 @@ def _develop_search(f, len_bound, period_bound):
     for k in range(1, period_bound + 1):
         fk = f if k == 1 else _iterated_map(f, k)
         for turn in sorted(fk.illegal_turns):
-            for outcome in _develop_turn(f, fk, k, turn, len_bound):
+            for outcome in _develop_turn(f, fk, turn, len_bound):
                 kind, half1, half2, gamma = outcome
                 if kind == "exact":
                     path = inverse_word(half1) + half2
@@ -302,19 +302,18 @@ def _compose_records(f, base, len_bound, period_bound):
                 continue
             out.append((cand, k))
             frontier.append((cand, k))
-    records = []
-    for path, k in out:
-        records.append(
-            NielsenPathRecord(
-                path=path,
-                period=k,
-                indivisible=False,
-                illegal_count=sum(f.illegal_flags(path)),
-                height=0,
-                method="compose",
-            )
+    filtration = f.filtration
+    return [
+        NielsenPathRecord(
+            path=path,
+            period=k,
+            indivisible=False,
+            illegal_count=sum(f.illegal_flags(path)),
+            height=max(filtration.stratum_of(d) for d in path),
+            method="compose",
         )
-    return records
+        for path, k in out
+    ]
 
 
 def find_nielsen_paths(
@@ -354,11 +353,6 @@ def find_nielsen_paths(
             j = _minimal_period(f, rec.path, period_bound)
             if j is not None:
                 rec = replace(rec, period=j)
-        if rec.method == "compose":
-            rec = replace(
-                rec,
-                height=max(filtration.stratum_of(d) for d in rec.path),
-            )
         key = _identity_key(rec)
         if key not in uniq or uniq[key].period > rec.period:
             uniq[key] = rec
@@ -499,16 +493,16 @@ def verify_splitting(
     joined = tuple(d for p in pieces for d in p)
     if joined != whole:
         return False, {"reason": "pieces do not concatenate to the path"}
+    images, target = pieces, whole
     for k in range(1, k_max + 1):
-        images = [f.iterate_letters(p, k) for p in pieces]
+        images = [f.map_letters(img) for img in images]
+        target = f.map_letters(target)
         pairs = list(zip(images, images[1:]))
         if circuit and len(images) > 1:
             pairs.append((images[-1], images[0]))
         for i, (a, b) in enumerate(pairs):
             if a and b and a[-1] == -b[0]:
                 return False, {"k": k, "junction": i, "reason": "cancellation"}
-        concat = tuple(d for img in images for d in img)
-        target = f.iterate_letters(whole, k)
-        if concat != target:
+        if tuple(d for img in images for d in img) != target:
             return False, {"k": k, "reason": "images do not concatenate"}
     return True, None
