@@ -302,18 +302,19 @@ def _compose_records(f, base, len_bound, period_bound):
                 continue
             out.append((cand, k))
             frontier.append((cand, k))
-    filtration = f.filtration
-    return [
-        NielsenPathRecord(
-            path=path,
-            period=k,
-            indivisible=False,
-            illegal_count=sum(f.illegal_flags(path)),
-            height=max(filtration.stratum_of(d) for d in path),
-            method="compose",
+    records = []
+    for path, k in out:
+        records.append(
+            NielsenPathRecord(
+                path=path,
+                period=k,
+                indivisible=False,
+                illegal_count=sum(f.illegal_flags(path)),
+                height=max(f.filtration.stratum_of(d) for d in path),
+                method="compose",
+            )
         )
-        for path, k in out
-    ]
+    return records
 
 
 def find_nielsen_paths(
