@@ -415,8 +415,6 @@ class TestBudgetErrors:
         assert err == "error: ray development budget exceeded\n"
 
     def test_growth_letter_budget(self, capsys, files, monkeypatch):
-        from traintrack import cli
-
         monkeypatch.setattr(
             cli, "growth_table",
             functools.partial(cli.growth_table, letter_budget=20),
