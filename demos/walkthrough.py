@@ -8,12 +8,8 @@ from fractions import Fraction
 from traintrack.engine import spell_batch
 from traintrack.fixtures import load_fixture
 from traintrack.graphs import rose_of
-from traintrack.growth import bcc_estimate, validate_bw1
-from traintrack.hyperbolicity import (
-    atoroidality_probe,
-    certificate_search,
-    growth_table,
-)
+from traintrack.growth import bcc_estimate, growth_table, validate_bw1
+from traintrack.hyperbolicity import atoroidality_probe, certificate_search
 from traintrack.nielsen import find_nielsen_paths
 from traintrack.strata import verify_rtt
 

@@ -2,8 +2,9 @@
 
 Exact word arithmetic, graph self-maps with invariant filtrations,
 Perron-Frobenius growth data, Nielsen path search, bounded cancellation
-estimates, and bounded empirical probes for atoroidality and uniform
-(hyperbolic) growth.  The `traintrack` console script exposes the same
+estimates, and, in traintrack.hyperbolicity (the one part that needs
+numpy, so not imported here), bounded empirical probes for atoroidality
+and uniform growth.  The `traintrack` console script exposes the same
 operations on two small text formats.
 """
 
@@ -57,6 +58,7 @@ from .growth import (
     TrichotomyVerdict,
     bcc_estimate,
     growth_decomposition,
+    growth_table,
     path_stats,
     trichotomy_classify,
     validate_backgrowth,
@@ -65,13 +67,6 @@ from .growth import (
     validate_decomp,
     validate_illen,
     validate_tricho,
-)
-from .hyperbolicity import (
-    AtoroidalityReport,
-    HyperbolicityCertificate,
-    atoroidality_probe,
-    certificate_search,
-    growth_table,
 )
 from .formats import (
     FormatWarning,

@@ -26,7 +26,7 @@ import argparse
 import random
 import sys
 
-from . import engine, growth as growth_mod
+from . import growth as growth_mod
 from .formats import (
     ParseError,
     Report,
@@ -44,7 +44,7 @@ from .graphs import (
     random_tight_path,
     rose_of,
 )
-from .hyperbolicity import atoroidality_probe, certificate_search, growth_table
+from .growth import growth_table
 from .nielsen import find_nielsen_paths
 from .strata import InternalError, verify_improved, verify_rtt
 from .words import (
@@ -90,18 +90,15 @@ def _as_graph_map(kind, obj) -> GraphMap:
 
 
 def _as_automorphism(kind, obj) -> Automorphism:
-    if kind == "aut":
-        return obj
-    return induced_automorphism(obj)
+    return obj if kind == "aut" else induced_automorphism(obj)
 
 
 def _with_inverse(kind, phi: Automorphism) -> Automorphism:
-    """phi with a verified inverse.  induced_automorphism has already
-    searched for the inverse of a .gm input, so only an .aut one is
-    searched here."""
+    """phi with a verified inverse: the one an .aut input supplies, or one
+    that a short search finds."""
     if phi.inverse_images is not None:
         return phi
-    found = nielsen_inverse_search(phi) if kind == "aut" else None
+    found = nielsen_inverse_search(phi)
     if found is None:
         raise CliError(
             "no inverse known for this map and a short search found none; "
@@ -185,6 +182,10 @@ def cmd_analyze(args) -> Report:
 
 
 def cmd_probe(args) -> Report:
+    # the two class sweeps are the only commands that load numpy
+    from . import engine
+    from .hyperbolicity import atoroidality_probe
+
     _positive(args, ["max_class_len", "max_period"])
     kind, obj = _load_input(args.file)
     phi = _with_inverse(kind, _as_automorphism(kind, obj))
@@ -219,6 +220,8 @@ def cmd_probe(args) -> Report:
 
 
 def cmd_certify(args) -> Report:
+    from .hyperbolicity import certificate_search
+
     _positive(args, ["m_max", "max_class_len"])
     kind, obj = _load_input(args.file)
     phi = _with_inverse(kind, _as_automorphism(kind, obj))

@@ -416,8 +416,8 @@ def induced_automorphism(
     Uses a spanning tree at the first vertex; the result is one representative
     of the outer class.  If `inverse` is given its images must invert the
     result (raises ValueError otherwise, which is the homotopy equivalence
-    check); without it a bounded Nielsen search tries to find an inverse and
-    the result may carry none.
+    check); without it the result carries no inverse, and a caller that
+    needs one searches for it (words.nielsen_inverse_search).
     """
     graph = f.graph
     if graph.marking is None:
@@ -473,9 +473,6 @@ def induced_automorphism(
                 "the map is not a homotopy equivalence realizing it"
             )
         return Automorphism(k, phi.images, cand, label=phi.label)
-    found = nielsen_inverse_search(phi)
-    if found is not None:
-        return found
     return phi
 
 

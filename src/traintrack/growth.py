@@ -11,11 +11,13 @@ H_r part of the length.  Circuits use cyclic turns and segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import GraphMap, canonical_circuit, preimage_circuit
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import CheckReport, Filtration, Metric
-from .words import BudgetExceeded, common_prefix, inverse_keys, key_word, letter_key
+from .words import (Automorphism, BudgetExceeded, common_prefix, cyclic_core,
+                    inverse_keys, key_word, letter_key, reduce_letters)
 
 __all__ = [
     "PathStats",
@@ -33,6 +35,7 @@ __all__ = [
     "BoundViolation",
     "growth_decomposition",
     "validate_decomp",
+    "growth_table",
 ]
 
 _SLACK = 1e-9
@@ -691,3 +694,37 @@ def validate_decomp(circuits, L0: float, filtration: Filtration) -> CheckReport:
         rows.append({"circuit": g.spell_path(c), **row})
     constants["L0"] = L0
     return CheckReport("violation" not in constants, rows, constants)
+
+
+def growth_table(
+    phi: Automorphism, g: Sequence[int], n_range, letter_budget: int = 10_000_000
+):
+    """Exact conjugacy lengths of phi^k(g) over the given exponents.
+
+    g is a letter sequence, freely reduced here; a letter outside phi's
+    rank or a trivial class raises ValueError.  Walks outward from k = 0
+    applying phi (or its inverse), reducing cyclically at every step;
+    raises BudgetExceeded at the first step whose reduced image holds
+    more letters than the budget.
+    """
+    ks = sorted(set(int(k) for k in n_range))
+    if not ks:
+        return []
+    core = cyclic_core(reduce_letters(g, phi.rank))
+    if not core:
+        raise ValueError("trivial class has no growth")
+    inv = phi.inverse() if min(ks) < 0 else None
+    out: dict[int, int] = {0: len(core)}
+    for step, sign in ((phi, 1), (inv, -1)):
+        cur = core
+        last = 0
+        for k in sorted((j for j in ks if j * sign > 0), key=abs):
+            for _ in range(abs(k) - last):
+                cur = cyclic_core(step.apply_letters(cur))
+                if len(cur) > letter_budget:
+                    raise BudgetExceeded(
+                        f"letter budget {letter_budget} exceeded at exponent {k}"
+                    )
+            last = abs(k)
+            out[k] = len(cur)
+    return [(k, out[k]) for k in ks]

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -22,12 +21,9 @@ from . import engine
 from .words import (
     MAX_LETTER,
     Automorphism,
-    BudgetExceeded,
     common_prefix,
-    cyclic_core,
     inverse_keys,
     key_letters,
-    reduce_letters,
     spell,
 )
 
@@ -36,7 +32,6 @@ __all__ = [
     "HyperbolicityCertificate",
     "atoroidality_probe",
     "certificate_search",
-    "growth_table",
 ]
 
 
@@ -589,39 +584,3 @@ def certificate_search(
         sweep=sweep,
     )
 
-
-def growth_table(
-    phi: Automorphism,
-    g: Sequence[int],
-    n_range,
-    letter_budget: int = 10_000_000,
-):
-    """Exact conjugacy lengths of phi^k(g) over the given exponents.
-
-    g is a letter sequence, freely reduced here; a letter outside phi's
-    rank or a trivial class raises ValueError.  Walks outward from k = 0
-    applying phi (or its inverse), reducing cyclically at every step;
-    raises BudgetExceeded at the first step whose reduced image holds
-    more letters than the budget.
-    """
-    ks = sorted(set(int(k) for k in n_range))
-    if not ks:
-        return []
-    core = cyclic_core(reduce_letters(g, phi.rank))
-    if not core:
-        raise ValueError("trivial class has no growth")
-    inv = phi.inverse() if min(ks) < 0 else None
-    out: dict[int, int] = {0: len(core)}
-    for step, sign in ((phi, 1), (inv, -1)):
-        cur = core
-        last = 0
-        for k in sorted((j for j in ks if j * sign > 0), key=abs):
-            for _ in range(abs(k) - last):
-                cur = cyclic_core(step.apply_letters(cur))
-                if len(cur) > letter_budget:
-                    raise BudgetExceeded(
-                        f"letter budget {letter_budget} exceeded at exponent {k}"
-                    )
-            last = abs(k)
-            out[k] = len(cur)
-    return [(k, out[k]) for k in ks]

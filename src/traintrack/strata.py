@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-
-import numpy as np
+from operator import add
 
 from .graphs import Graph, GraphMap, iter_tight_paths
 
@@ -124,74 +123,84 @@ class Filtration:
         return [s for s in self.strata if s.kind == "exponential"]
 
 
-def transition_matrix(f: GraphMap, edges: tuple[int, ...]) -> np.ndarray:
-    """Integer matrix M with M[i, j] = number of times f(E_j) crosses E_i
-    in either direction, rows and columns indexed by the given edges."""
+def transition_matrix(f: GraphMap, edges: tuple[int, ...]) -> list[list[int]]:
+    """Integer matrix M as rows, M[i][j] = number of times f(E_j) crosses
+    E_i in either direction, rows and columns indexed by the given edges."""
     pos = {e: i for i, e in enumerate(edges)}
-    m = np.zeros((len(edges), len(edges)), dtype=np.int64)
+    m = [[0] * len(edges) for _ in edges]
     for e in edges:
         for d in f.edge_image(e):
             i = pos.get(abs(d))
             if i is not None:
-                m[i, pos[e]] += 1
+                m[i][pos[e]] += 1
     return m
 
 
-def is_irreducible(matrix: np.ndarray) -> bool:
-    """Whether the nonnegative matrix is irreducible (support digraph is
-    strongly connected; a 1x1 zero matrix is not irreducible)."""
-    m = np.asarray(matrix)
-    n = m.shape[0]
-    if n == 0:
-        return False
-    if n == 1:
-        return bool(m[0, 0] > 0)
-    adj = {i: set(np.flatnonzero(row).tolist()) for i, row in enumerate(m > 0)}
-    return len(_components(adj)) == 1
+def is_irreducible(matrix) -> bool:
+    """Whether the nonnegative matrix (a sequence of rows) is irreducible:
+    its support digraph is strongly connected and has an edge, so a 1x1
+    zero matrix is not irreducible."""
+    adj = {i: {j for j, x in enumerate(row) if x > 0} for i, row in enumerate(matrix)}
+    return len(_components(adj)) == 1 and all(adj.values())
 
 
-def _is_permutation_matrix(m: np.ndarray) -> bool:
-    return bool(
-        ((m == 0) | (m == 1)).all()
-        and (m.sum(axis=0) == 1).all()
-        and (m.sum(axis=1) == 1).all()
-    )
+def _sparse(rows) -> list[list[tuple[int, float]]]:
+    """Each row's nonzero entries as (column, entry) pairs, in column
+    order.  _dot adds nonnegative terms from 0.0, and a zero term leaves
+    such a total as it is, so skipping zeros keeps the dense fold's bits."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def _dot(pairs, v) -> float:
+    """The sum of x * v[j] over the (j, x) pairs, folded left to right
+    from 0.0: sum() compensates rounding from Python 3.12."""
+    total = 0.0
+    for j, x in pairs:
+        total += x * v[j]
+    return total
+
+
+def _rayleigh(rows, v) -> float:
+    """v M^T v / v v, the Rayleigh quotient of v; rows is M, sparse."""
+    return _dot(enumerate([_dot(r, v) for r in rows]), v) / _dot(enumerate(v), v)
 
 
 def pf_eigen(
-    matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 1_000_000
-) -> tuple[float, np.ndarray]:
+    matrix, tol: float = 1e-12, max_iter: int = 1_000_000
+) -> tuple[float, tuple[float, ...]]:
     """Perron-Frobenius value and left eigenvector of an irreducible
-    nonnegative matrix, eigenvector normalized to minimum entry 1.
+    nonnegative matrix (a sequence of rows), eigenvector normalized to
+    minimum entry 1.
 
     Power iteration runs on (M + I)^T, which is primitive whenever M is
     irreducible, so it converges even for periodic matrices.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = [[float(x) for x in row] for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if (m < 0).any():
+    if any(x < 0 for row in m for x in row):
         raise ValueError("matrix must be nonnegative")
     if not is_irreducible(m):
         raise ValueError("matrix is not irreducible")
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0]), np.array([1.0])
-    a = (m + np.eye(n)).T
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
+    mt = list(zip(*m))
+    rows, cols = _sparse(m), _sparse(mt)
+    a = _sparse([x + (i == j) for j, x in enumerate(c)] for i, c in enumerate(mt))
+    v = [1.0 / n] * n
     for _ in range(max_iter):
-        w = a @ v
-        w /= w.sum()
-        lam = float(v @ m.T @ v / (v @ v))
-        if np.abs(m.T @ w - lam * w).max() <= tol * max(lam, 1.0):
-            v = w
-            break
+        w = [_dot(row, v) for row in a]
+        total = reduce(add, w)
+        w = [x / total for x in w]
+        lam = _rayleigh(rows, v)
+        residual = max(abs(_dot(col, w) - lam * x) for col, x in zip(cols, w))
         v = w
+        if residual <= tol * max(lam, 1.0):
+            break
     else:
         raise ArithmeticError("power iteration did not converge")
-    lam = float(v @ m.T @ v / (v @ v))
-    return lam, v / v.min()
+    lam = _rayleigh(rows, v)
+    low = min(v)
+    return lam, tuple(x / low for x in v)
 
 
 def compute_filtration(f: GraphMap) -> Filtration:
@@ -222,14 +231,14 @@ def compute_filtration(f: GraphMap) -> Filtration:
         unplaced.remove(comp)
         placed.update(comp)
         m = transition_matrix(f, comp)
-        if not m.any():
-            kind, lam, vec = "zero", None, None
-        else:
-            lam_f, v = pf_eigen(m)
-            if _is_permutation_matrix(m):
-                kind, lam, vec = "polynomial", 1.0, tuple(float(x) for x in v)
-            else:
-                kind, lam, vec = "exponential", lam_f, tuple(float(x) for x in v)
+        crossings = sum(map(sum, m))
+        kind, lam, vec = "zero", None, None
+        # a nonzero m is irreducible, and an irreducible integer matrix is
+        # a permutation matrix exactly when its entries sum to its size
+        if crossings == len(comp):
+            kind, lam, vec = "polynomial", 1.0, pf_eigen(m)[1]
+        elif crossings:
+            kind, (lam, vec) = "exponential", pf_eigen(m)
         strata.append(
             Stratum(index=len(strata) + 1, edges=comp, kind=kind,
                     pf_value=lam, pf_vector=vec)

@@ -19,14 +19,11 @@ from traintrack.graphs import (
 from traintrack.growth import (
     _max_cancellation,
     bcc_estimate,
+    growth_table,
     trichotomy_classify,
     validate_bw1,
 )
-from traintrack.hyperbolicity import (
-    atoroidality_probe,
-    certificate_search,
-    growth_table,
-)
+from traintrack.hyperbolicity import atoroidality_probe, certificate_search
 from traintrack.nielsen import split_basic_paths, verify_splitting
 from traintrack.strata import (
     assign_metric,

@@ -659,36 +659,42 @@ class TestInputErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "args", [["probe"], ["certify"], ["growth", "a", "--k-min", "-1"]],
-        ids=lambda args: args[0],
+        "args, code, searches",
+        [(["probe"], 2, 1), (["certify"], 2, 1),
+         (["growth", "a", "--k-min", "-1"], 2, 1), (["growth", "a"], 0, 0)],
+        ids=["probe", "certify", "growth", "growth-forward"],
     )
     def test_graph_map_without_inverse_is_searched_once(
-        self, capsys, tmp_path, monkeypatch, args
+        self, capsys, tmp_path, monkeypatch, args, code, searches
     ):
         # a -> a b and b -> a b send a b^-1 to the identity, so the map
-        # this rose induces has no inverse; induced_automorphism searches
-        # for one and the command must not search again
+        # this rose induces has no inverse; a command searches for one
+        # once, and only when it needs one
         path = tmp_path / "noinv.gm"
         path.write_text(
             "vertex: v\nedge: ea v v\nedge: eb v v\nedge: ec v v\n"
             "image: ea -> ea eb\nimage: eb -> ea eb\nimage: ec -> ec ea\n"
             "mark: ea -> a\nmark: eb -> b\nmark: ec -> c\nfvertex: v -> v\n"
         )
-        searches = []
+        made = []
 
         def counted(phi, *rest):
-            searches.append(phi)
+            made.append(phi)
             return nielsen_inverse_search(phi, *rest)
 
         monkeypatch.setattr(graphs, "nielsen_inverse_search", counted)
         monkeypatch.setattr(cli, "nielsen_inverse_search", counted)
-        code, out, err = run(capsys, args[0], path, *args[1:])
-        assert (code, out) == (2, "")
+        got, out, err = run(capsys, args[0], path, *args[1:])
+        assert len(made) == searches
+        if code == 0:
+            assert (got, err) == (0, "")
+            assert out.startswith("k,norm\n0,1\n")
+            return
+        assert (got, out) == (2, "")
         assert err == (
             "error: no inverse known for this map and a short search found "
             "none; a .gm input cannot supply one\n"
         )
-        assert len(searches) == 1
 
 
 def _package_env():
@@ -701,6 +707,38 @@ def _package_env():
 
 
 class TestEntryPoints:
+    # each command's exit code and whether it loads numpy
+    NUMPY_LOADS = {
+        "analyze fib.aut": (0, False),
+        "analyze broken.gm": (1, False),
+        "nielsen plas.aut": (0, False),
+        "growth fib.aut a": (0, False),
+        "growth broken.gm a": (0, False),
+        "validate fib.aut bw1": (0, False),
+        "probe fib.aut": (0, True),
+        "certify fib.aut": (0, True),
+    }
+
+    @pytest.mark.parametrize("command", list(NUMPY_LOADS))
+    def test_only_the_class_sweeps_load_numpy(self, files, command):
+        # the algebra subcommands start without numpy; probe and certify
+        # load it for the batch kernels, so the check is not vacuous
+        code, loads_numpy = self.NUMPY_LOADS[command]
+        script = (
+            "import contextlib, io, sys\n"
+            "from traintrack.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        argv = [str(files / a) if a.endswith((".aut", ".gm")) else a
+                for a in command.split()]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=_package_env(),
+        )
+        assert (proc.stdout, proc.stderr) == (f"{code} {loads_numpy}\n", "")
+
     def test_module_execution(self, files):
         proc = subprocess.run(
             [sys.executable, "-m", "traintrack.cli", "growth",

@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 from traintrack import engine, hyperbolicity, load_fixture
 from traintrack.engine import class_count
 from traintrack.graphs import induced_automorphism
-from traintrack.hyperbolicity import (
-    atoroidality_probe,
-    certificate_search,
-    growth_table,
-)
+from traintrack.growth import growth_table
+from traintrack.hyperbolicity import atoroidality_probe, certificate_search
 from traintrack.words import (
     Automorphism,
     BudgetExceeded,
