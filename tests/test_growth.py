@@ -31,9 +31,9 @@ from traintrack.growth import (
     validate_tricho,
 )
 from traintrack.strata import Metric, assign_metric, compute_filtration
-from traintrack.words import BudgetExceeded
+from traintrack.words import BudgetExceeded, key_word
 
-from conftest import PHI, naive_longest_short_path
+from conftest import PHI, naive_longest_short_path, random_rose_map
 
 INP = (-1, -2, 1, 2)
 
@@ -152,6 +152,21 @@ class TestBcc:
         assert _max_cancellation(f, met, window) == pytest.approx(
             naive_max_cancellation(f, met, window), abs=1e-12
         )
+
+    @pytest.mark.parametrize("name", ["fib", "plas", "poly", "rel", "random"])
+    def test_path_images_match_tight_paths(self, request, name):
+        if name == "random":
+            rng = random.Random("path images")
+            maps = [random_rose_map(2 + i % 2, rng) for i in range(20)]
+        else:
+            maps = [rose_of(request.getfixturevalue(name))]
+        for f in maps:
+            for w in range(1, 6):
+                got = sorted(growth._iter_path_images(f, w))
+                assert got == sorted(
+                    (p[0], p[-1], key_word(f.map_letters(p)))
+                    for p in iter_tight_paths(f.graph, w)
+                )
 
     def test_fib_constant(self, fib_setup):
         f, _, _ = fib_setup

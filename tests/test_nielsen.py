@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from traintrack.graphs import (
@@ -17,6 +20,7 @@ from traintrack.nielsen import (
     verify_splitting,
 )
 from traintrack.strata import compute_filtration
+from traintrack.words import inverse_word, letter_key
 
 INP = (-1, -2, 1, 2)  # a^-1 b^-1 a b
 
@@ -93,6 +97,47 @@ class TestSearch:
         # develop also returns tight concatenations at the same tip
         assert all(r.exact for r in develop)
 
+    # the develop inventory at the defaults, as (path, period, exact,
+    # start_fraction, end_fraction, method)
+    DEVELOP = {
+        "fib": [
+            ((-1, -2, 1, 2), 2, True, 0.0, 1.0, "develop"),
+            ((-1, -2, 1, 2, -1, -2, 1, 2), 2, True, 0.0, 1.0, "compose"),
+            ((-1, -2, 1, 2, -1, -2, 1, 2, -1, -2, 1, 2), 2, True, 0.0, 1.0,
+             "compose"),
+        ],
+        "fib_inverse": [
+            ((-1, -2), 2, False, 1.0452749776845849e-12, 0.6180339887498948,
+             "develop"),
+            ((-2, 1, 2), 2, False, 0.6180339887501415, 1.0, "develop"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEVELOP))
+    def test_develop_inventory(self, request, name):
+        f = rose_of(request.getfixturevalue(name))
+        recs = find_nielsen_paths(f, orbit_budget=0)
+        assert [
+            (r.path, r.period, r.exact, r.start_fraction, r.end_fraction,
+             r.method)
+            for r in recs
+        ] == self.DEVELOP[name]
+
+    @pytest.mark.parametrize(
+        "name, orbit_budget",
+        [(n, 200_000) for n in ("fib", "fib_inverse", "poly", "rel", "ident")]
+        # the develop search runs only when every stratum is exponential
+        + [(n, 0) for n in ("fib", "fib_inverse")],
+    )
+    def test_records_precede_their_reverse(self, request, name, orbit_budget):
+        # a path is reported in the orientation whose letter keys come first
+        f = rose_of(request.getfixturevalue(name))
+        recs = find_nielsen_paths(f, orbit_budget=orbit_budget)
+        assert recs
+        for rec in recs:
+            keys = [letter_key(d) for d in rec.path]
+            assert keys < [letter_key(d) for d in inverse_word(rec.path)]
+
 
 class TestIsPreNielsen:
     def test_nielsen_itself(self, fib_rose):
@@ -168,6 +213,32 @@ class TestSplitting:
                 poly_rose, whole, pieces, k_max=5, circuit=True
             )
             assert ok, detail
+
+    @pytest.mark.parametrize("name, r", [("poly_rose", 2), ("rel_rose", 1)])
+    def test_circuit_cuts_are_the_e_junctions(self, request, name, r):
+        # pieces of a circuit join to a rotation of it, cut exactly at the
+        # junctions just before E or just after E^-1, whichever cut the
+        # list starts at
+        f = request.getfixturevalue(name)
+        e = f.filtration.stratum(r).edges[0]
+        below = f.filtration.edges_through(r)
+        assert below == frozenset(range(1, len(below) + 1))
+        sub = Graph(["v"], [(f.graph.edge_names[i - 1], "v", "v")
+                            for i in sorted(below)])
+        rng = random.Random(f"split {name}")
+        for _ in range(200):
+            c = random_circuit(sub, 10, rng)
+            n = len(c)
+            want = {j for j in range(n) if c[j] == -e or c[(j + 1) % n] == e}
+            pieces = split_basic_paths(f, c, r=r, circuit=True)
+            assert all(pieces)
+            if not want:
+                assert pieces == [c]
+                continue
+            joined = tuple(d for p in pieces for d in p)
+            shift = next(s for s in range(n) if joined == c[s:] + c[:s])
+            ends = list(itertools.accumulate(len(p) for p in pieces))
+            assert {(shift + q - 1) % n for q in ends} == want
 
     def test_bad_split_is_caught(self, fib_rose):
         ok, detail = verify_splitting(fib_rose, INP, [INP[:2], INP[2:]])
