@@ -25,7 +25,6 @@ from .words import (
     letter_key,
     letter_table,
     nielsen_inverse_search,
-    invert_verify,
     compose,
     generator_name,
     inverse_word,
@@ -49,7 +48,6 @@ class Graph:
         vertices: Sequence[str],
         edges: Sequence[tuple[str, str, str]],
         marking: dict[str, Sequence[int]] | None = None,
-        marking_rank: int | None = None,
     ):
         if not vertices:
             raise ValueError("graph needs at least one vertex")
@@ -85,11 +83,9 @@ class Graph:
             self.marking = letter_table(
                 _reduce(marking[n]) for n in self.edge_names
             )
-            if marking_rank is None:
-                marking_rank = max(
-                    (abs(x) for w in self.marking.values() for x in w), default=0
-                )
-            self.marking_rank = marking_rank
+            self.marking_rank = max(
+                (abs(x) for w in self.marking.values() for x in w), default=0
+            )
 
     @property
     def edge_count(self) -> int:
@@ -336,6 +332,29 @@ class GraphMap:
         return f"GraphMap({ims})"
 
 
+def cut(edges, flags, circuit: bool) -> list[tuple[int, ...]]:
+    """Split a tuple of edges at flagged junctions.  flags[j] refers
+    to the junction after edge j (for circuits the last flag is the wrap
+    junction).  A circuit with no cuts comes back as one cyclic piece."""
+    edges = tuple(edges)
+    if not any(flags):
+        return [edges]
+    if circuit:
+        # rotate the last cut onto the wrap junction, then cut as a path
+        shift = (max(j for j, c in enumerate(flags) if c) + 1) % len(edges)
+        edges = edges[shift:] + edges[:shift]
+        flags = flags[shift:] + flags[:shift]
+    pieces = []
+    prev = 0
+    for j, c in enumerate(flags):
+        if c:
+            pieces.append(edges[prev : j + 1])
+            prev = j + 1
+    if prev < len(edges):
+        pieces.append(edges[prev:])
+    return pieces
+
+
 def iter_tight_paths(
     graph: Graph,
     max_len: int,
@@ -378,7 +397,6 @@ def rose_of(phi: Automorphism, label: str | None = None) -> GraphMap:
         ["v"],
         [(n, "v", "v") for n in names],
         marking={n: (i,) for i, n in enumerate(names, start=1)},
-        marking_rank=phi.rank,
     )
     images = dict(zip(names, phi.images))
     return GraphMap(graph, {"v": "v"}, images, label=label or phi.label)
@@ -407,17 +425,12 @@ def _spanning_tree(graph: Graph) -> tuple[dict[str, tuple[int, ...]], list[int]]
     return from_base, non_tree
 
 
-def induced_automorphism(
-    f: GraphMap,
-    inverse: Automorphism | Sequence[Sequence[int]] | None = None,
-) -> Automorphism:
+def induced_automorphism(f: GraphMap) -> Automorphism:
     """Read off the outer automorphism that f induces on the marked fundamental group.
 
     Uses a spanning tree at the first vertex; the result is one representative
-    of the outer class.  If `inverse` is given its images must invert the
-    result (raises ValueError otherwise, which is the homotopy equivalence
-    check); without it the result carries no inverse, and a caller that
-    needs one searches for it (words.nielsen_inverse_search).
+    of the outer class.  It carries no inverse: a caller that needs one
+    searches for it (words.nielsen_inverse_search).
     """
     graph = f.graph
     if graph.marking is None:
@@ -457,23 +470,12 @@ def induced_automorphism(
     psi = Automorphism(k, psi_images, label=(f.label + "#" if f.label else ""))
 
     if all(w == (j,) for j, w in enumerate(loop_markings, start=1)):
-        phi = psi
-    else:
-        m = Automorphism(k, loop_markings)
-        m_full = nielsen_inverse_search(m)
-        if m_full is None:
-            raise ValueError("could not invert the marking; supply a simpler one")
-        phi = compose(compose(m_full, psi), m_full.inverse())
-
-    if inverse is not None:
-        cand = inverse.images if isinstance(inverse, Automorphism) else tuple(inverse)
-        if not invert_verify(phi, cand):
-            raise ValueError(
-                "induced endomorphism is not inverted by the supplied inverse; "
-                "the map is not a homotopy equivalence realizing it"
-            )
-        return Automorphism(k, phi.images, cand, label=phi.label)
-    return phi
+        return psi
+    m = Automorphism(k, loop_markings)
+    m_full = nielsen_inverse_search(m)
+    if m_full is None:
+        raise ValueError("could not invert the marking; supply a simpler one")
+    return compose(compose(m_full, psi), m_full.inverse())
 
 
 def preimage_circuit(
@@ -523,13 +525,9 @@ def random_circuit(graph: Graph, max_len: int, rng) -> tuple[int, ...]:
     """
     for _ in range(400):
         path = random_tight_path(graph, max_len, rng)
-        if not path:
-            continue
         if graph.terminus(path[-1]) != graph.origin(path[0]):
             continue
         if len(path) > 1 and path[-1] == -path[0]:
-            continue
-        if len(path) == 1 and graph.origin(path[0]) != graph.terminus(path[0]):
             continue
         return tuple(path)
     raise ValueError("could not sample a circuit within the length bound")

@@ -11,9 +11,11 @@ H_r part of the length.  Circuits use cyclic turns and segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
-from .graphs import GraphMap, canonical_circuit, preimage_circuit
+from .graphs import (GraphMap, canonical_circuit, cut, iter_tight_paths,
+                     preimage_circuit)
 from .nielsen import is_pre_nielsen, split_basic_paths, verify_splitting
 from .strata import CheckReport, Filtration, Metric
 from .words import (Automorphism, BudgetExceeded, common_prefix, cyclic_core,
@@ -55,29 +57,6 @@ class PathStats:
     script_L_r: float | None = None
 
 
-def _segments(edges, cut_flags, circuit):
-    """Split a tuple of edges at flagged junctions.  cut_flags[j] refers
-    to the junction after edge j (for circuits the last flag is the wrap
-    junction).  A circuit with no cuts comes back as one cyclic piece."""
-    edges = tuple(edges)
-    if not any(cut_flags):
-        return [edges]
-    if circuit:
-        # rotate the last cut onto the wrap junction, then cut as a path
-        shift = (max(j for j, c in enumerate(cut_flags) if c) + 1) % len(edges)
-        edges = edges[shift:] + edges[:shift]
-        cut_flags = cut_flags[shift:] + cut_flags[:shift]
-    pieces = []
-    prev = 0
-    for j, c in enumerate(cut_flags):
-        if c:
-            pieces.append(edges[prev : j + 1])
-            prev = j + 1
-    if prev < len(edges):
-        pieces.append(edges[prev:])
-    return pieces
-
-
 def path_stats(
     p,
     filtration: Filtration,
@@ -96,7 +75,7 @@ def path_stats(
     script_L = (
         L
         if i == 0
-        else max(metric.length(s) for s in _segments(edges, ill_flags, circuit))
+        else max(metric.length(s) for s in cut(edges, ill_flags, circuit))
     )
     out = {"L": L, "i": i, "script_L": script_L}
     if r is not None:
@@ -112,7 +91,7 @@ def path_stats(
             if i_r == 0
             else max(
                 metric.r_length(s, hr)
-                for s in _segments(edges, r_flags, circuit)
+                for s in cut(edges, r_flags, circuit)
             )
         )
         out.update(L_r=L_r, i_r=i_r, script_L_r=script_L_r)
@@ -139,21 +118,19 @@ class CancellationData:
 def _iter_path_images(f: GraphMap, window: int):
     """All tight paths with at most window edges, as triples
     (first direction, last direction, tightened image as key bytes)."""
-    g = f.graph
-    dirs = g.directions()
-    img = {d: key_word(f.edge_image(d)) for d in dirs}
-    stack = [((d,), img[d]) for d in reversed(dirs)]
-    while stack:
-        path, u = stack.pop()
+    img = {d: key_word(f.edge_image(d)) for d in f.graph.directions()}
+    # iter_tight_paths yields each path after its parent and before any
+    # other path of its parent's length, so images[k] is the image of the
+    # last path of k edges yielded: the parent of the next of k + 1
+    images = [b""] * (window + 1)
+    for path in iter_tight_paths(f.graph, window):
+        u, w = images[len(path) - 1], img[path[-1]]
+        i, j = len(u), 0
+        while i > 0 and j < len(w) and u[i - 1] == w[j] ^ 1:
+            i -= 1
+            j += 1
+        u = images[len(path)] = u[:i] + w[j:]
         yield path[0], path[-1], u
-        if len(path) < window:
-            for d in g.successors(path[-1]):
-                w = img[d]
-                i, j = len(u), 0
-                while i > 0 and j < len(w) and u[i - 1] == w[j] ^ 1:
-                    i -= 1
-                    j += 1
-                stack.append((path + (d,), u[:i] + w[j:]))
 
 
 def _max_cancellation(f: GraphMap, metric: Metric, window: int) -> float:
@@ -605,7 +582,7 @@ def growth_decomposition(
             fraction=1.0,
             details={"i": 0},
         )
-    segs = _segments(edges, f.illegal_flags(edges, circuit=True), circuit=True)
+    segs = cut(edges, f.illegal_flags(edges, circuit=True), circuit=True)
     if st.L / st.i >= L0 - _SLACK:
         keep = [s for s in segs if metric.length(s) >= L0 - _SLACK]
         frac = sum(metric.length(s) for s in keep) / total
@@ -633,17 +610,11 @@ def growth_decomposition(
         m = len(segs)
         start = next(j for j, fl in enumerate(long_flags) if fl)
         order = [(start + j) % m for j in range(1, m + 1)]
-        blocks: list[list[int]] = []
-        cur: list[int] = []
-        for j in order:
-            if long_flags[j]:
-                if cur:
-                    blocks.append(cur)
-                    cur = []
-            else:
-                cur.append(j)
-        if cur:
-            blocks.append(cur)
+        blocks = [
+            list(run)
+            for long, run in groupby(order, key=long_flags.__getitem__)
+            if not long
+        ]
         pieces = []
         for blk in blocks:
             if len(blk) - 1 >= 4:

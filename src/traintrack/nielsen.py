@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .graphs import GraphMap, iter_tight_paths
+from .graphs import GraphMap, cut, iter_tight_paths
 from .strata import Filtration, Metric
 from .words import BudgetExceeded, common_prefix, inverse_word, letter_key
 
@@ -74,9 +74,19 @@ def _key_tuple(path) -> tuple[int, ...]:
     return tuple(letter_key(d) for d in path)
 
 
+def _precedes_reverse(path) -> bool:
+    """Whether a path comes no later than its reverse in letter order,
+    compared letter by letter without building the reverse."""
+    n = len(path)
+    for i in range(n):
+        a, b = letter_key(path[i]), letter_key(-path[n - 1 - i])
+        if a != b:
+            return a < b
+    return True
+
+
 def _canonical(rec: NielsenPathRecord) -> NielsenPathRecord:
-    rev = rec.reversed()
-    return rec if _key_tuple(rec.path) <= _key_tuple(rev.path) else rev
+    return rec if _precedes_reverse(rec.path) else rec.reversed()
 
 
 def _identity_key(rec: NielsenPathRecord):
@@ -112,7 +122,7 @@ def _orbit_search(f, len_bound, period_bound):
     filtration = f.filtration
     found: dict[tuple[int, ...], int] = {}
     for p in iter_tight_paths(f.graph, len_bound):
-        if _key_tuple(inverse_word(p)) < _key_tuple(p):
+        if not _precedes_reverse(p):
             continue
         j = _minimal_period(f, p, period_bound)
         if j is not None:
@@ -427,8 +437,8 @@ def split_basic_paths(
     """Split a path in G_r at the polynomial stratum H_r = {E}: cut
     immediately before each occurrence of E and immediately after each
     occurrence of E inverse.  Pieces have the shapes E u, E u E^-1, or
-    u with u below the stratum.  Circuits are rotated to start at a cut
-    point first; a circuit not crossing E comes back whole.
+    u with u below the stratum.  A circuit's pieces start at one of its
+    cuts (graphs.cut); a circuit not crossing E comes back whole.
     """
     filtration = f.filtration
     stratum = filtration.stratum(r)
@@ -440,30 +450,10 @@ def split_basic_paths(
     if any(abs(d) not in allowed for d in edges):
         raise ValueError("path is not contained in G_r")
 
-    def cut_points(seq):
-        pts = set()
-        for i, d in enumerate(seq):
-            if d == e:
-                pts.add(i)
-            elif d == -e:
-                pts.add(i + 1)
-        return sorted(p for p in pts if 0 < p < len(seq))
-
-    if circuit:
-        anchors = [i for i, d in enumerate(edges) if d == e] + [
-            i + 1 for i, d in enumerate(edges) if d == -e
-        ]
-        if not anchors:
-            return [edges]
-        shift = min(a % len(edges) for a in anchors)
-        edges = edges[shift:] + edges[:shift]
-    pts = cut_points(edges)
-    pieces = []
-    prev = 0
-    for p in pts + [len(edges)]:
-        pieces.append(edges[prev:p])
-        prev = p
-    return pieces
+    # flags[j]: the junction after edge j is just before E or just after E^-1
+    after = edges[1:] + edges[:1] if circuit else edges[1:]
+    flags = [a == -e or b == e for a, b in zip(edges, after)]
+    return cut(edges, flags, circuit)
 
 
 def basic_path_type(filtration: Filtration, piece, r: int) -> str:

@@ -29,6 +29,11 @@ __all__ = [
     "InternalError",
 ]
 
+# pf_eigen: the residual, relative to max(lambda, 1), at which power
+# iteration stops, and the steps it may take before giving up
+_PF_TOL = 1e-12
+_PF_MAX_ITER = 1_000_000
+
 
 class InternalError(RuntimeError):
     """A result broke an invariant that its construction guarantees: a
@@ -165,9 +170,7 @@ def _rayleigh(rows, v) -> float:
     return _dot(enumerate([_dot(r, v) for r in rows]), v) / _dot(enumerate(v), v)
 
 
-def pf_eigen(
-    matrix, tol: float = 1e-12, max_iter: int = 1_000_000
-) -> tuple[float, tuple[float, ...]]:
+def pf_eigen(matrix) -> tuple[float, tuple[float, ...]]:
     """Perron-Frobenius value and left eigenvector of an irreducible
     nonnegative matrix (a sequence of rows), eigenvector normalized to
     minimum entry 1.
@@ -187,14 +190,14 @@ def pf_eigen(
     rows, cols = _sparse(m), _sparse(mt)
     a = _sparse([x + (i == j) for j, x in enumerate(c)] for i, c in enumerate(mt))
     v = [1.0 / n] * n
-    for _ in range(max_iter):
+    for _ in range(_PF_MAX_ITER):
         w = [_dot(row, v) for row in a]
         total = reduce(add, w)
         w = [x / total for x in w]
         lam = _rayleigh(rows, v)
         residual = max(abs(_dot(col, w) - lam * x) for col, x in zip(cols, w))
         v = w
-        if residual <= tol * max(lam, 1.0):
+        if residual <= _PF_TOL * max(lam, 1.0):
             break
     else:
         raise ArithmeticError("power iteration did not converge")

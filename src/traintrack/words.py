@@ -425,7 +425,7 @@ def nielsen_inverse_search(phi: Automorphism, depth: int = 4) -> Automorphism | 
     target = tuple((i,) for i in range(1, rank + 1))
     start = phi.images
     if start == target:
-        return identity_automorphism(rank)
+        return Automorphism(rank, phi.images, target, label=phi.label)
     gens = _elementary_automorphisms(rank)
     seen = {start}
     queue: deque[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = deque()

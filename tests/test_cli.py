@@ -659,6 +659,25 @@ class TestInputErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
+        "args",
+        [["probe", "-L", "4", "-P", "2"], ["certify", "-M", "3", "-L", "4"],
+         ["growth", "a"]],
+        ids=["probe", "certify", "growth"],
+    )
+    def test_identity_graph_map_keeps_its_label(self, capsys, tmp_path, args):
+        # the inverse found for an identity map is the map itself, label
+        # included, as for any other map
+        path = tmp_path / "idmap.gm"
+        path.write_text(
+            "vertex: v\nedge: ea v v\nedge: eb v v\n"
+            "image: ea -> ea\nimage: eb -> eb\n"
+            "mark: ea -> a\nmark: eb -> b\nfvertex: v -> v\n"
+        )
+        code, out, err = run(capsys, args[0], path, *args[1:], "--format", "text")
+        assert (code, err) == (0, "")
+        assert out.startswith("input: idmap#\n")
+
+    @pytest.mark.parametrize(
         "args, code, searches",
         [(["probe"], 2, 1), (["certify"], 2, 1),
          (["growth", "a", "--k-min", "-1"], 2, 1), (["growth", "a"], 0, 0)],

@@ -32,7 +32,6 @@ def theta():
         ["u", "v"],
         [("p", "u", "v"), ("q", "u", "v"), ("r", "u", "v")],
         marking={"p": (), "q": (1,), "r": (2,)},
-        marking_rank=2,
     )
 
 
@@ -171,7 +170,7 @@ class TestGraphMap:
             preimage_circuit(fib_rose, fib_rose, c, 1)  # f is not its own inverse
 
     def test_induced_automorphism_round_trip(self, fib, fib_rose):
-        phi = induced_automorphism(fib_rose, inverse=fib.inverse())
+        phi = induced_automorphism(fib_rose)
         assert outer_equal(phi, fib)
 
     def test_induced_automorphism_on_theta(self, theta, fib):
