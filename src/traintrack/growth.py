@@ -120,8 +120,8 @@ def _iter_path_images(f: GraphMap, window: int):
     (first direction, last direction, tightened image as key bytes)."""
     img = {d: key_word(f.edge_image(d)) for d in f.graph.directions()}
     # iter_tight_paths yields each path after its parent and before any
-    # other path of its parent's length, so images[k] is the image of the
-    # last path of k edges yielded: the parent of the next of k + 1
+    # other path of its parent's length, so when a path of k edges comes,
+    # images[k - 1] still holds its parent's image
     images = [b""] * (window + 1)
     for path in iter_tight_paths(f.graph, window):
         u, w = images[len(path) - 1], img[path[-1]]

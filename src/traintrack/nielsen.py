@@ -77,11 +77,9 @@ def _key_tuple(path) -> tuple[int, ...]:
 def _precedes_reverse(path) -> bool:
     """Whether a path comes no later than its reverse in letter order,
     compared letter by letter without building the reverse."""
-    n = len(path)
-    for i in range(n):
-        a, b = letter_key(path[i]), letter_key(-path[n - 1 - i])
-        if a != b:
-            return a < b
+    for a, b in zip(path, reversed(path)):
+        if a != -b:
+            return letter_key(a) < letter_key(-b)
     return True
 
 
