@@ -15,6 +15,7 @@ from traintrack import (
     load_fixture,
     rose_of,
 )
+from traintrack.graphs import make_turn
 from traintrack.words import (
     CyclicWord,
     _elementary_automorphisms,
@@ -111,6 +112,24 @@ def rel_inv_rose(rel):
     return rose_of(rel.inverse(), label="rel-inv")
 
 
+def chain_rose():
+    # the derivative is one chain a -> a^-1 -> b -> b^-1 -> c -> c^-1, and
+    # c^-1 is fixed: the turn {a, c^-1} degenerates only at the fifth step
+    g = Graph(["v"], [(x, "v", "v") for x in "abc"])
+    return GraphMap(g, {"v": "v"}, {"a": (-1, -2), "b": (-2, -3), "c": (-3, 1, 3)})
+
+
+@pytest.fixture(scope="session")
+def turn_maps(fib_rose, plas_rose, poly_rose, rel):
+    # two exponential strata {a, b} < {c, d}; c -> a c d pinches the turn
+    # {a, c}, so an illegal turn meets H_2 through its second direction only
+    two = Automorphism.from_letter_lists([(1, 2), (1,), (1, 3, 4), (3,)])
+    return {
+        "fib": fib_rose, "plas": plas_rose, "poly": poly_rose,
+        "rel": rose_of(rel), "two": rose_of(two), "chain": chain_rose(),
+    }
+
+
 @pytest.fixture(scope="session")
 def fib_filtration(fib_rose):
     return compute_filtration(fib_rose)
@@ -192,6 +211,39 @@ def naive_longest_short_path(graph, metric, L0, slack=1e-9):
     for p in iter_tight_paths(graph, max_len=10 ** 9, prune=prune):
         best = max(best, metric.length(p))
     return best
+
+
+def naive_rtt_iii(f, max_len=6):
+    """Condition 3 of a relative train track map, by listing paths: for
+    each exponential stratum H_r, the tight paths in G_r of at most
+    max_len edges that cross H_r, have no illegal turn meeting H_r, and
+    whose tightened image has one.  Returns (stratum, path) pairs.  A
+    turn is illegal when turn_orbit says so; images are naive_apply's."""
+    g = f.graph
+    illegal = {t for t in f.all_turns() if f.turn_orbit(t)[0] == "illegal"}
+    images = {e: f.edge_image(e) for e in range(1, g.edge_count + 1)}
+    out = []
+    for s in f.filtration.exponential_strata():
+        hr = set(s.edges)
+        gr = f.filtration.edges_through(s.index)
+
+        def r_illegal(a, b):
+            return make_turn(-a, b) in illegal and (abs(a) in hr or abs(b) in hr)
+
+        def extend(path):
+            if any(abs(d) in hr for d in path):
+                image = naive_apply(images, path)
+                if any(r_illegal(a, b) for a, b in zip(image, image[1:])):
+                    out.append((s.index, path))
+            if len(path) < max_len:
+                for d in g.successors(path[-1]):
+                    if abs(d) in gr and not r_illegal(path[-1], d):
+                        extend(path + (d,))
+
+        for d in g.directions():
+            if abs(d) in gr:
+                extend((d,))
+    return out
 
 
 def stack_length(keys, words, lens):

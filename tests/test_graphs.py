@@ -215,24 +215,6 @@ def test_random_samplers_are_valid(theta, rng):
         theta.check_path(p)
 
 
-def _chain_rose():
-    # the derivative is one chain a -> a^-1 -> b -> b^-1 -> c -> c^-1, and
-    # c^-1 is fixed: the turn {a, c^-1} degenerates only at the fifth step
-    g = Graph(["v"], [(x, "v", "v") for x in "abc"])
-    return GraphMap(g, {"v": "v"}, {"a": (-1, -2), "b": (-2, -3), "c": (-3, 1, 3)})
-
-
-@pytest.fixture(scope="module")
-def turn_maps(fib_rose, plas_rose, poly_rose, rel):
-    # two exponential strata {a, b} < {c, d}; c -> a c d pinches the turn
-    # {a, c}, so an illegal turn meets H_2 through its second direction only
-    two = Automorphism.from_letter_lists([(1, 2), (1,), (1, 3, 4), (3,)])
-    return {
-        "fib": fib_rose, "plas": plas_rose, "poly": poly_rose,
-        "rel": rose_of(rel), "two": rose_of(two), "chain": _chain_rose(),
-    }
-
-
 def test_illegal_turns_match_turn_orbits(turn_maps):
     """A turn is in illegal_turns exactly when turn_orbit, which iterates
     the derivative on the turn until it degenerates or repeats, calls it

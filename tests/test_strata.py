@@ -16,7 +16,7 @@ from traintrack.strata import (
     verify_rtt,
 )
 
-from conftest import PHI, random_rose_map, reach_closure
+from conftest import PHI, naive_rtt_iii, random_rose_map, reach_closure
 
 PLASTIC = 1.3247179572447460  # real root of x^3 = x + 1
 
@@ -320,6 +320,21 @@ class TestMetric:
         )
 
 
+def _rtt_corpus(turn_maps, broken):
+    """80 seeded rose maps of ranks 2 and 3 whose exponential strata have
+    at most one edge below them (so condition 2 lists few paths), the
+    three-vertex map, the turn maps of test_graphs, and broken."""
+    rng = random.Random("rtt oracle")
+    maps = []
+    while len(maps) < 80:
+        f = random_rose_map(2 + len(maps) % 2, rng)
+        filt = f.filtration
+        if all(len(filt.edges_below(s.index)) <= 1
+               for s in filt.exponential_strata()):
+            maps.append(f)
+    return maps + [_tree_example(), *turn_maps.values(), broken]
+
+
 class TestVerify:
     def test_fib_passes_rtt(self, fib_rose, fib_filtration):
         rep = verify_rtt(fib_rose)
@@ -328,6 +343,21 @@ class TestVerify:
     def test_plas_rel_pass(self, plas_rose, rel_rose):
         assert verify_rtt(plas_rose).passed
         assert verify_rtt(rel_rose).passed
+
+    def test_rtt_matches_the_path_listing(self, turn_maps, broken):
+        """verify_rtt passes exactly when it has no condition-1 or
+        condition-2 row and conftest.naive_rtt_iii, which lists the
+        r-legal paths of up to 6 edges, finds no path with an r-illegal
+        image."""
+        outcomes = set()
+        for f in _rtt_corpus(turn_maps, broken):
+            rep = verify_rtt(f)
+            lower = [v for v in rep.rows if v["condition"] != 3]
+            bad = naive_rtt_iii(f)
+            assert rep.passed == (not lower and not bad), (f, rep.rows, bad)
+            outcomes.add((bool(lower), bool(bad)))
+        # the corpus passes, fails condition 3 alone, and fails the others
+        assert {(False, False), (False, True), (True, False)} <= outcomes
 
     def test_broken_fails_condition_1_on_ea(self, broken):
         filt = compute_filtration(broken)
