@@ -360,13 +360,10 @@ def iter_tight_paths(
     max_len: int,
     allowed_edges: frozenset[int] | set[int] | None = None,
     start_vertices: set[str] | None = None,
-    prune=None,
 ):
     """Yield all nonempty tight edge paths with at most max_len edges.
 
-    allowed_edges restricts to a subgraph (positive edge ids); prune, when
-    given, is called on each partial path and a True result cuts the branch
-    (the partial path itself is not yielded either).
+    allowed_edges restricts to a subgraph (positive edge ids).
     """
     if allowed_edges is None:
         allowed_edges = frozenset(range(1, graph.edge_count + 1))
@@ -382,8 +379,6 @@ def iter_tight_paths(
     ]
     while stack:
         path = stack.pop()
-        if prune is not None and prune(path):
-            continue
         yield path
         if len(path) < max_len:
             for d in after[path[-1]]:

@@ -128,7 +128,7 @@ def _orbit_search(f, len_bound, period_bound):
     nielsen_set = set(found)
     nielsen_set |= {inverse_word(p) for p in nielsen_set}
     records = []
-    for p, j in sorted(found.items(), key=lambda kv: (len(kv[0]), _key_tuple(kv[0]))):
+    for p, j in found.items():
         divisible = any(
             p[:i] in nielsen_set and p[i:] in nielsen_set
             for i in range(1, len(p))
@@ -219,7 +219,8 @@ def _develop_turn(f, fk, turn, len_bound, max_states=50_000):
 
 def _cut_ray(ray, target, metric: Metric, hr, tol=1e-9):
     """Cut an H_r length off the front of a ray.  Returns (edges, frac)
-    with frac in (0, 1], or None when the cut point is ambiguous."""
+    with frac in (0, 1], 1 when within tol of it, or None when the cut
+    point is ambiguous."""
     acc = 0.0
     for i, d in enumerate(ray):
         el = metric.edge_length(d) if abs(d) in hr else 0.0
@@ -229,7 +230,7 @@ def _cut_ray(ray, target, metric: Metric, hr, tol=1e-9):
             frac = (target - acc) / el
             if frac < tol:
                 return None
-            return ray[: i + 1], min(frac, 1.0)
+            return ray[: i + 1], 1.0 if frac > 1.0 - tol else frac
         acc += el
     return None
 

@@ -11,7 +11,6 @@ from traintrack import (
     compute_filtration,
     engine,
     hyperbolicity,
-    iter_tight_paths,
     load_fixture,
     rose_of,
 )
@@ -206,11 +205,14 @@ def naive_classes(rank, max_norm):
 def naive_longest_short_path(graph, metric, L0, slack=1e-9):
     """Longest tight path shorter than L0 - slack, by listing every path
     that stays below the cut."""
-    best = 0.0
-    prune = lambda p: metric.length(p) >= L0 - slack
-    for p in iter_tight_paths(graph, max_len=10 ** 9, prune=prune):
-        best = max(best, metric.length(p))
-    return best
+    def longest(path):
+        length = metric.length(path)
+        if length >= L0 - slack:
+            return 0.0
+        return max([length] + [longest(path + (d,))
+                               for d in graph.successors(path[-1])])
+
+    return max([0.0] + [longest((d,)) for d in graph.directions()])
 
 
 def naive_rtt_iii(f, max_len=6):

@@ -193,12 +193,6 @@ def test_iter_tight_paths_counts(fib_rose):
     assert all(len(p) <= 3 for p in paths)
 
 
-def test_iter_tight_paths_prune(fib_rose):
-    # a pruned partial path is dropped before being yielded
-    paths = list(iter_tight_paths(fib_rose.graph, 5, prune=lambda p: len(p) >= 2))
-    assert sorted(paths) == [(-2,), (-1,), (1,), (2,)]
-
-
 def test_successors(theta, fib_rose):
     # directions at the terminus other than the reversal, in directions_at order
     assert theta.successors(1) == (-2, -3)

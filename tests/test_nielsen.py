@@ -107,8 +107,7 @@ class TestSearch:
              "compose"),
         ],
         "fib_inverse": [
-            ((-1, -2), 2, False, 1.0452749776845849e-12, 0.6180339887498948,
-             "develop"),
+            ((-1, -2), 2, False, 0.0, 0.6180339887498948, "develop"),
             ((-2, 1, 2), 2, False, 0.6180339887501415, 1.0, "develop"),
         ],
     }

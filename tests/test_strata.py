@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from traintrack.graphs import GraphMap, iter_tight_paths, rose_of
+from traintrack import strata
+from traintrack.graphs import GraphMap, iter_tight_paths, make_turn, rose_of
 from traintrack.strata import (
     Metric,
     assign_metric,
@@ -15,6 +16,7 @@ from traintrack.strata import (
     verify_improved,
     verify_rtt,
 )
+from traintrack.words import Automorphism
 
 from conftest import PHI, naive_rtt_iii, random_rose_map, reach_closure
 
@@ -320,10 +322,24 @@ class TestMetric:
         )
 
 
-def _rtt_corpus(turn_maps, broken):
-    """80 seeded rose maps of ranks 2 and 3 whose exponential strata have
-    at most one edge below them (so condition 2 lists few paths), the
-    three-vertex map, the turn maps of test_graphs, and broken."""
+def _lower_turn_example():
+    # a: v -> v over the bigon p, q: v -> u; f(a) = a p q^-1 a crosses the
+    # turn {p^-1, q^-1}, which is illegal (Df sends both to p^-1) but lies
+    # in the lower stratum {p, q}, so it does not make f(a) 2-illegal
+    from traintrack.graphs import Graph
+
+    g = Graph(["v", "u"], [("a", "v", "v"), ("p", "v", "u"), ("q", "v", "u")])
+    return GraphMap(g, {"v": "v", "u": "u"},
+                    {"a": (1, 2, -3, 1), "p": (2, -3, 2), "q": (2,)})
+
+
+@pytest.fixture(scope="module")
+def rtt_corpus(turn_maps, broken):
+    """(map, verify_rtt report) for 80 seeded rose maps of ranks 2 and 3
+    whose exponential strata have at most one edge below them (so
+    condition 2 lists few paths), the three-vertex map, the bigon map,
+    the turn maps of test_graphs, and broken.  Condition 2 on the turn
+    map "two" lists about 10^6 connecting paths, most of the time here."""
     rng = random.Random("rtt oracle")
     maps = []
     while len(maps) < 80:
@@ -332,7 +348,8 @@ def _rtt_corpus(turn_maps, broken):
         if all(len(filt.edges_below(s.index)) <= 1
                for s in filt.exponential_strata()):
             maps.append(f)
-    return maps + [_tree_example(), *turn_maps.values(), broken]
+    maps += [_tree_example(), _lower_turn_example(), *turn_maps.values(), broken]
+    return [(f, verify_rtt(f)) for f in maps]
 
 
 class TestVerify:
@@ -344,20 +361,58 @@ class TestVerify:
         assert verify_rtt(plas_rose).passed
         assert verify_rtt(rel_rose).passed
 
-    def test_rtt_matches_the_path_listing(self, turn_maps, broken):
+    def test_rtt_matches_the_path_listing(self, rtt_corpus):
         """verify_rtt passes exactly when it has no condition-1 or
         condition-2 row and conftest.naive_rtt_iii, which lists the
         r-legal paths of up to 6 edges, finds no path with an r-illegal
         image."""
         outcomes = set()
-        for f in _rtt_corpus(turn_maps, broken):
-            rep = verify_rtt(f)
+        for f, rep in rtt_corpus:
             lower = [v for v in rep.rows if v["condition"] != 3]
             bad = naive_rtt_iii(f)
             assert rep.passed == (not lower and not bad), (f, rep.rows, bad)
             outcomes.add((bool(lower), bool(bad)))
         # the corpus passes, fails condition 3 alone, and fails the others
         assert {(False, False), (False, True), (True, False)} <= outcomes
+
+    def test_condition_3_rows_name_the_illegal_images(self, rtt_corpus):
+        """Each condition-3 row names an edge E of H_r whose image f(E)
+        has a turn that turn_orbit calls illegal and that meets H_r, and
+        every such edge has a row, in stratum and edge order."""
+        flagged = 0
+        for f, rep in rtt_corpus:
+            g = f.graph
+            want = []
+            for s in f.filtration.exponential_strata():
+                hr = set(s.edges)
+                for e in s.edges:
+                    image = f.edge_image(e)
+                    if any(
+                        f.turn_orbit(make_turn(-a, b))[0] == "illegal"
+                        and (abs(a) in hr or abs(b) in hr)
+                        for a, b in zip(image, image[1:])
+                    ):
+                        want.append((s.index, g.edge_name(e)))
+            got = [(v["stratum"], v["edge"])
+                   for v in rep.rows if v["condition"] == 3]
+            assert got == want, f
+            flagged += bool(want)
+        assert flagged
+
+    def test_condition_3_lists_no_paths(self, monkeypatch):
+        # the rank-8 shift map x_i -> x_i+1, x_8 -> x_2 x_1 is a train
+        # track map with one stratum; listing its r-legal paths of up to
+        # 6 edges over 16 directions takes over a minute
+        def no_listing(*args, **kwargs):
+            raise AssertionError("condition 3 listed paths")
+
+        monkeypatch.setattr(strata, "iter_tight_paths", no_listing)
+        shift = Automorphism.from_letter_lists(
+            [(x + 1,) for x in range(1, 8)] + [(2, 1)],
+            [(-1, 8)] + [(x - 1,) for x in range(2, 9)],
+        )
+        rep = verify_rtt(rose_of(shift))
+        assert rep.passed and rep.rows == []
 
     def test_broken_fails_condition_1_on_ea(self, broken):
         filt = compute_filtration(broken)
