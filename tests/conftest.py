@@ -215,10 +215,10 @@ def naive_longest_short_path(graph, metric, L0, slack=1e-9):
     return max([0.0] + [longest((d,)) for d in graph.directions()])
 
 
-def naive_rtt_iii(f, max_len=6):
+def naive_rtt_iii(f):
     """Condition 3 of a relative train track map, by listing paths: for
-    each exponential stratum H_r, the tight paths in G_r of at most
-    max_len edges that cross H_r, have no illegal turn meeting H_r, and
+    each exponential stratum H_r, the tight paths in G_r of at most 6
+    edges that cross H_r, have no illegal turn meeting H_r, and
     whose tightened image has one.  Returns (stratum, path) pairs.  A
     turn is illegal when turn_orbit says so; images are naive_apply's."""
     g = f.graph
@@ -237,7 +237,7 @@ def naive_rtt_iii(f, max_len=6):
                 image = naive_apply(images, path)
                 if any(r_illegal(a, b) for a, b in zip(image, image[1:])):
                     out.append((s.index, path))
-            if len(path) < max_len:
+            if len(path) < 6:
                 for d in g.successors(path[-1]):
                     if abs(d) in gr and not r_illegal(path[-1], d):
                         extend(path + (d,))

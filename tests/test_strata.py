@@ -338,7 +338,7 @@ def rtt_corpus(turn_maps, broken):
     """(map, verify_rtt report) for 80 seeded rose maps of ranks 2 and 3
     whose exponential strata have at most one edge below them (so
     condition 2 lists few paths), the three-vertex map, the bigon map,
-    the turn maps of test_graphs, and broken.  Condition 2 on the turn
+    the turn maps of conftest, and broken.  Condition 2 on the turn
     map "two" lists about 10^6 connecting paths, most of the time here."""
     rng = random.Random("rtt oracle")
     maps = []
